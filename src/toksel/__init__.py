@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .abtest import AbTestReport, ProportionComparison, compare_proportions, run_abtest
 from .dataset import (
     Dataset,
+    PatternTable,
     ResponseRecord,
     Token,
     TokenCatalog,
@@ -34,10 +35,9 @@ from .evaluation import (
 )
 from .infotheory import (
     AuditReport,
-    JointTable,
     audit_monotonicity,
     audit_submodularity,
-    build_joint,
+    cell_counts,
     entropy,
     information_gain,
     pc_entropy,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ParameterError, SchemaError
+from .errors import DataError, ParameterError, SchemaError
 
 DENOMINATORS = ("displays", "responders")
 
@@ -150,6 +150,11 @@ def run_abtest(
 
     c_resp = int(control.responded.sum())
     t_resp = int(treatment.responded.sum())
+    for arm, ds, resp in (("control", control, c_resp), ("treatment", treatment, t_resp)):
+        if len(ds) == 0:
+            raise DataError(f"{arm} arm has no records")
+        if denominator == "responders" and resp == 0:
+            raise DataError(f"{arm} arm has no responders to use as the denominator")
     overall = compare_proportions(c_resp, len(control), t_resp, len(treatment))
 
     c_n = len(control) if denominator == "displays" else c_resp

@@ -4,7 +4,7 @@ Stages hand off through files. Every command is a pure function of its
 inputs, flags, and seed; each run writes a manifest recording the input
 digest, the seed, and the digests of every output, so reruns can be
 checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
-3 capacity exceeded.
+3 capacity exceeded (only `select --strategy exhaustive`'s enumeration cap).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -21,14 +22,7 @@ from .dataset import TokenCatalog, load_dataset, save_dataset
 from .errors import CapacityError, DataError, ParameterError
 from .evaluation import SplitPlan, evaluate_subsets, report_to_json_text
 from .infotheory import audit_monotonicity, audit_submodularity
-from .selection import (
-    STRATEGIES,
-    select_auc_greedy,
-    select_exhaustive,
-    select_random,
-    select_rits,
-    select_rits_lazy,
-)
+from .selection import STRATEGIES
 from .synthgen import (
     apply_presentation,
     demo_experiment_config,
@@ -143,18 +137,7 @@ def cmd_select(args) -> int:
     if strategy in ("random", "auc_greedy") and args.seed is None:
         raise ParameterError(f"strategy {strategy} requires --seed for reproducibility")
 
-    if strategy == "rits":
-        trace = select_rits(dataset, args.k)
-    elif strategy == "rits_lazy":
-        trace = select_rits_lazy(dataset, args.k)
-    elif strategy == "auc_greedy":
-        trace = select_auc_greedy(
-            dataset, args.k, splits=args.splits, seed=args.seed, train_fraction=args.train_frac
-        )
-    elif strategy == "random":
-        trace = select_random(len(dataset.catalog), args.k, args.seed)
-    else:
-        trace = select_exhaustive(dataset, args.k)
+    trace = STRATEGIES[strategy](dataset, args.k, args.seed, args.splits, args.train_frac)
 
     labels = dataset.catalog.labels
     unit = {"bits": "gain(bits)", "auc": "univ. AUC", "none": "gain"}[trace.gain_metric]
@@ -192,23 +175,18 @@ def cmd_evaluate(args) -> int:
         if s not in STRATEGIES:
             raise ParameterError(f"unknown strategy {s!r} (choose from {', '.join(STRATEGIES)})")
 
+    # greedy traces are prefixes of the full-catalog trace, which also gives the 90%/94% lines
     traces = []
+    full = None
     for s in strategies:
-        if s == "rits":
-            traces.append(select_rits(dataset, args.k_max))
-        elif s == "rits_lazy":
-            traces.append(select_rits_lazy(dataset, args.k_max))
-        elif s == "auc_greedy":
-            traces.append(
-                select_auc_greedy(
-                    dataset, args.k_max, splits=args.splits, seed=args.seed,
-                    train_fraction=args.train_frac,
-                )
-            )
-        elif s == "random":
-            traces.append(select_random(n_tokens, args.k_max, args.seed))
+        if s in ("rits", "rits_lazy"):
+            trace = STRATEGIES[s](dataset, n_tokens, args.seed, args.splits, args.train_frac)
+            if full is None:
+                full = trace
+            trace = replace(trace, steps=trace.steps[: args.k_max], budget_k=args.k_max)
         else:
-            traces.append(select_exhaustive(dataset, args.k_max))
+            trace = STRATEGIES[s](dataset, args.k_max, args.seed, args.splits, args.train_frac)
+        traces.append(trace)
 
     plan = SplitPlan(splits=args.splits, train_fraction=args.train_frac, master_seed=args.seed)
     reports = evaluate_subsets(
@@ -225,24 +203,13 @@ def cmd_evaluate(args) -> int:
         _write_text(csv_path, report.to_csv_text())
         outputs.extend([json_path, csv_path])
 
-    for trace in traces:
-        if trace.strategy in ("rits", "rits_lazy"):
-            full = select_rits(dataset, n_tokens) if trace.budget_k < n_tokens else trace
-            total = full.steps[-1].cumulative_ig_bits
-            if total > 0:
-                for threshold in (0.90, 0.94):
-                    hit = next(
-                        (
-                            i + 1
-                            for i, s in enumerate(full.steps)
-                            if s.cumulative_ig_bits >= threshold * total
-                        ),
-                        None,
-                    )
-                    print(
-                        f"{trace.strategy}: reaches {threshold:.0%} of full-set IG at k={hit}"
-                    )
-            break
+    total = full.steps[-1].cumulative_ig_bits if full else 0.0
+    if total > 0:
+        for threshold in (0.90, 0.94):
+            hit = next(
+                i + 1 for i, s in enumerate(full.steps) if s.cumulative_ig_bits >= threshold * total
+            )
+            print(f"{full.strategy}: reaches {threshold:.0%} of full-set IG at k={hit}")
 
     flags = {
         "input": Path(args.input).name,
@@ -399,7 +366,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"toksel: capacity error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
+        # OSError: an input path that is missing, a directory, or unreadable
         print(f"toksel: data error: {exc}", file=sys.stderr)
         return 2
 

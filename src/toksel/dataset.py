@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -99,12 +100,16 @@ class TokenCatalog:
     @classmethod
     def from_csv(cls, path) -> "TokenCatalog":
         """Read a catalog file with header id,label,panel."""
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _text_errors(path), open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["id", "label", "panel"]:
                 raise SchemaError(f"catalog header must be id,label,panel, got {header}")
-            rows = [(int(r[0]), r[1], r[2]) for r in reader]
+            rows = []
+            for row_no, r in enumerate(reader, start=2):
+                if len(r) != 3 or not r[0].isdecimal():
+                    raise SchemaError(f"catalog row {row_no}: expected an integer id, label, panel, got {r}")
+                rows.append((int(r[0]), r[1], r[2]))
         rows.sort(key=lambda r: r[0])
         return cls([Token(i, lab, pan) for i, lab, pan in rows])
 
@@ -277,12 +282,24 @@ class Dataset:
 
     @cached_property
     def rated_selections(self) -> np.ndarray:
-        """Selection rows of rated records, as int64 for pattern packing."""
+        """Selection rows of rated records, as int64."""
         return self._selections[self.rated_mask].astype(np.int64)
 
     @cached_property
     def rated_pc(self) -> np.ndarray:
         return (self._pc[self.rated_mask] == 1).astype(np.int64)
+
+    @cached_property
+    def patterns(self) -> "PatternTable":
+        """The rated records compressed to their distinct token rows, with label counts."""
+        sel = self._selections[self.rated_mask]
+        # one byte string per row: a void-view unique is far faster than unique(axis=0)
+        packed = np.ascontiguousarray(np.packbits(sel, axis=1))
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        inverse = inverse.reshape(-1).astype(np.int64)
+        counts = np.bincount(inverse * 2 + self.rated_pc, minlength=2 * first.size)
+        return PatternTable(sel[first], counts.reshape(-1, 2), inverse)
 
     def __len__(self) -> int:
         return len(self._call_ids)
@@ -302,6 +319,53 @@ class Dataset:
 
     def __iter__(self) -> Iterator[ResponseRecord]:
         return (self.record(i) for i in range(len(self)))
+
+
+@dataclass(frozen=True)
+class PatternTable:
+    """Distinct token rows of a dataset's rated records, with poor-call counts.
+
+    Every plug-in statistic conditioned on the poor-call label depends on
+    the records only through these counts.
+    """
+
+    rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
+    counts: np.ndarray  # (n_patterns, 2) int64: rated records per row that are (not poor, poor)
+    row_of_record: np.ndarray  # (n_rated,) int64: pattern index of each rated record
+
+    def __post_init__(self):
+        for arr in (self.rows, self.counts, self.row_of_record):
+            arr.setflags(write=False)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+
+# Cells are keyed chunk by chunk so that the previous chunks' cell id,
+# shifted left by the chunk width, and the chunk's packed bits fit in int64.
+_KEY_CHUNK = 32
+
+
+def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Cell of each row under a token subset, and the number of cells.
+
+    Rows share a cell exactly when they agree on every column in
+    `subset`. Ids run 0..n_cells-1 in increasing order of the rows'
+    subset values read as a binary number, with subset[j] as bit j of
+    its 32-token chunk and earlier chunks more significant. Any subset
+    width works: each chunk re-keys the cells found so far.
+    """
+    subset = list(subset)
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for start in range(0, len(subset), _KEY_CHUNK):
+        chunk = subset[start:start + _KEY_CHUNK]
+        weights = np.left_shift(1, np.arange(len(chunk), dtype=np.int64))
+        code = rows[:, chunk].astype(np.int64) @ weights
+        _, ids = np.unique((ids << _KEY_CHUNK) | code, return_inverse=True)
+        ids = ids.reshape(-1)
+    n_cells = int(ids.max()) + 1 if ids.size else 0
+    return ids, n_cells
 
 
 def filter_dataset(
@@ -376,11 +440,20 @@ def load_dataset(path, format: str = "csv", catalog: Optional[TokenCatalog] = No
     from the file itself. Rows without a rating are retained; they are
     excluded from any poor-call-conditioned statistic downstream.
     """
-    if format == "csv":
-        return _load_csv(path, catalog)
-    if format == "jsonl":
-        return _load_jsonl(path, catalog)
-    raise ParameterError(f"unknown format {format!r}")
+    loaders = {"csv": _load_csv, "jsonl": _load_jsonl}
+    if format not in loaders:
+        raise ParameterError(f"unknown format {format!r}")
+    with _text_errors(path):
+        return loaders[format](path, catalog)
+
+
+@contextmanager
+def _text_errors(path):
+    """Report a file that is not UTF-8 text, or not parseable as CSV, as a DataError."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
@@ -431,6 +504,8 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"row {row_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
+                raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
             records.append(obj)
             obj["_row"] = row_no
 
@@ -460,9 +535,13 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
         for lab, val in obj["selections"].items():
             if lab not in label_set:
                 raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
-            if val not in (0, 1):
+            # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
+            if type(val) is not int or val not in (0, 1):
                 raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
             sel[i, cat.id_of(lab)] = val
+        if len(obj["selections"]) != len(cat):
+            missing = sorted(label_set - set(obj["selections"]))
+            raise SchemaError(f"row {row_no}: missing token keys {missing}")
 
     return Dataset(cat, call_ids, arms, platforms, np.array(ratings, dtype=np.int16), sel)
 

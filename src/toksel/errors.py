@@ -22,4 +22,4 @@ class UndefinedStatisticError(DataError):
 
 
 class CapacityError(RuntimeError):
-    """A configured capacity cap (joint-table width, subset count) was exceeded."""
+    """A configured capacity cap (the exhaustive search's subset count) was exceeded."""

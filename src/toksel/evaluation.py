@@ -16,32 +16,36 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .dataset import Dataset
-from .errors import CapacityError, DataError, ParameterError, UndefinedStatisticError
-from .infotheory import HARD_SUBSET_CAP
+from .dataset import Dataset, PatternTable, cell_ids
+from .errors import DataError, ParameterError, UndefinedStatisticError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import SelectionTrace
 
 
-def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+def auc(scores: Sequence[float], labels: Sequence[int], weights: Optional[Sequence[float]] = None) -> float:
     """Area under the ROC curve via the rank statistic, with midrank ties.
 
-    Equals P(score+ > score-) + 0.5 * P(score+ == score-) exactly.
+    Equals P(score+ > score-) + 0.5 * P(score+ == score-) exactly, entry i
+    counting weights[i] times (default 1); integer weights keep every sum exact.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ParameterError("scores and labels must be 1-d and equal length")
+    w = np.ones(s.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if s.shape != y.shape or s.shape != w.shape or s.ndim != 1:
+        raise ParameterError("scores, labels and weights must be 1-d and equal length")
     pos = y == 1
-    n1 = int(pos.sum())
-    n0 = s.size - n1
+    values, group = np.unique(s, return_inverse=True)
+    w1 = np.bincount(group, weights=np.where(pos, w, 0.0), minlength=values.size)
+    w0 = np.bincount(group, weights=np.where(pos, 0.0, w), minlength=values.size)
+    n1 = w1.sum()
+    n0 = w0.sum()
     if n1 == 0 or n0 == 0:
         raise UndefinedStatisticError("AUC undefined: labels contain a single class")
-    ranks = rankdata(s, method="average")
-    return (float(ranks[pos].sum()) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    # each positive beats the negatives of every lower score group and ties half of its own
+    below = np.cumsum(w0) - w0
+    return float(np.sum(w1 * (below + 0.5 * w0))) / (n1 * n0)
 
 
 def jaccard(a: Sequence[int], b: Sequence[int]) -> float:
@@ -114,16 +118,12 @@ def _check_subset(subset: Sequence[int]) -> tuple[int, ...]:
     ids = tuple(sorted(int(t) for t in subset))
     if len(set(ids)) != len(ids):
         raise ParameterError("subset ids must be distinct")
-    if len(ids) > HARD_SUBSET_CAP:
-        raise CapacityError(f"subset of {len(ids)} tokens exceeds the table cap of {HARD_SUBSET_CAP}")
     return ids
 
 
-def _pack(selections: np.ndarray, ids: tuple[int, ...]) -> np.ndarray:
-    if not ids:
-        return np.zeros(selections.shape[0], dtype=np.int64)
-    weights = np.left_shift(1, np.arange(len(ids), dtype=np.int64))
-    return selections[:, list(ids)].astype(np.int64) @ weights
+def _smoothed_rate(n1, n, alpha: float):
+    """(n_poor + alpha) / (n + 2*alpha): the table scorer's score of a cell, or its prior."""
+    return (n1 + alpha) / (n + 2 * alpha)
 
 
 class TableScorer:
@@ -147,21 +147,27 @@ class TableScorer:
         n1_total = int(y.sum())
         if n1_total == 0 or n1_total == y.size:
             raise DataError("training data must contain both poor and non-poor calls")
-        patterns = _pack(np.asarray(selections), self.subset)
-        width = 1 << len(self.subset)
-        n1 = np.bincount(patterns, weights=y, minlength=width)
-        n = np.bincount(patterns, minlength=width).astype(np.float64)
-        a = self.alpha
-        self.prior_ = (n1_total + a) / (y.size + 2 * a)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cell = (n1 + a) / (n + 2 * a)
-        self._scores = np.where(n > 0, cell, self.prior_)
+        X = np.asarray(selections)[:, list(self.subset)]
+        cells, n_cells = cell_ids(X, range(len(self.subset)))
+        n1 = np.bincount(cells, weights=y, minlength=n_cells)
+        n = np.bincount(cells, minlength=n_cells).astype(np.float64)
+        self.prior_ = _smoothed_rate(n1_total, y.size, self.alpha)
+        self._scores = _smoothed_rate(n1, n, self.alpha)
+        # one training row per cell, so predict can key new rows together with them
+        last = np.empty(n_cells, dtype=np.int64)
+        last[cells] = np.arange(cells.size)
+        self._cells = X[last]
         return self
 
     def predict(self, selections: np.ndarray) -> np.ndarray:
         if self._scores is None:
             raise ParameterError("scorer is not fitted")
-        return self._scores[_pack(np.asarray(selections), self.subset)]
+        X = np.asarray(selections)[:, list(self.subset)]
+        cells, n_cells = cell_ids(np.vstack([self._cells, X]), range(len(self.subset)))
+        fitted = self._cells.shape[0]
+        scores = np.full(n_cells, self.prior_)
+        scores[cells[:fitted]] = self._scores
+        return scores[cells[fitted:]]
 
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
         """Scores for the dataset's rated records."""
@@ -334,23 +340,51 @@ def report_to_json_text(report: EvalReport) -> str:
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _split_aucs(
-    X: np.ndarray,
-    y: np.ndarray,
-    subset: tuple[int, ...],
-    partitions,
-    scorer_kind: str,
-    alpha: float,
-    trees: int,
+def _split_counts(table: PatternTable, pc: np.ndarray, partitions) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per split, the (train, test) records of each pattern, as (n_patterns, 2) label counts."""
+    out = []
+    for train_idx, _, _ in partitions:
+        keys = table.row_of_record[train_idx] * 2 + pc[train_idx]
+        train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
+        out.append((train, table.counts - train))
+    return out
+
+
+def _table_split_aucs(
+    table: PatternTable, subset: tuple[int, ...], split_counts, alpha: float
+) -> np.ndarray:
+    """Table-scorer test AUC per split, from pattern counts; equals fitting
+    TableScorer on each split's training rows and scoring its test rows."""
+    cells, n_cells = cell_ids(table.rows, subset)
+
+    def per_cell(counts, label):
+        return np.bincount(cells, weights=counts[:, label], minlength=n_cells)
+
+    vals = np.empty(len(split_counts))
+    for i, (train, test) in enumerate(split_counts):
+        n1 = per_cell(train, 1)
+        n = n1 + per_cell(train, 0)
+        n1_total = int(train[:, 1].sum())
+        if n1_total == 0 or n1_total == int(train.sum()):
+            raise DataError("training data must contain both poor and non-poor calls")
+        prior = _smoothed_rate(n1_total, int(train.sum()), alpha)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = np.where(n > 0, _smoothed_rate(n1, n, alpha), prior)
+        # each cell's test records enter the AUC as one weighted entry per label
+        vals[i] = auc(
+            np.concatenate([scores, scores]),
+            np.repeat([0, 1], n_cells),
+            np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
+        )
+    return vals
+
+
+def _forest_split_aucs(
+    X: np.ndarray, y: np.ndarray, subset: tuple[int, ...], partitions, trees: int
 ) -> np.ndarray:
     vals = np.empty(len(partitions))
     for i, (train_idx, test_idx, scorer_seed) in enumerate(partitions):
-        if scorer_kind == "table":
-            scorer = TableScorer(subset, alpha=alpha).fit(X[train_idx], y[train_idx])
-        elif scorer_kind == "forest":
-            scorer = ForestScorer(subset, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
-        else:
-            raise ParameterError(f"unknown scorer kind {scorer_kind!r}")
+        scorer = ForestScorer(subset, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
         vals[i] = auc(scorer.predict(X[test_idx]), y[test_idx])
     return vals
 
@@ -372,9 +406,13 @@ def evaluate_subsets(
     """
     if not traces:
         raise ParameterError("traces must be non-empty")
+    if scorer_kind not in ("table", "forest"):
+        raise ParameterError(f"unknown scorer kind {scorer_kind!r}")
     X = dataset.rated_selections
     y = dataset.rated_pc
     partitions = plan.partitions(X.shape[0])
+    if scorer_kind == "table":
+        split_counts = _split_counts(dataset.patterns, y, partitions)
 
     cache: dict[tuple[int, ...], np.ndarray] = {}
     reports = []
@@ -384,7 +422,10 @@ def evaluate_subsets(
         for k in range(1, len(ids) + 1):
             subset = tuple(sorted(ids[:k]))
             if subset not in cache:
-                cache[subset] = _split_aucs(X, y, subset, partitions, scorer_kind, alpha, trees)
+                if scorer_kind == "table":
+                    cache[subset] = _table_split_aucs(dataset.patterns, subset, split_counts, alpha)
+                else:
+                    cache[subset] = _forest_split_aucs(X, y, subset, partitions, trees)
             vals = cache[subset]
             std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
             entries.append(
@@ -402,11 +443,10 @@ def evaluate_subsets(
 
 def univariate_aucs(dataset: Dataset, plan: SplitPlan, alpha: float = 1.0) -> np.ndarray:
     """Mean single-token AUC per catalog token over the plan's splits."""
-    X = dataset.rated_selections
     y = dataset.rated_pc
-    partitions = plan.partitions(X.shape[0])
+    split_counts = _split_counts(dataset.patterns, y, plan.partitions(y.size))
     n_tokens = len(dataset.catalog)
     means = np.empty(n_tokens)
     for t in range(n_tokens):
-        means[t] = _split_aucs(X, y, (t,), partitions, "table", alpha, 0).mean()
+        means[t] = _table_split_aucs(dataset.patterns, (t,), split_counts, alpha).mean()
     return means

@@ -1,7 +1,9 @@
 """Plug-in entropy and information gain over binary token subsets.
 
 All quantities are in bits. The estimator is the maximum-likelihood
-plug-in over empirical cell counts of rated records, with optional
+plug-in over empirical cell counts of rated records, taken from the
+dataset's pattern table (`Dataset.patterns`) so that one evaluation
+costs time in distinct token rows, not in records, with optional
 add-alpha smoothing (off by default: smoothing trades the exact
 monotonicity of the plug-in estimate for variance reduction).
 
@@ -21,11 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import CapacityError, DataError, ParameterError
-
-# Exact joint tables are dense in 2^k patterns; 2^20 cells is the memory cap.
-HARD_SUBSET_CAP = 20
+from .dataset import Dataset, cell_ids
+from .errors import DataError, ParameterError
 
 
 def entropy(p: float) -> float:
@@ -38,24 +37,6 @@ def entropy(p: float) -> float:
     return -p * math.log2(p) - q * math.log2(q)
 
 
-@dataclass(frozen=True)
-class JointTable:
-    """Empirical joint counts of (poor-call label, token subset pattern).
-
-    Patterns encode the subset's token values as bits: subset[j] maps to
-    bit j. Cells with zero count are omitted.
-    """
-
-    subset: tuple[int, ...]
-    cells: dict[int, tuple[int, int]]  # pattern -> (n_pc0, n_pc1)
-    total: int
-
-    def pc_marginal(self) -> tuple[int, int]:
-        n0 = sum(c[0] for c in self.cells.values())
-        n1 = sum(c[1] for c in self.cells.values())
-        return n0, n1
-
-
 def _validate_subset(dataset: Dataset, subset: Sequence[int]) -> tuple[int, ...]:
     ids = tuple(int(t) for t in subset)
     if len(set(ids)) != len(ids):
@@ -64,36 +45,26 @@ def _validate_subset(dataset: Dataset, subset: Sequence[int]) -> tuple[int, ...]
     for t in ids:
         if not 0 <= t < n_tokens:
             raise ParameterError(f"token id {t} outside catalog (size {n_tokens})")
-    if len(ids) > HARD_SUBSET_CAP:
-        raise CapacityError(
-            f"subset of {len(ids)} tokens exceeds the exact-table cap of {HARD_SUBSET_CAP}"
-        )
     return ids
 
 
-def _pattern_class_counts(dataset: Dataset, subset: tuple[int, ...]) -> np.ndarray:
-    """Return counts[pattern, pc] over rated records; shape (2^k, 2)."""
-    pc = dataset.rated_pc
-    if pc.size == 0:
-        raise DataError("dataset has no rated records")
-    k = len(subset)
-    if k == 0:
-        patterns = np.zeros(pc.size, dtype=np.int64)
-    else:
-        weights = np.left_shift(1, np.arange(k, dtype=np.int64))
-        patterns = dataset.rated_selections[:, list(subset)] @ weights
-    combined = (patterns << 1) | pc
-    counts = np.bincount(combined, minlength=2 << k)
-    return counts.reshape(-1, 2)
+def cell_counts(dataset: Dataset, subset: Sequence[int]) -> np.ndarray:
+    """Rated records per (occupied cell, poor-call label) of a token subset.
 
-
-def build_joint(dataset: Dataset, subset: Sequence[int]) -> JointTable:
-    """Joint table of (poor-call, subset pattern) counts over rated records."""
+    Returns an (n_cells, 2) float array of exact integer counts, columns
+    (not poor, poor). A cell is one combination of the subset's token
+    values; cells no rated record falls in are omitted, and cells come
+    in the order `toksel.dataset.cell_ids` numbers them.
+    """
     ids = _validate_subset(dataset, subset)
-    counts = _pattern_class_counts(dataset, ids)
-    occupied = np.flatnonzero(counts.sum(axis=1))
-    cells = {int(p): (int(counts[p, 0]), int(counts[p, 1])) for p in occupied}
-    return JointTable(subset=ids, cells=cells, total=int(counts.sum()))
+    table = dataset.patterns
+    if table.total == 0:
+        raise DataError("dataset has no rated records")
+    cells, n_cells = cell_ids(table.rows, ids)
+    return np.stack(
+        [np.bincount(cells, weights=table.counts[:, c], minlength=n_cells) for c in (0, 1)],
+        axis=1,
+    )
 
 
 def _xlog2(n: np.ndarray) -> np.ndarray:
@@ -106,21 +77,19 @@ def _cell_terms(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
     return _xlog2(n) - _xlog2(n0) - _xlog2(n1)
 
 
-def _cond_term_sum(dataset: Dataset, subset: tuple[int, ...]) -> float:
+def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
     """Sum over cells of n*H(pc within cell), scaled by n (i.e. N * H[pc|subset])."""
-    counts = _pattern_class_counts(dataset, subset)
-    terms = _cell_terms(counts[:, 0].astype(np.float64), counts[:, 1].astype(np.float64))
+    counts = cell_counts(dataset, subset)
+    terms = _cell_terms(counts[:, 0], counts[:, 1])
     return math.fsum(terms[terms != 0.0])
 
 
 def _marginal_term(dataset: Dataset) -> tuple[float, int]:
-    pc = dataset.rated_pc
-    if pc.size == 0:
+    n0, n1 = (int(c) for c in dataset.patterns.counts.sum(axis=0))
+    if n0 + n1 == 0:
         raise DataError("dataset has no rated records")
-    n1 = int(pc.sum())
-    n0 = pc.size - n1
     term = float(_cell_terms(np.array([float(n0)]), np.array([float(n1)]))[0])
-    return term, pc.size
+    return term, n0 + n1
 
 
 def pc_entropy(dataset: Dataset) -> float:
@@ -136,35 +105,27 @@ def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0
     alpha > 0, every one of the 2^k * 2 cells receives an add-alpha
     pseudocount (which breaks exact monotonicity).
     """
-    ids = _validate_subset(dataset, subset)
+    subset = _validate_subset(dataset, subset)
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
     if alpha > 0:
-        return _smoothed_ig(dataset, ids, alpha)
+        return _smoothed_ig(dataset, subset, alpha)
     base_term, total = _marginal_term(dataset)
-    ig = (base_term - _cond_term_sum(dataset, ids)) / total
+    ig = (base_term - _cond_term_sum(dataset, subset)) / total
     return max(0.0, ig)
 
 
-def ig_from_table(table: JointTable) -> float:
-    """Information gain recomputed from an explicit joint table."""
-    if not table.cells:
-        raise DataError("joint table is empty")
-    n0 = np.array([c[0] for c in table.cells.values()], dtype=np.float64)
-    n1 = np.array([c[1] for c in table.cells.values()], dtype=np.float64)
-    base = float(_cell_terms(np.array([n0.sum()]), np.array([n1.sum()]))[0])
-    cond = math.fsum(t for t in _cell_terms(n0, n1) if t != 0.0)
-    return max(0.0, (base - cond) / table.total)
-
-
-def _smoothed_ig(dataset: Dataset, subset: tuple[int, ...], alpha: float) -> float:
-    counts = _pattern_class_counts(dataset, subset).astype(np.float64) + alpha
-    total = counts.sum()
-    n0 = counts[:, 0]
-    n1 = counts[:, 1]
-    cond = float(np.sum(_cell_terms(n0, n1)))
-    base = float(_cell_terms(np.array([n0.sum()]), np.array([n1.sum()]))[0])
-    return (base - cond) / total
+def _smoothed_ig(dataset: Dataset, subset: Sequence[int], alpha: float) -> float:
+    counts = cell_counts(dataset, subset) + alpha
+    # the 2^k - n_cells empty cells each hold (alpha, alpha): summed in closed form
+    empty = 2.0 ** len(subset) - counts.shape[0]
+    pseudo = np.array([alpha])
+    n0 = counts[:, 0].sum() + empty * alpha
+    n1 = counts[:, 1].sum() + empty * alpha
+    cond = float(np.sum(_cell_terms(counts[:, 0], counts[:, 1])))
+    cond += empty * float(_cell_terms(pseudo, pseudo)[0])
+    base = float(_cell_terms(np.array([n0]), np.array([n1]))[0])
+    return (base - cond) / (n0 + n1)
 
 
 @dataclass(frozen=True)
@@ -196,10 +157,7 @@ def _audit_sizes(dataset: Dataset, max_subset_size: Optional[int]) -> int:
     """Largest subset size the audits sample; defaults to min(catalog, 10)
     to keep thousands of trials affordable on wide catalogs."""
     n_tokens = len(dataset.catalog)
-    cap = min(n_tokens, HARD_SUBSET_CAP if max_subset_size is None else max_subset_size)
-    if max_subset_size is None:
-        cap = min(cap, 10)
-    return max(1, cap)
+    return max(1, min(n_tokens, 10 if max_subset_size is None else max_subset_size))
 
 
 def audit_monotonicity(

@@ -1,18 +1,15 @@
 """Token-subset selection strategies.
 
 The flagship strategy greedily adds the token with the largest marginal
-information gain about the poor-call label. A lazy variant reuses stale
-marginal gains as upper bounds (valid under diminishing returns) and
-falls back to eager re-evaluation if it ever observes a gain increase.
-Baselines: univariate-AUC ranking, uniform random, and an exhaustive
-oracle for small catalogs.
+information gain about the poor-call label. Baselines: univariate-AUC
+ranking, uniform random, and an exhaustive oracle for small catalogs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,12 +18,6 @@ from .dataset import Dataset, TokenCatalog
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, univariate_aucs
 from .infotheory import _cond_term_sum, _marginal_term
-
-STRATEGIES = ("rits", "rits_lazy", "auc_greedy", "random", "exhaustive")
-
-# tolerance used only to distinguish a genuine diminishing-returns
-# violation from float roundoff when a stale gain is re-evaluated
-_LAZY_VIOLATION_EPS = 1e-12
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
 
@@ -98,24 +89,18 @@ class _IgEvaluator:
             self._memo[key] = cond
         return max(0.0, (self._base_term - cond) / self._total)
 
-    def full_ig(self) -> float:
-        return self.ig(range(len(self._dataset.catalog)))
-
 
 def _check_k(k: int, n_tokens: int) -> None:
     if not 1 <= k <= n_tokens:
         raise ParameterError(f"k must be in 1..{n_tokens}, got {k}")
 
 
-def _eager_steps(
-    ev: _IgEvaluator,
-    n_tokens: int,
-    k: int,
-    chosen: list[int],
-    steps: list[SelectionStep],
-    cur_ig: float,
-) -> None:
-    remaining = [t for t in range(n_tokens) if t not in chosen]
+def _greedy(ev: _IgEvaluator, candidates: Sequence[int], k: int) -> tuple[SelectionStep, ...]:
+    """k greedy steps over `candidates`; ties go to the earliest candidate."""
+    chosen: list[int] = []
+    remaining = list(candidates)
+    steps = []
+    cur_ig = 0.0
     while len(steps) < k:
         best_id = -1
         best_cum = -1.0
@@ -128,6 +113,7 @@ def _eager_steps(
         chosen.append(best_id)
         remaining.remove(best_id)
         cur_ig = best_cum
+    return tuple(steps)
 
 
 def select_rits(dataset: Dataset, k: int) -> SelectionTrace:
@@ -138,59 +124,15 @@ def select_rits(dataset: Dataset, k: int) -> SelectionTrace:
     """
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
-    ev = _IgEvaluator(dataset)
-    steps: list[SelectionStep] = []
-    _eager_steps(ev, n_tokens, k, [], steps, 0.0)
-    return SelectionTrace("rits", tuple(steps), budget_k=k)
+    steps = _greedy(_IgEvaluator(dataset), range(n_tokens), k)
+    return SelectionTrace("rits", steps, budget_k=k)
 
 
 def select_rits_lazy(dataset: Dataset, k: int) -> SelectionTrace:
-    """Lazy-evaluation variant of select_rits.
-
-    Stale marginal gains are kept in a max-heap and only re-evaluated
-    when they reach the top; under diminishing returns they are upper
-    bounds, so the produced trace is identical to the eager one. If a
-    re-evaluated gain ever comes back larger than its stale bound the
-    data violates diminishing returns, and the remaining steps are
-    evaluated eagerly instead.
-    """
-    n_tokens = len(dataset.catalog)
-    _check_k(k, n_tokens)
-    ev = _IgEvaluator(dataset)
-
-    chosen: list[int] = []
-    steps: list[SelectionStep] = []
-    cur_ig = 0.0
-
-    gains = {}
-    cums = {}
-    for t in range(n_tokens):
-        cums[t] = ev.ig([t])
-        gains[t] = cums[t] - 0.0
-    fresh_at = {t: 0 for t in range(n_tokens)}
-    heap = [(-gains[t], t) for t in range(n_tokens)]
-    heapq.heapify(heap)
-
-    for step in range(k):
-        while True:
-            neg_gain, t = heapq.heappop(heap)
-            if fresh_at[t] == step:
-                steps.append(SelectionStep(t, gains[t], cums[t]))
-                chosen.append(t)
-                cur_ig = cums[t]
-                break
-            stale = gains[t]
-            cum = ev.ig(chosen + [t])
-            gain = cum - cur_ig
-            if gain > stale + _LAZY_VIOLATION_EPS:
-                # diminishing returns broken: finish eagerly, correctness over speed
-                _eager_steps(ev, n_tokens, k, chosen, steps, cur_ig)
-                return SelectionTrace("rits_lazy", tuple(steps), budget_k=k)
-            gains[t] = gain
-            cums[t] = cum
-            fresh_at[t] = step
-            heapq.heappush(heap, (-gain, t))
-    return SelectionTrace("rits_lazy", tuple(steps), budget_k=k)
+    """The select_rits trace under the name `rits_lazy`. A lazy greedy trusts
+    stale gains as upper bounds, which needs diminishing returns; plug-in
+    IG lacks it (on the bundled demo, stale gains mis-ordered step 7)."""
+    return replace(select_rits(dataset, k), strategy="rits_lazy")
 
 
 def select_auc_greedy(
@@ -252,9 +194,6 @@ def select_exhaustive(
             f"{n_subsets} subsets of size {k} exceed the enumeration cap of {max_subsets}"
         )
     ev = _IgEvaluator(dataset)
-
-    from itertools import combinations
-
     best_subset = None
     best_ig = -1.0
     for combo in combinations(range(n_tokens), k):
@@ -262,22 +201,18 @@ def select_exhaustive(
         if ig > best_ig:
             best_ig = ig
             best_subset = combo
+    return SelectionTrace("exhaustive", _greedy(ev, best_subset, k), budget_k=k)
 
-    # greedy replay within the winning subset, tie-break lowest id
-    steps = []
-    chosen: list[int] = []
-    remaining = list(best_subset)
-    cur_ig = 0.0
-    while remaining:
-        best_t = -1
-        best_cum = -1.0
-        for t in remaining:
-            cum = ev.ig(chosen + [t])
-            if cum > best_cum:
-                best_cum = cum
-                best_t = t
-        steps.append(SelectionStep(best_t, best_cum - cur_ig, best_cum))
-        chosen.append(best_t)
-        remaining.remove(best_t)
-        cur_ig = best_cum
-    return SelectionTrace("exhaustive", tuple(steps), budget_k=k)
+
+# Strategy name -> fn(dataset, k, seed, splits, train_fraction). The select_*
+# functions are looked up when a strategy runs, not when this table is built,
+# so a wrapped select_* function (e.g. for profiling) is the one that runs.
+STRATEGIES = {
+    "rits": lambda ds, k, seed, splits, frac: select_rits(ds, k),
+    "rits_lazy": lambda ds, k, seed, splits, frac: select_rits_lazy(ds, k),
+    "auc_greedy": lambda ds, k, seed, splits, frac: select_auc_greedy(
+        ds, k, splits=splits, seed=seed, train_fraction=frac
+    ),
+    "random": lambda ds, k, seed, splits, frac: select_random(len(ds.catalog), k, seed),
+    "exhaustive": lambda ds, k, seed, splits, frac: select_exhaustive(ds, k),
+}

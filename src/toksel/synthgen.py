@@ -284,7 +284,16 @@ def presentation_from_config(obj: dict) -> PresentationConfig:
     )
 
 
+def _number(value, name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"config value {name!r} must be a number, got {value!r}") from None
+
+
 def generator_from_config(obj: dict) -> GeneratorConfig:
+    if not isinstance(obj, dict):
+        raise DataError(f"config must be a JSON object, got {type(obj).__name__}")
     try:
         catalog = _catalog_from_config(obj.get("catalog", "default"))
         base = obj.get("base_fire_rate", 0.0)
@@ -294,24 +303,24 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
             base_vec = _weights_vector(base, catalog, "base_fire_rate")
         causes = tuple(
             LatentCause(
-                prevalence=c["prevalence"],
+                prevalence=_number(c["prevalence"], "prevalence"),
                 token_weights=_weights_vector(c["token_weights"], catalog, "token_weights"),
-                severity=float(c["severity"]),
+                severity=_number(c["severity"], "severity"),
                 name=c.get("name", f"cause_{i}"),
             )
             for i, c in enumerate(obj["latent_causes"])
         )
         rating = obj.get("rating", {})
         return GeneratorConfig(
-            n_calls=int(obj["n_calls"]),
+            n_calls=_number(obj["n_calls"], "n_calls", int),
             catalog=catalog,
             latent_causes=causes,
             base_fire_rate=base_vec,
-            rating_intercept=float(rating.get("intercept", 0.0)),
-            rating_severity_slope=float(rating.get("severity_slope", 1.0)),
-            rating_rate=float(rating.get("rate", 1.0)),
+            rating_intercept=_number(rating.get("intercept", 0.0), "intercept"),
+            rating_severity_slope=_number(rating.get("severity_slope", 1.0), "severity_slope"),
+            rating_rate=_number(rating.get("rate", 1.0), "rate"),
             platform=obj.get("platform", "desktop"),
-            seed=int(obj.get("seed", 0)),
+            seed=_number(obj.get("seed", 0), "seed", int),
         )
     except KeyError as exc:
         raise DataError(f"config missing required key {exc.args[0]!r}") from None
@@ -332,16 +341,18 @@ def experiment_from_config(
         if arm not in ("control", "treatment"):
             raise DataError(f"arm name must be control or treatment, got {arm!r}")
         arms[arm] = presentation_from_config(arm_obj)
-        arm_seeds[arm] = int(arm_obj.get("seed", gen.seed + 1000 + i))
+        arm_seeds[arm] = _number(arm_obj.get("seed", gen.seed + 1000 + i), "seed", int)
     return gen, arms, arm_seeds
 
 
 def load_experiment_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config parse error at line {exc.lineno}: {exc.msg}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"config parse error at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return experiment_from_config(obj)
 
 

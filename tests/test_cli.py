@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import toksel
 from toksel.cli import main
-from toksel.dataset import save_dataset
+from toksel.dataset import dataset_to_jsonl_text, save_dataset
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 from toksel.dataset import TokenCatalog
 
@@ -279,3 +285,74 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "toksel" in capsys.readouterr().out
+
+
+def _jsonl_line(**overrides):
+    obj = json.loads(dataset_to_jsonl_text(make_dataset([[1, 0]], [1])))
+    obj["selections"].update(overrides)
+    return obj
+
+
+def _write(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    return str(path)
+
+
+def _select(path, *extra):
+    return ["select", "--input", path, "--k", "1", *extra]
+
+
+def _generate(tmp_path, config):
+    return ["generate", "--config", _write(tmp_path, "cfg.json", config), "--output", str(tmp_path / "o")]
+
+
+def _silent_arms(tmp_path):
+    path = tmp_path / "silent.csv"
+    save_dataset(make_dataset([[0, 0], [0, 0]], [1, 5]), path)
+    return ["abtest", "--control", str(path), "--treatment", str(path), "--denominator", "responders"]
+
+
+MALFORMED = {
+    "jsonl line not an object": lambda tmp: _select(_write(tmp, "d.jsonl", "[1, 2]\n")),
+    "catalog id not an integer": lambda tmp: _select(
+        str(write_selection_data(tmp, n_tokens=2, n_calls=20)),
+        "--catalog", _write(tmp, "cat.csv", "id,label,panel\nx,token_00,audio\n1,token_01,audio\n"),
+    ),
+    "input is a directory": lambda tmp: _select(str(tmp)),
+    "input not utf-8": lambda tmp: _select(_write(tmp, "d.csv", b"call_id,arm,platform,rating,t\n\xff\n")),
+    "config top level is a list": lambda tmp: _generate(tmp, [MINIMAL_CONFIG]),
+    "config prevalence not numeric": lambda tmp: _generate(tmp, {
+        **MINIMAL_CONFIG,
+        "latent_causes": [{**MINIMAL_CONFIG["latent_causes"][0], "prevalence": "often"}],
+    }),
+    "abtest arm without responders": _silent_arms,
+    "jsonl cell is true": lambda tmp: _select(
+        _write(tmp, "d.jsonl", json.dumps(_jsonl_line(token_00=True)) + "\n")
+    ),
+    "jsonl token key missing": lambda tmp: _select(_write(tmp, "d.jsonl", "".join(
+        json.dumps(obj) + "\n" for obj in (_jsonl_line(), {**_jsonl_line(), "selections": {"token_00": 1}})
+    ))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_one_line_data_error(case, tmp_path, capsys):
+    code = main(MALFORMED[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("toksel: data error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(toksel.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, toksel.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

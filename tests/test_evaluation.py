@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toksel.errors import DataError, ParameterError, UndefinedStatisticError
 from toksel.evaluation import (
+    _split_counts,
+    _table_split_aucs,
     ForestScorer,
     SplitPlan,
     TableScorer,
@@ -81,6 +83,16 @@ class TestAuc:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             auc([0.1, 0.2], [1, 0, 1])
+        with pytest.raises(ParameterError):
+            auc([0.1, 0.2], [1, 0], weights=[1])
+
+    def test_weights_equal_repeated_entries(self):
+        rng = np.random.default_rng(7)
+        scores = rng.choice([0.1, 0.4, 0.7], size=12)
+        labels = np.arange(12) % 2
+        weights = rng.integers(0, 4, size=12)
+        repeated = auc(np.repeat(scores, weights), np.repeat(labels, weights))
+        assert auc(scores, labels, weights) == repeated
 
 
 class TestJaccard:
@@ -216,6 +228,41 @@ class TestTableScorer:
         s2 = table_scorer_fit(ds, [1, 2, 0])
         probe = (rng.random((20, 3)) < 0.5).astype(int)
         assert np.array_equal(s1.predict(probe), s2.predict(probe))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_split_aucs_equal_row_scorer(data):
+    """Split AUCs from pattern counts equal TableScorer fitted and scored row by row."""
+    n_tokens = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(4, 60))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n_tokens, max_size=n_tokens), min_size=n, max_size=n
+    ))
+    ratings = data.draw(st.lists(st.sampled_from([None, 1, 2, 4, 5]), min_size=n, max_size=n))
+    subset = tuple(sorted(data.draw(
+        st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens)
+    )))
+    alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    ds = make_dataset(rows, ratings)
+    X, y = ds.rated_selections, ds.rated_pc
+    assume(y.size >= 2)
+    partitions = SplitPlan(splits=4, master_seed=data.draw(st.integers(0, 99))).partitions(y.size)
+
+    expected = []
+    for train, test, _ in partitions:
+        try:
+            scorer = TableScorer(subset, alpha=alpha).fit(X[train], y[train])
+            expected.append(auc(scorer.predict(X[test]), y[test]))
+        except DataError as exc:
+            expected.append(type(exc))
+            break
+    split_counts = _split_counts(ds.patterns, y, partitions)
+    if isinstance(expected[-1], type):
+        with pytest.raises(expected[-1]):
+            _table_split_aucs(ds.patterns, subset, split_counts, alpha)
+    else:
+        assert _table_split_aucs(ds.patterns, subset, split_counts, alpha).tolist() == expected
 
 
 class TestForestScorer:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toksel.errors import CapacityError, DataError, ParameterError
+from toksel.errors import DataError, ParameterError
 from toksel.infotheory import (
+    _cell_terms,
     audit_monotonicity,
     audit_submodularity,
-    build_joint,
+    cell_counts,
     entropy,
-    ig_from_table,
     information_gain,
     pc_entropy,
 )
@@ -57,58 +61,92 @@ def hand_dataset():
     return make_dataset([[r[0], r[1]] for r in HAND_ROWS], [r[2] for r in HAND_ROWS])
 
 
-class TestBuildJoint:
+class TestCellCounts:
     def test_empty_subset_is_pc_marginal(self, hand_dataset):
-        table = build_joint(hand_dataset, [])
-        assert table.total == 8
-        assert table.cells == {0: (4, 4)}
+        assert cell_counts(hand_dataset, []).tolist() == [[4, 4]]
 
     def test_constant_token_single_cell(self):
         ds = make_dataset([[0], [0], [0]], [1, 5, 4])
-        table = build_joint(ds, [0])
-        assert len(table.cells) == 1
-        assert table.total == 3
+        counts = cell_counts(ds, [0])
+        assert counts.shape == (1, 2)
+        assert counts.sum() == 3
 
     def test_hand_tally(self, hand_dataset):
-        table = build_joint(hand_dataset, [0, 1])
-        # patterns: bit0 = t0, bit1 = t1
-        assert table.cells == {
-            0b00: (1, 1),
-            0b10: (2, 0),
-            0b01: (0, 2),
-            0b11: (1, 1),
-        }
+        # cells in pattern order, bit0 = t0, bit1 = t1; columns (not poor, poor)
+        assert cell_counts(hand_dataset, [0, 1]).tolist() == [
+            [1, 1],  # 0b00
+            [0, 2],  # 0b01
+            [2, 0],  # 0b10
+            [1, 1],  # 0b11
+        ]
 
     def test_zero_cells_omitted(self):
         ds = make_dataset([[1, 1], [1, 1], [0, 0]], [1, 5, 4])
-        table = build_joint(ds, [0, 1])
-        assert set(table.cells) == {0b00, 0b11}
+        assert cell_counts(ds, [0, 1]).tolist() == [[1, 0], [1, 1]]
 
     def test_totals_conserve_rated_count(self, hand_dataset):
         for subset in ([], [0], [1], [0, 1]):
-            assert build_joint(hand_dataset, subset).total == 8
+            assert cell_counts(hand_dataset, subset).sum() == 8
 
     def test_unrated_rows_excluded(self):
         ds = make_dataset([[1], [1], [0]], [1, None, 5])
-        assert build_joint(ds, [0]).total == 2
+        assert cell_counts(ds, [0]).sum() == 2
 
     def test_duplicate_ids_rejected(self, hand_dataset):
         with pytest.raises(ParameterError):
-            build_joint(hand_dataset, [0, 0])
+            cell_counts(hand_dataset, [0, 0])
 
     def test_invalid_id_rejected(self, hand_dataset):
         with pytest.raises(ParameterError):
-            build_joint(hand_dataset, [7])
-
-    def test_subset_cap(self):
-        ds = make_dataset(np.zeros((4, 21), dtype=int), [1, 5, 4, 2])
-        with pytest.raises(CapacityError):
-            build_joint(ds, list(range(21)))
+            cell_counts(hand_dataset, [7])
 
     def test_no_rated_records(self):
         ds = make_dataset([[1], [0]], [None, None])
         with pytest.raises(DataError):
-            build_joint(ds, [0])
+            cell_counts(ds, [0])
+
+
+def reference_ig(selections, ratings, subset):
+    """Plug-in IG counted row by row over the raw records, without the pattern table."""
+    cells: dict[tuple, list[int]] = {}
+    for row, rating in zip(selections, ratings):
+        if rating is None:
+            continue
+        cells.setdefault(tuple(int(row[t]) for t in subset), [0, 0])[int(rating <= 2)] += 1
+    n0 = np.array([c[0] for c in cells.values()], dtype=np.float64)
+    n1 = np.array([c[1] for c in cells.values()], dtype=np.float64)
+    base = float(_cell_terms(np.array([n0.sum()]), np.array([n1.sum()]))[0])
+    terms = _cell_terms(n0, n1)
+    return max(0.0, (base - math.fsum(terms[terms != 0.0])) / (n0.sum() + n1.sum()))
+
+
+class TestPatternTableIg:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_row_reference(self, data):
+        n_tokens = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 40))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=n_tokens, max_size=n_tokens), min_size=n, max_size=n
+        ))
+        ratings = data.draw(st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=n, max_size=n))
+        assume(any(r is not None for r in ratings))
+        subset = data.draw(st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens))
+        ds = make_dataset(rows, ratings)
+        assert information_gain(ds, subset) == reference_ig(rows, ratings, subset)
+
+    def test_70_token_subset_beyond_int64_packing(self):
+        rng = np.random.default_rng(70)
+        prototypes = (rng.random((8, 70)) < 0.3).astype(np.uint8)
+        rows = prototypes[rng.integers(0, 8, 400)] ^ (rng.random((400, 70)) < 0.01)
+        # the label follows the last column, which only the third 32-token chunk sees
+        ratings = [int(rng.choice([1, 5], p=[0.8, 0.2] if row[69] else [0.2, 0.8])) for row in rows]
+        ds = make_dataset(rows, ratings)
+        full = list(range(70))
+        expected = reference_ig(rows, ratings, full)
+        assert 0.0 < expected < pc_entropy(ds)
+        assert information_gain(ds, full) == expected
+        assert information_gain(ds, full[::-1]) == expected
 
 
 class TestInformationGain:
@@ -153,11 +191,6 @@ class TestInformationGain:
         for subset in ([], [0], [1], [0, 1]):
             ig = information_gain(hand_dataset, subset)
             assert 0.0 <= ig <= h + 1e-15
-
-    def test_matches_table_recomputation_exactly(self, hand_dataset):
-        for subset in ([0], [1], [0, 1]):
-            table = build_joint(hand_dataset, subset)
-            assert ig_from_table(table) == information_gain(hand_dataset, subset)
 
     def test_constant_token_adds_nothing_exactly(self, hand_dataset):
         with_const = make_dataset(

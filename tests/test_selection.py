@@ -267,13 +267,23 @@ class TestSelectExhaustive:
 
 
 class TestBundledDemo:
-    def test_demo_k5_marginals_non_increasing(self):
+    @pytest.fixture(scope="class")
+    def demo(self):
         from toksel.synthgen import demo_dataset
 
-        trace = select_rits(demo_dataset(), 5)
+        return demo_dataset()
+
+    def test_demo_k5_marginals_non_increasing(self, demo):
+        trace = select_rits(demo, 5)
         margs = [s.marginal_gain_bits for s in trace.steps]
         assert len(margs) == 5
         assert all(b <= a for a, b in zip(margs, margs[1:]))
+
+    def test_lazy_equals_eager_at_k15(self, demo):
+        # a stale-bound lazy greedy picked token 4 before 12 at step 7 here
+        lazy = select_rits_lazy(demo, 15)
+        assert lazy.strategy == "rits_lazy"
+        assert lazy.steps == select_rits(demo, 15).steps
 
 
 class TestTraceSerialization:

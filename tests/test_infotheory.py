@@ -61,7 +61,7 @@ def hand_dataset():
     return make_dataset([[r[0], r[1]] for r in HAND_ROWS], [r[2] for r in HAND_ROWS])
 
 
-class TestCellCounts:
+class TestBuildJoint:
     def test_empty_subset_is_pc_marginal(self, hand_dataset):
         assert cell_counts(hand_dataset, []).tolist() == [[4, 4]]
 
@@ -104,6 +104,11 @@ class TestCellCounts:
         ds = make_dataset([[1], [0]], [None, None])
         with pytest.raises(DataError):
             cell_counts(ds, [0])
+
+    def test_subset_cap(self):
+        # 21 tokens was past the old dense-table cap; pattern-table counting has none
+        ds = make_dataset(np.zeros((4, 21), dtype=int), [1, 5, 4, 2])
+        assert cell_counts(ds, list(range(21))).tolist() == [[2, 2]]
 
 
 def reference_ig(selections, ratings, subset):
@@ -191,6 +196,15 @@ class TestInformationGain:
         for subset in ([], [0], [1], [0, 1]):
             ig = information_gain(hand_dataset, subset)
             assert 0.0 <= ig <= h + 1e-15
+
+    def test_matches_table_recomputation_exactly(self, hand_dataset):
+        marginal = cell_counts(hand_dataset, [])
+        base = float(_cell_terms(marginal[:, 0], marginal[:, 1])[0])
+        for subset in ([0], [1], [0, 1]):
+            counts = cell_counts(hand_dataset, subset)
+            terms = _cell_terms(counts[:, 0], counts[:, 1])
+            expected = max(0.0, (base - math.fsum(terms[terms != 0.0])) / 8)
+            assert information_gain(hand_dataset, subset) == expected
 
     def test_constant_token_adds_nothing_exactly(self, hand_dataset):
         with_const = make_dataset(

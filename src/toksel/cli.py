@@ -1,9 +1,9 @@
 """Command-line pipeline: generate, select, evaluate, abtest, audit.
 
 Stages hand off through files. Every command is a pure function of its
-inputs, flags, and seed; each run writes a manifest recording the input
-digest, the seed, and the digests of every output, so reruns can be
-checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
+inputs, flags, and seed; each run that writes files also writes a
+manifest recording the input digest, the seed, and the digests of every
+output, so reruns can be checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
 3 capacity exceeded (only `select --strategy exhaustive`'s enumeration cap).
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .abtest import run_abtest
-from .dataset import TokenCatalog, load_dataset, save_dataset
+from .dataset import Dataset, TokenCatalog, load_dataset, save_dataset
 from .errors import CapacityError, DataError, ParameterError
 from .evaluation import SplitPlan, evaluate_subsets, report_to_json_text
 from .infotheory import audit_monotonicity, audit_submodularity
@@ -36,56 +36,54 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this pipeline reserves 2 for data errors
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _run(args) -> None:
+    """Run one command, then write its outputs and, if there are any, their manifest.
 
+    A command returns (outputs, manifest, inputs, flags, seed). `outputs`
+    maps each path to its text, or to the Dataset that save_dataset writes
+    there. The manifest goes to `manifest`, or beside the first output when
+    that is None; it records a digest of the input files and flags, the
+    seed and every output's digest, so reruns can be checked byte-for-byte.
+    """
+    outputs, manifest_path, inputs, flags, seed = args.func(args)
+    if not outputs:
+        return
+    for path, data in outputs.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, Dataset):
+            save_dataset(data, path, format=path.suffix[1:])
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(data)
 
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_manifest(
-    manifest_path: Path,
-    command: str,
-    input_paths: list[Path],
-    flags: dict,
-    master_seed,
-    outputs: list[Path],
-) -> None:
     digest = hashlib.sha256()
-    for p in input_paths:
+    for p in inputs:
         digest.update(p.read_bytes())
     digest.update(json.dumps(flags, sort_keys=True).encode())
     manifest = {
-        "command": command,
+        "command": args.command,
         "config_digest": digest.hexdigest(),
-        "master_seed": master_seed,
+        "master_seed": seed,
         "tool_version": __version__,
         "outputs": [
-            {"path": out.name, "sha256": _sha256_file(out)} for out in sorted(outputs)
+            {"path": out.name, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+            for out in sorted(outputs)
         ],
     }
-    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path = manifest_path or Path(f"{next(iter(outputs))}.manifest.json")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_input(path: str, fmt: str, catalog_path):
+def _load(args, path: str):
     p = Path(path)
     if not p.exists():
         raise DataError(f"input file not found: {p}")
-    catalog = TokenCatalog.from_csv(catalog_path) if catalog_path else None
+    catalog = TokenCatalog.from_csv(args.catalog) if args.catalog else None
+    fmt = args.format
     if fmt == "auto":
         fmt = "jsonl" if p.suffix == ".jsonl" else "csv"
     return load_dataset(p, format=fmt, catalog=catalog)
@@ -94,50 +92,32 @@ def _load_input(path: str, fmt: str, catalog_path):
 # -- commands -----------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     if args.config == "demo":
-        cfg_obj = demo_experiment_config()
-        gen, arms, arm_seeds = experiment_from_config(cfg_obj)
+        gen, arms, arm_seeds = experiment_from_config(demo_experiment_config())
         input_paths = []
-        flags = {"config": "demo", "format": args.format}
     else:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise DataError(f"config file not found: {cfg_path}")
         gen, arms, arm_seeds = load_experiment_config(cfg_path)
         input_paths = [cfg_path]
-        flags = {"config": cfg_path.name, "format": args.format}
+    flags = {"config": Path(args.config).name, "format": args.format}
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth = generate_truth(gen)
-    ext = "jsonl" if args.format == "jsonl" else "csv"
-
-    outputs = []
-    if arms:
-        for arm, pres in arms.items():
-            observed = apply_presentation(truth, pres, arm, arm_seeds[arm])
-            path = out_dir / f"{arm}.{ext}"
-            save_dataset(observed, path, format=args.format)
-            outputs.append(path)
-            print(f"wrote {path} ({len(observed)} records)")
-    else:
-        path = out_dir / f"truth.{ext}"
-        save_dataset(truth, path, format=args.format)
-        outputs.append(path)
-        print(f"wrote {path} ({len(truth)} records)")
-
-    _write_manifest(out_dir / "manifest.json", "generate", input_paths, flags, gen.seed, outputs)
-    return 0
+    datasets = {
+        arm: apply_presentation(truth, pres, arm, arm_seeds[arm]) for arm, pres in arms.items()
+    } or {"truth": truth}
+    outputs = {out_dir / f"{name}.{args.format}": data for name, data in datasets.items()}
+    for path, data in outputs.items():
+        print(f"wrote {path} ({len(data)} records)")
+    return outputs, out_dir / "manifest.json", input_paths, flags, gen.seed
 
 
-def cmd_select(args) -> int:
-    dataset = _load_input(args.input, args.format, args.catalog)
-    strategy = args.strategy
-    if strategy in ("random", "auc_greedy") and args.seed is None:
-        raise ParameterError(f"strategy {strategy} requires --seed for reproducibility")
-
-    trace = STRATEGIES[strategy](dataset, args.k, args.seed, args.splits, args.train_frac)
+def cmd_select(args):
+    dataset = _load(args, args.input)
+    trace = STRATEGIES[args.strategy](dataset, args.k, args.seed, args.splits, args.train_frac)
 
     labels = dataset.catalog.labels
     unit = {"bits": "gain(bits)", "auc": "univ. AUC", "none": "gain"}[trace.gain_metric]
@@ -149,24 +129,21 @@ def cmd_select(args) -> int:
             f"{step.cumulative_ig_bits:>13.6f}  {labels[step.token_id]}"
         )
 
+    outputs = {}
     if args.output:
-        out = Path(args.output)
-        _write_text(out, json.dumps(trace.to_json(dataset.catalog), indent=2) + "\n")
-        flags = {
-            "input": Path(args.input).name,
-            "k": args.k,
-            "strategy": strategy,
-            "splits": args.splits,
-            "train_frac": args.train_frac,
-        }
-        _write_manifest(
-            Path(str(out) + ".manifest.json"), "select", [Path(args.input)], flags, args.seed, [out]
-        )
-    return 0
+        outputs[Path(args.output)] = json.dumps(trace.to_json(dataset.catalog), indent=2) + "\n"
+    flags = {
+        "input": Path(args.input).name,
+        "k": args.k,
+        "strategy": args.strategy,
+        "splits": args.splits,
+        "train_frac": args.train_frac,
+    }
+    return outputs, None, [Path(args.input)], flags, args.seed
 
 
-def cmd_evaluate(args) -> int:
-    dataset = _load_input(args.input, args.format, args.catalog)
+def cmd_evaluate(args):
+    dataset = _load(args, args.input)
     n_tokens = len(dataset.catalog)
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
@@ -194,14 +171,10 @@ def cmd_evaluate(args) -> int:
     )
 
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    outputs = {}
     for report in reports:
-        json_path = out_dir / f"{report.strategy}_report.json"
-        csv_path = out_dir / f"{report.strategy}_report.csv"
-        _write_text(json_path, report_to_json_text(report))
-        _write_text(csv_path, report.to_csv_text())
-        outputs.extend([json_path, csv_path])
+        outputs[out_dir / f"{report.strategy}_report.json"] = report_to_json_text(report)
+        outputs[out_dir / f"{report.strategy}_report.csv"] = report.to_csv_text()
 
     total = full.steps[-1].cumulative_ig_bits if full else 0.0
     if total > 0:
@@ -210,6 +183,7 @@ def cmd_evaluate(args) -> int:
                 i + 1 for i, s in enumerate(full.steps) if s.cumulative_ig_bits >= threshold * total
             )
             print(f"{full.strategy}: reaches {threshold:.0%} of full-set IG at k={hit}")
+    print(f"wrote {len(outputs)} report files to {out_dir}")
 
     flags = {
         "input": Path(args.input).name,
@@ -220,14 +194,12 @@ def cmd_evaluate(args) -> int:
         "scorer": args.scorer,
         "trees": args.trees,
     }
-    _write_manifest(out_dir / "manifest.json", "evaluate", [Path(args.input)], flags, args.seed, outputs)
-    print(f"wrote {len(outputs)} report files to {out_dir}")
-    return 0
+    return outputs, out_dir / "manifest.json", [Path(args.input)], flags, args.seed
 
 
-def cmd_abtest(args) -> int:
-    control = _load_input(args.control, args.format, args.catalog)
-    treatment = _load_input(args.treatment, args.format, args.catalog)
+def cmd_abtest(args):
+    control = _load(args, args.control)
+    treatment = _load(args, args.treatment)
     report = run_abtest(
         control, treatment, denominator=args.denominator, significance_level=args.alpha
     )
@@ -243,30 +215,17 @@ def cmd_abtest(args) -> int:
         d = "  n/a  " if cmp.relative_delta is None else f"{cmp.relative_delta:+.4f}"
         print(f"  {mark} {d}  p={cmp.p_value:<10.3g} {t.label}")
 
-    outputs = []
+    outputs = {}
     if args.output:
-        out = Path(args.output)
-        _write_text(out, report.to_json_text())
-        outputs.append(out)
+        outputs[Path(args.output)] = report.to_json_text()
     if args.csv:
-        csv_path = Path(args.csv)
-        _write_text(csv_path, report.to_csv_text())
-        outputs.append(csv_path)
-    if outputs:
-        flags = {"denominator": args.denominator, "alpha": args.alpha}
-        _write_manifest(
-            Path(str(outputs[0]) + ".manifest.json"),
-            "abtest",
-            [Path(args.control), Path(args.treatment)],
-            flags,
-            None,
-            outputs,
-        )
-    return 0
+        outputs[Path(args.csv)] = report.to_csv_text()
+    flags = {"denominator": args.denominator, "alpha": args.alpha}
+    return outputs, None, [Path(args.control), Path(args.treatment)], flags, None
 
 
-def cmd_audit(args) -> int:
-    dataset = _load_input(args.input, args.format, args.catalog)
+def cmd_audit(args):
+    dataset = _load(args, args.input)
     mono = audit_monotonicity(dataset, args.trials, seed=args.seed)
     sub = audit_submodularity(dataset, args.trials, seed=args.seed, tolerance=args.tolerance)
     print(
@@ -277,15 +236,12 @@ def cmd_audit(args) -> int:
         f"submodularity: {sub.violations}/{sub.trials} violations beyond {sub.tolerance:g}"
         f" (max {sub.max_violation:.3e}, fraction {sub.violation_fraction:.4f})"
     )
+    outputs = {}
     if args.output:
-        out = Path(args.output)
         payload = {"monotonicity": mono.to_json(), "submodularity": sub.to_json()}
-        _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        flags = {"trials": args.trials, "tolerance": args.tolerance}
-        _write_manifest(
-            Path(str(out) + ".manifest.json"), "audit", [Path(args.input)], flags, args.seed, [out]
-        )
-    return 0
+        outputs[Path(args.output)] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    flags = {"trials": args.trials, "tolerance": args.tolerance}
+    return outputs, None, [Path(args.input)], flags, args.seed
 
 
 # -- argument wiring ------------------------------------------------------
@@ -357,7 +313,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _run(args)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ParameterError as exc:

@@ -115,7 +115,7 @@ class TokenCatalog:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator=_csv_line_end(self.labels))
             writer.writerow(["id", "label", "panel"])
             for t in self._tokens:
                 writer.writerow([t.id, t.label, t.panel])
@@ -549,10 +549,18 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
 # -- canonical writers ------------------------------------------------
 
 
+def _csv_line_end(fields) -> str:
+    # csv quotes a field only for the characters of its line terminator, and an
+    # unquoted "\r" reads back as a line break: text holding one gets "\r\n" line ends
+    return "\r\n" if any("\r" in f for f in fields) else "\n"
+
+
 def dataset_to_csv_text(dataset: Dataset) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(BASE_COLUMNS) + dataset.catalog.labels)
+    labels = dataset.catalog.labels
+    text_fields = [*labels, *dataset.call_ids, *dataset.platforms]
+    writer = csv.writer(buf, lineterminator=_csv_line_end(text_fields))
+    writer.writerow(list(BASE_COLUMNS) + labels)
     ratings = dataset.ratings
     sel = dataset.selections
     for i in range(len(dataset)):

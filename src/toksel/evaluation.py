@@ -93,6 +93,8 @@ class SplitPlan:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.master_seed is None:
+            raise ParameterError("repeated splits require a seed for reproducibility")
         if self.splits < 1:
             raise ParameterError("splits must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:

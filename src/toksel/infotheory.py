@@ -68,8 +68,8 @@ def cell_counts(dataset: Dataset, subset: Sequence[int]) -> np.ndarray:
 
 
 def _xlog2(n: np.ndarray) -> np.ndarray:
-    # n * log2(n) with n == 0 contributing 0
-    return np.where(n > 0, n * np.log2(np.maximum(n, 1)), 0.0)
+    # n * log2(n) with n == 0 contributing 0; fractional n (add-alpha pseudocounts) included
+    return n * np.log2(np.where(n > 0, n, 1.0))
 
 
 def _cell_terms(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
@@ -98,6 +98,33 @@ def pc_entropy(dataset: Dataset) -> float:
     return term / total
 
 
+class IgEvaluator:
+    """Plug-in information gain against one dataset, memoized per subset.
+
+    Keeps each subset's conditional term sum, N * H[pc | subset], under
+    the sorted subset: the sum depends only on the cell populations, and
+    fsum makes it independent of cell order, so any order of the same
+    tokens gets the same bits.
+    """
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+        self.base_term, self.total = _marginal_term(dataset)
+        self._memo: dict[tuple[int, ...], float] = {}
+
+    def cond(self, subset: Sequence[int]) -> float:
+        key = tuple(sorted(int(t) for t in subset))
+        value = self._memo.get(key)
+        if value is None:
+            # through the module global, so that a wrapped _cond_term_sum is the one called
+            value = _cond_term_sum(self._dataset, key)
+            self._memo[key] = value
+        return value
+
+    def ig(self, subset: Sequence[int]) -> float:
+        return max(0.0, (self.base_term - self.cond(subset)) / self.total)
+
+
 def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0) -> float:
     """Information gain of the poor-call label from a token subset, in bits.
 
@@ -110,9 +137,7 @@ def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0
         raise ParameterError("alpha must be >= 0")
     if alpha > 0:
         return _smoothed_ig(dataset, subset, alpha)
-    base_term, total = _marginal_term(dataset)
-    ig = (base_term - _cond_term_sum(dataset, subset)) / total
-    return max(0.0, ig)
+    return IgEvaluator(dataset).ig(subset)
 
 
 def _smoothed_ig(dataset: Dataset, subset: Sequence[int], alpha: float) -> float:
@@ -178,7 +203,7 @@ def audit_monotonicity(
     rng = np.random.default_rng(seed)
     n_tokens = len(dataset.catalog)
     cap = _audit_sizes(dataset, max_subset_size)
-    _, total = _marginal_term(dataset)
+    ev = IgEvaluator(dataset)
 
     violations = 0
     max_violation = 0.0
@@ -187,10 +212,8 @@ def audit_monotonicity(
         t2 = rng.permutation(n_tokens)[:size2]
         size1 = int(rng.integers(0, size2 + 1))
         t1 = t2[rng.permutation(size2)[:size1]]
-        sum1 = _cond_term_sum(dataset, tuple(int(x) for x in t1))
-        sum2 = _cond_term_sum(dataset, tuple(int(x) for x in t2))
         # IG(T1) > IG(T2) exactly when the T2 term sum exceeds the T1 term sum
-        gap = (sum2 - sum1) / total
+        gap = (ev.cond(t2) - ev.cond(t1)) / ev.total
         if gap > 0.0:
             violations += 1
             max_violation = max(max_violation, gap)
@@ -220,7 +243,7 @@ def audit_submodularity(
     if n_tokens < 2:
         raise DataError("submodularity audit needs at least 2 tokens")
     cap = min(_audit_sizes(dataset, max_subset_size), n_tokens - 1)
-    _, total = _marginal_term(dataset)
+    ev = IgEvaluator(dataset)
 
     violations = 0
     max_violation = 0.0
@@ -234,9 +257,9 @@ def audit_submodularity(
 
         t1 = tuple(int(x) for x in t1)
         t2 = tuple(int(x) for x in t2)
-        gain_small = _cond_term_sum(dataset, t1) - _cond_term_sum(dataset, t1 + (e,))
-        gain_large = _cond_term_sum(dataset, t2) - _cond_term_sum(dataset, t2 + (e,))
-        gap = (gain_large - gain_small) / total
+        gain_small = ev.cond(t1) - ev.cond(t1 + (e,))
+        gain_large = ev.cond(t2) - ev.cond(t2 + (e,))
+        gap = (gain_large - gain_small) / ev.total
         if gap > tolerance:
             violations += 1
             max_violation = max(max_violation, gap)

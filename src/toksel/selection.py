@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset, TokenCatalog
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, univariate_aucs
-from .infotheory import _cond_term_sum, _marginal_term
+from .infotheory import IgEvaluator
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
 
@@ -73,29 +73,12 @@ class SelectionTrace:
         }
 
 
-class _IgEvaluator:
-    """Memoized information-gain evaluation against one dataset."""
-
-    def __init__(self, dataset: Dataset):
-        self._dataset = dataset
-        self._base_term, self._total = _marginal_term(dataset)
-        self._memo: dict[tuple[int, ...], float] = {}
-
-    def ig(self, subset: Sequence[int]) -> float:
-        key = tuple(sorted(subset))
-        cond = self._memo.get(key)
-        if cond is None:
-            cond = _cond_term_sum(self._dataset, key)
-            self._memo[key] = cond
-        return max(0.0, (self._base_term - cond) / self._total)
-
-
 def _check_k(k: int, n_tokens: int) -> None:
     if not 1 <= k <= n_tokens:
         raise ParameterError(f"k must be in 1..{n_tokens}, got {k}")
 
 
-def _greedy(ev: _IgEvaluator, candidates: Sequence[int], k: int) -> tuple[SelectionStep, ...]:
+def _greedy(ev: IgEvaluator, candidates: Sequence[int], k: int) -> tuple[SelectionStep, ...]:
     """k greedy steps over `candidates`; ties go to the earliest candidate."""
     chosen: list[int] = []
     remaining = list(candidates)
@@ -124,7 +107,7 @@ def select_rits(dataset: Dataset, k: int) -> SelectionTrace:
     """
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
-    steps = _greedy(_IgEvaluator(dataset), range(n_tokens), k)
+    steps = _greedy(IgEvaluator(dataset), range(n_tokens), k)
     return SelectionTrace("rits", steps, budget_k=k)
 
 
@@ -156,7 +139,7 @@ def select_auc_greedy(
     means = univariate_aucs(dataset, plan)
     order = np.lexsort((np.arange(n_tokens), -means))[:k]
 
-    ev = _IgEvaluator(dataset)
+    ev = IgEvaluator(dataset)
     steps = []
     prefix: list[int] = []
     for t in order:
@@ -169,6 +152,8 @@ def select_auc_greedy(
 
 def select_random(catalog_size: int, k: int, seed: int) -> SelectionTrace:
     """Uniform random subset of k tokens, deterministic for a given seed."""
+    if seed is None:
+        raise ParameterError("random selection requires a seed for reproducibility")
     if catalog_size < 1:
         raise ParameterError("catalog size must be >= 1")
     _check_k(k, catalog_size)
@@ -193,7 +178,7 @@ def select_exhaustive(
         raise CapacityError(
             f"{n_subsets} subsets of size {k} exceed the enumeration cap of {max_subsets}"
         )
-    ev = _IgEvaluator(dataset)
+    ev = IgEvaluator(dataset)
     best_subset = None
     best_ig = -1.0
     for combo in combinations(range(n_tokens), k):

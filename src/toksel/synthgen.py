@@ -42,9 +42,9 @@ def _weights_vector(weights, catalog: TokenCatalog, name: str) -> np.ndarray:
     if isinstance(weights, dict):
         vec = np.zeros(len(catalog))
         for label, w in weights.items():
-            vec[catalog.id_of(label)] = w
+            vec[catalog.id_of(label)] = _number(w, name)
     else:
-        vec = np.asarray(list(weights), dtype=np.float64)
+        vec = np.array([_number(w, name) for w in _expect(weights, list, name)])
         if vec.shape != (len(catalog),):
             raise ParameterError(f"{name} must have one weight per catalog token")
     if ((vec < 0) | (vec > 1)).any():
@@ -268,6 +268,7 @@ def _catalog_from_config(spec) -> TokenCatalog:
     if isinstance(spec, dict) and "file" in spec:
         return TokenCatalog.from_csv(spec["file"])
     if isinstance(spec, list):
+        spec = [_expect(t, dict, "catalog entry") for t in spec]
         labels = [t["label"] for t in spec]
         panels = [t.get("panel", "audio") for t in spec]
         return TokenCatalog.from_labels(labels, panels)
@@ -275,13 +276,19 @@ def _catalog_from_config(spec) -> TokenCatalog:
 
 
 def presentation_from_config(obj: dict) -> PresentationConfig:
-    return PresentationConfig(
-        order_policy=obj.get("order_policy", "fixed"),
-        panel_policy=obj.get("panel_policy", "fixed"),
-        position_multipliers=tuple(obj.get("position_multipliers", ())),
-        scroll_penalty=obj.get("scroll_penalty", 1.0),
-        fold_rank=obj.get("fold_rank"),
-    )
+    _expect(obj, dict, "arms entry")
+    multipliers = _expect(obj.get("position_multipliers", []), list, "position_multipliers")
+    fold_rank = obj.get("fold_rank")
+    try:
+        return PresentationConfig(
+            order_policy=obj.get("order_policy", "fixed"),
+            panel_policy=obj.get("panel_policy", "fixed"),
+            position_multipliers=tuple(_number(m, "position_multipliers") for m in multipliers),
+            scroll_penalty=_number(obj.get("scroll_penalty", 1.0), "scroll_penalty"),
+            fold_rank=None if fold_rank is None else _number(fold_rank, "fold_rank", int),
+        )
+    except ParameterError as exc:
+        raise DataError(f"config: {exc}") from None
 
 
 def _number(value, name: str, kind=float):
@@ -289,6 +296,15 @@ def _number(value, name: str, kind=float):
         return kind(value)
     except (TypeError, ValueError):
         raise DataError(f"config value {name!r} must be a number, got {value!r}") from None
+
+
+_JSON_KINDS = {dict: "an object", list: "a list"}
+
+
+def _expect(value, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise DataError(f"config value {name!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def generator_from_config(obj: dict) -> GeneratorConfig:
@@ -301,20 +317,22 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
             base_vec = np.full(len(catalog), float(base))
         else:
             base_vec = _weights_vector(base, catalog, "base_fire_rate")
-        causes = tuple(
-            LatentCause(
-                prevalence=_number(c["prevalence"], "prevalence"),
-                token_weights=_weights_vector(c["token_weights"], catalog, "token_weights"),
-                severity=_number(c["severity"], "severity"),
-                name=c.get("name", f"cause_{i}"),
+        causes = []
+        for i, c in enumerate(_expect(obj["latent_causes"], list, "latent_causes")):
+            _expect(c, dict, "latent_causes entry")
+            causes.append(
+                LatentCause(
+                    prevalence=_number(c["prevalence"], "prevalence"),
+                    token_weights=_weights_vector(c["token_weights"], catalog, "token_weights"),
+                    severity=_number(c["severity"], "severity"),
+                    name=c.get("name", f"cause_{i}"),
+                )
             )
-            for i, c in enumerate(obj["latent_causes"])
-        )
-        rating = obj.get("rating", {})
+        rating = _expect(obj.get("rating", {}), dict, "rating")
         return GeneratorConfig(
             n_calls=_number(obj["n_calls"], "n_calls", int),
             catalog=catalog,
-            latent_causes=causes,
+            latent_causes=tuple(causes),
             base_fire_rate=base_vec,
             rating_intercept=_number(rating.get("intercept", 0.0), "intercept"),
             rating_severity_slope=_number(rating.get("severity_slope", 1.0), "severity_slope"),
@@ -324,6 +342,8 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
         )
     except KeyError as exc:
         raise DataError(f"config missing required key {exc.args[0]!r}") from None
+    except ParameterError as exc:
+        raise DataError(f"config: {exc}") from None
 
 
 def experiment_from_config(
@@ -337,7 +357,8 @@ def experiment_from_config(
     gen = generator_from_config(obj)
     arms: dict[str, PresentationConfig] = {}
     arm_seeds: dict[str, int] = {}
-    for i, (arm, arm_obj) in enumerate(sorted(obj.get("arms", {}).items())):
+    arm_objs = _expect(obj.get("arms", {}), dict, "arms")
+    for i, (arm, arm_obj) in enumerate(sorted(arm_objs.items())):
         if arm not in ("control", "treatment"):
             raise DataError(f"arm name must be control or treatment, got {arm!r}")
         arms[arm] = presentation_from_config(arm_obj)

@@ -310,6 +310,18 @@ def _generate(tmp_path, config):
     return ["generate", "--config", _write(tmp_path, "cfg.json", config), "--output", str(tmp_path / "o")]
 
 
+def _config(**overrides):
+    return {**MINIMAL_CONFIG, **overrides}
+
+
+def _cause_config(**overrides):
+    return _config(latent_causes=[{**MINIMAL_CONFIG["latent_causes"][0], **overrides}])
+
+
+def _arm_config(**overrides):
+    return _config(arms={"control": overrides})
+
+
 def _silent_arms(tmp_path):
     path = tmp_path / "silent.csv"
     save_dataset(make_dataset([[0, 0], [0, 0]], [1, 5]), path)
@@ -325,10 +337,24 @@ MALFORMED = {
     "input is a directory": lambda tmp: _select(str(tmp)),
     "input not utf-8": lambda tmp: _select(_write(tmp, "d.csv", b"call_id,arm,platform,rating,t\n\xff\n")),
     "config top level is a list": lambda tmp: _generate(tmp, [MINIMAL_CONFIG]),
-    "config prevalence not numeric": lambda tmp: _generate(tmp, {
-        **MINIMAL_CONFIG,
-        "latent_causes": [{**MINIMAL_CONFIG["latent_causes"][0], "prevalence": "often"}],
-    }),
+    "config prevalence not numeric": lambda tmp: _generate(tmp, _cause_config(prevalence="often")),
+    "config rating not an object": lambda tmp: _generate(tmp, _config(rating=5)),
+    "config arms a list": lambda tmp: _generate(tmp, _config(arms=["control"])),
+    "config latent cause not an object": lambda tmp: _generate(tmp, _config(latent_causes=[0.3])),
+    "config catalog entries not objects": lambda tmp: _generate(tmp, _config(catalog=["a", "b"])),
+    "config position multipliers a string": lambda tmp: _generate(
+        tmp, _arm_config(position_multipliers="1.4")
+    ),
+    "config fold rank a string": lambda tmp: _generate(tmp, _arm_config(fold_rank="top")),
+    "config base fire rate not numeric": lambda tmp: _generate(tmp, _config(base_fire_rate="low")),
+    "config prevalence above 1": lambda tmp: _generate(tmp, _cause_config(prevalence=2.0)),
+    "config n_calls zero": lambda tmp: _generate(tmp, _config(n_calls=0)),
+    "config token weights wrong length": lambda tmp: _generate(
+        tmp, _cause_config(token_weights=[0.8, 0.6])
+    ),
+    "config order policy unknown": lambda tmp: _generate(tmp, _arm_config(order_policy="shuffled")),
+    "config catalog negative": lambda tmp: _generate(tmp, _config(catalog=-1)),
+    "config without latent causes": lambda tmp: _generate(tmp, _config(latent_causes=[])),
     "abtest arm without responders": _silent_arms,
     "jsonl cell is true": lambda tmp: _select(
         _write(tmp, "d.jsonl", json.dumps(_jsonl_line(token_00=True)) + "\n")

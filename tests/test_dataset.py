@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toksel.dataset import (
+    ARMS,
     Dataset,
     ResponseRecord,
     TokenCatalog,
@@ -54,6 +56,12 @@ class TestTokenCatalog:
 
     def test_csv_round_trip(self, tmp_path):
         cat = TokenCatalog.default()
+        path = tmp_path / "catalog.csv"
+        cat.to_csv(path)
+        assert TokenCatalog.from_csv(path) == cat
+
+    def test_csv_round_trip_of_carriage_return_label(self, tmp_path):
+        cat = TokenCatalog.from_labels(["echo\r", "a\r\nb", "noise"])
         path = tmp_path / "catalog.csv"
         cat.to_csv(path)
         assert TokenCatalog.from_csv(path) == cat
@@ -165,7 +173,43 @@ def _small_demo_config(n_calls):
     return dataclasses.replace(demo_generator_config(), n_calls=n_calls)
 
 
+# any text, with the characters CSV quotes for drawn often
+TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\r\n'))
+
+
+@st.composite
+def any_dataset(draw, min_records=0):
+    """Arbitrary text in call ids, platforms and token labels; unrated rows included."""
+    labels = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_records, 5))
+    texts = st.lists(TEXT, min_size=n, max_size=n)
+    cells = draw(st.lists(st.integers(0, 1), min_size=n * len(labels), max_size=n * len(labels)))
+    return Dataset(
+        TokenCatalog.from_labels(labels),
+        draw(texts),
+        draw(st.lists(st.sampled_from(ARMS), min_size=n, max_size=n)),
+        draw(texts),
+        draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),  # 0: unrated
+        np.array(cells, dtype=np.uint8).reshape(n, len(labels)),
+    )
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, fmt, data):
+        # a JSONL file with no records has nowhere to carry the token labels
+        dataset = data.draw(any_dataset(min_records=1 if fmt == "jsonl" else 0))
+        directory = tmp_path_factory.mktemp("round_trip")
+        first, second = directory / f"one.{fmt}", directory / f"two.{fmt}"
+        save_dataset(dataset, first, format=fmt)
+        loaded = load_dataset(first, format=fmt)
+        save_dataset(loaded, second, format=fmt)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.catalog.labels == dataset.catalog.labels
+        assert loaded.records() == dataset.records()
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_synthetic_file_round_trips_byte_identically(self, tmp_path, fmt):
         truth = generate_truth(_small_demo_config(1000))

@@ -178,6 +178,8 @@ class TestSplitPlan:
             SplitPlan(splits=3, train_fraction=1.0)
         with pytest.raises(DataError):
             SplitPlan(splits=2).partitions(1)
+        with pytest.raises(ParameterError, match="seed"):
+            SplitPlan(splits=2, master_seed=None)
 
     def test_tiny_n_keeps_both_sides_nonempty(self):
         for train, test, _ in SplitPlan(splits=4, train_fraction=0.9, master_seed=0).partitions(3):

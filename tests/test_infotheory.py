@@ -219,6 +219,19 @@ class TestInformationGain:
         assert smoothed != plain
         assert smoothed >= 0.0
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
+    def test_smoothing_is_add_alpha_mutual_information(self, hand_dataset, alpha):
+        # every one of the 2^k x 2 (token values, label) cells gets the pseudocount
+        sel, pc = hand_dataset.selections, hand_dataset.pc_labels
+        subset = [0, 1]
+        joint = np.full((4, 2), alpha)
+        for row, label in zip(sel, pc):
+            joint[row[0] + 2 * row[1], label] += 1
+        p = joint / joint.sum()
+        px, py = p.sum(axis=1, keepdims=True), p.sum(axis=0, keepdims=True)
+        expected = float(np.sum(p * np.log2(p / (px * py))))
+        assert information_gain(hand_dataset, subset, alpha=alpha) == pytest.approx(expected, abs=1e-12)
+
     def test_negative_alpha_rejected(self, hand_dataset):
         with pytest.raises(ParameterError):
             information_gain(hand_dataset, [0], alpha=-1)

@@ -223,6 +223,12 @@ class TestSelectRandom:
         with pytest.raises(ParameterError):
             select_random(5, 6, seed=1)
 
+    def test_seed_required(self, duplicate_dataset):
+        with pytest.raises(ParameterError, match="seed"):
+            select_random(5, 2, seed=None)
+        with pytest.raises(ParameterError, match="seed"):
+            select_auc_greedy(duplicate_dataset, 2, splits=3, seed=None)
+
 
 class TestSelectExhaustive:
     def test_k1_matches_greedy(self):

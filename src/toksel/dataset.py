@@ -15,6 +15,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -410,14 +412,6 @@ def _parse_rating(text: str, row_no: int) -> int:
     return rating
 
 
-def _parse_cell(text: str, row_no: int, label: str) -> int:
-    if text == "0":
-        return 0
-    if text == "1":
-        return 1
-    raise DataError(f"row {row_no}: token cell for {label!r} must be 0 or 1, got {text!r}")
-
-
 def _catalog_for_labels(labels: list[str], catalog: Optional[TokenCatalog]) -> TokenCatalog:
     if catalog is not None:
         if sorted(labels) != sorted(catalog.labels):
@@ -456,6 +450,38 @@ def _text_errors(path):
         raise DataError(f"{path}: {exc}") from None
 
 
+# Rows read, checked and converted at a time: one chunk's parsed rows are
+# alive at once, and each check runs over a whole column of the chunk.
+_CHUNK_ROWS = 4096
+
+# Rating cells as written. Other text that int() reads (" 3", "+3") is valid
+# too: its chunk goes through the row checks.
+_CSV_RATINGS = {"": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}
+# Looked up after a type check: True == 1 and 1.0 == 1, but neither is a rating.
+_JSON_RATINGS = {None: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
+_JSONL_KEYS = ("call_id", "arm", "platform", "selections")
+
+
+class _Columns:
+    """A file's columns, gathered chunk by chunk and joined into one Dataset."""
+
+    def __init__(self):
+        self.call_ids, self.arms, self.platforms, self.ratings, self.cells = [], [], [], [], []
+        self.shared: dict[str, str] = {}  # one str object per distinct arm or platform
+
+    def add(self, call_ids, arms, platforms, ratings, cells) -> None:
+        self.call_ids += call_ids
+        self.arms += map(self.shared.setdefault, arms, arms)
+        self.platforms += map(self.shared.setdefault, platforms, platforms)
+        self.ratings.append(np.asarray(ratings, np.int16))
+        self.cells.append(np.asarray(cells, np.uint8))
+
+    def dataset(self, catalog: TokenCatalog) -> Dataset:
+        ratings = np.concatenate([np.zeros(0, np.int16), *self.ratings])
+        cells = np.concatenate([np.zeros((0, len(catalog)), np.uint8), *self.cells])
+        return Dataset(catalog, self.call_ids, self.arms, self.platforms, ratings, cells)
+
+
 def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -472,78 +498,154 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
         cat = _catalog_for_labels(labels, catalog)
         col_order = [labels.index(lab) for lab in cat.labels]
 
-        call_ids: list[str] = []
-        arms: list[str] = []
-        platforms: list[str] = []
-        ratings: list[int] = []
-        rows: list[list[int]] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-            call_ids.append(row[0])
-            if row[1] not in ARMS:
-                raise DataError(f"row {row_no}: unknown arm {row[1]!r}")
-            arms.append(row[1])
-            platforms.append(row[2])
-            ratings.append(_parse_rating(row[3], row_no))
-            cells = row[len(BASE_COLUMNS):]
-            rows.append([_parse_cell(cells[j], row_no, labels[j]) for j in col_order])
+        columns, row_no = _Columns(), 2
+        for chunk in _csv_chunks(reader):
+            columns.add(*_csv_chunk(chunk, row_no, labels, col_order))
+            row_no += len(chunk)
+    return columns.dataset(cat)
 
-    sel = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, len(cat)), dtype=np.uint8)
-    return Dataset(cat, call_ids, arms, platforms, np.array(ratings, dtype=np.int16), sel)
+
+def _csv_chunks(reader) -> Iterator[list[list[str]]]:
+    """The reader's rows, _CHUNK_ROWS at a time.
+
+    A CSV or decoding error is raised after the rows read before it are
+    yielded, so that a bad row among them is the error reported.
+    """
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            for row in islice(reader, _CHUNK_ROWS):
+                chunk.append(row)
+        except (csv.Error, UnicodeDecodeError):
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _csv_chunk(chunk: list[list[str]], first_row: int, labels: list[str], col_order: list[int]):
+    """call_id, arm, platform, rating and catalog-ordered cell columns of CSV rows.
+
+    Each check runs on whole columns. A chunk that fails one goes through
+    `_check_csv_row` row by row, which raises the first bad row's error.
+    """
+    base = len(BASE_COLUMNS)
+    if set(map(len, chunk)) == {base + len(labels)}:
+        fields = list(zip(*chunk))
+        tokens = [fields[base + j] for j in col_order]
+        if (
+            set(fields[1]) <= set(ARMS)
+            and set(fields[3]) <= _CSV_RATINGS.keys()
+            and all(map({"0", "1"}.issuperset, tokens))  # per cell: "" next to "11" fails
+        ):
+            ratings = np.fromiter(map(_CSV_RATINGS.__getitem__, fields[3]), np.int16, len(chunk))
+            text = "".join(chain.from_iterable(tokens)).encode()
+            cells = np.frombuffer(text, np.uint8).reshape(len(tokens), len(chunk)) - ord("0")
+            return (*fields[:3], ratings, cells.T)
+    numbered = enumerate(chunk, first_row)
+    return zip(*(_check_csv_row(row, row_no, labels, col_order) for row_no, row in numbered))
+
+
+def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: list[int]):
+    """A CSV row's call_id, arm, platform, rating and catalog-ordered cells, or its first error."""
+    if len(row) != len(BASE_COLUMNS) + len(labels):
+        raise DataError(f"row {row_no}: expected {len(BASE_COLUMNS) + len(labels)} columns, got {len(row)}")
+    if row[1] not in ARMS:
+        raise DataError(f"row {row_no}: unknown arm {row[1]!r}")
+    rating = _parse_rating(row[3], row_no)
+    cells = [row[len(BASE_COLUMNS) + j] for j in col_order]
+    for text, j in zip(cells, col_order):
+        if text not in ("0", "1"):
+            raise DataError(f"row {row_no}: token cell for {labels[j]!r} must be 0 or 1, got {text!r}")
+    return (*row[:3], rating, [int(text) for text in cells])
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
-    records: list[dict] = []
+    cat, error, columns = None, None, _Columns()
     with open(path, encoding="utf-8") as fh:
-        for row_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        records = _jsonl_records(fh)
+        for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
+            # a line that is not a JSON object is reported before any record
+            # error, so after one the rest of the file is only parsed
+            if error is not None:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"row {row_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
-                raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
-            records.append(obj)
-            obj["_row"] = row_no
-
-    if not records:
+                if cat is None:
+                    cat = _catalog_for_labels(list(chunk[0][1].get("selections", {})), catalog)
+                columns.add(*_jsonl_chunk(chunk, cat))
+            except DataError as exc:
+                error = exc
+    if error is not None:
+        raise error
+    if cat is None:
         raise SchemaError("empty file: no records")
-    labels = list(records[0].get("selections", {}).keys())
-    cat = _catalog_for_labels(labels, catalog)
-    label_set = set(cat.labels)
+    return columns.dataset(cat)
 
-    call_ids, arms, platforms, ratings = [], [], [], []
-    sel = np.zeros((len(records), len(cat)), dtype=np.uint8)
-    for i, obj in enumerate(records):
-        row_no = obj["_row"]
-        for key in ("call_id", "arm", "platform", "selections"):
-            if key not in obj:
-                raise SchemaError(f"row {row_no}: missing key {key!r}")
-        if obj["arm"] not in ARMS:
-            raise DataError(f"row {row_no}: unknown arm {obj['arm']!r}")
-        call_ids.append(str(obj["call_id"]))
-        arms.append(obj["arm"])
-        platforms.append(str(obj["platform"]))
-        rating = obj.get("rating")
-        if rating is None:
-            ratings.append(0)
-        else:
-            ratings.append(_parse_rating(str(rating), row_no))
-        for lab, val in obj["selections"].items():
-            if lab not in label_set:
-                raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
-            # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
-            if type(val) is not int or val not in (0, 1):
-                raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
-            sel[i, cat.id_of(lab)] = val
-        if len(obj["selections"]) != len(cat):
-            missing = sorted(label_set - set(obj["selections"]))
-            raise SchemaError(f"row {row_no}: missing token keys {missing}")
 
-    return Dataset(cat, call_ids, arms, platforms, np.array(ratings, dtype=np.int16), sel)
+def _jsonl_records(fh) -> Iterator[tuple[int, dict]]:
+    """(line number, object) of each non-blank line; a line that is not a JSON object raises."""
+    for row_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"row {row_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
+            raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
+        yield row_no, obj
+
+
+def _jsonl_chunk(chunk: list[tuple[int, dict]], cat: TokenCatalog):
+    """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL records.
+
+    Checked as `_csv_chunk` checks CSV rows, with `_check_jsonl_record` as the row check.
+    """
+    objs = [obj for _, obj in chunk]
+    ratings = list(map(dict.get, objs, repeat("rating")))
+    try:
+        call_ids, arms, platforms, selections = (tuple(map(itemgetter(key), objs)) for key in _JSONL_KEYS)
+        tokens = [tuple(map(itemgetter(label), selections)) for label in cat.labels]
+    except KeyError:
+        tokens = None
+    if (
+        tokens is not None
+        and all(map(ARMS.__contains__, arms))
+        and set(map(type, ratings)) <= {int, type(None)}
+        and set(ratings) <= _JSON_RATINGS.keys()
+        and set(map(len, selections)) == {len(cat)}
+        and set(map(type, chain.from_iterable(tokens))) == {int}
+        and set(chain.from_iterable(tokens)) <= {0, 1}
+    ):
+        ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
+        cells = np.fromiter(chain.from_iterable(tokens), np.uint8, len(objs) * len(cat)).reshape(len(cat), -1)
+        return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells.T
+    return zip(*(_check_jsonl_record(obj, row_no, cat) for row_no, obj in chunk))
+
+
+def _check_jsonl_record(obj: dict, row_no: int, cat: TokenCatalog):
+    """A JSONL record's call_id, arm, platform, rating and catalog-ordered cells, or its first error."""
+    for key in _JSONL_KEYS:
+        if key not in obj:
+            raise SchemaError(f"row {row_no}: missing key {key!r}")
+    if obj["arm"] not in ARMS:
+        raise DataError(f"row {row_no}: unknown arm {obj['arm']!r}")
+    rating = obj.get("rating")
+    rating = 0 if rating is None else _parse_rating(str(rating), row_no)
+    selections, label_set = obj["selections"], set(cat.labels)
+    for lab, val in selections.items():
+        if lab not in label_set:
+            raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
+        # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
+        if type(val) is not int or val not in (0, 1):
+            raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
+    if len(selections) != len(cat):
+        raise SchemaError(f"row {row_no}: missing token keys {sorted(label_set - set(selections))}")
+    cells = [selections[label] for label in cat.labels]
+    return str(obj["call_id"]), obj["arm"], str(obj["platform"]), rating, cells
 
 
 # -- canonical writers ------------------------------------------------
@@ -561,30 +663,20 @@ def dataset_to_csv_text(dataset: Dataset) -> str:
     text_fields = [*labels, *dataset.call_ids, *dataset.platforms]
     writer = csv.writer(buf, lineterminator=_csv_line_end(text_fields))
     writer.writerow(list(BASE_COLUMNS) + labels)
-    ratings = dataset.ratings
-    sel = dataset.selections
-    for i in range(len(dataset)):
-        rating = str(ratings[i]) if ratings[i] else ""
-        writer.writerow(
-            [dataset.call_ids[i], dataset.arms[i], dataset.platforms[i], rating]
-            + [str(v) for v in sel[i]]
-        )
+    ratings = np.array(list(_CSV_RATINGS), dtype=object)[dataset.ratings].tolist()
+    cells = np.array(["0", "1"], dtype=object)[dataset.selections.T].tolist()
+    writer.writerows(zip(dataset.call_ids, dataset.arms, dataset.platforms, ratings, *cells))
     return buf.getvalue()
 
 
 def dataset_to_jsonl_text(dataset: Dataset) -> str:
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     labels = dataset.catalog.labels
-    lines = []
-    for i in range(len(dataset)):
-        rating = int(dataset.ratings[i])
-        obj = {
-            "call_id": dataset.call_ids[i],
-            "arm": dataset.arms[i],
-            "platform": dataset.platforms[i],
-            "rating": rating if rating else None,
-            "selections": {lab: int(v) for lab, v in zip(labels, dataset.selections[i])},
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False))
+    ratings, selections = dataset.ratings.tolist(), dataset.selections.tolist()
+    lines = [
+        encode({"call_id": c, "arm": a, "platform": p, "rating": r or None, "selections": dict(zip(labels, s))})
+        for c, a, p, r, s in zip(dataset.call_ids, dataset.arms, dataset.platforms, ratings, selections)
+    ]
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -263,8 +263,8 @@ def apply_presentation(
 def _catalog_from_config(spec) -> TokenCatalog:
     if spec is None or spec == "default":
         return TokenCatalog.default()
-    if isinstance(spec, int):
-        return TokenCatalog.numbered(spec)
+    if isinstance(spec, (int, float)):
+        return TokenCatalog.numbered(_number(spec, "catalog", int))
     if isinstance(spec, dict) and "file" in spec:
         return TokenCatalog.from_csv(spec["file"])
     if isinstance(spec, list):
@@ -292,10 +292,11 @@ def presentation_from_config(obj: dict) -> PresentationConfig:
 
 
 def _number(value, name: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise DataError(f"config value {name!r} must be a number, got {value!r}") from None
+    """A config number: for `kind` int a JSON integer, for float an integer or a decimal; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise DataError(f"config value {name!r} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 _JSON_KINDS = {dict: "an object", list: "a list"}
@@ -313,10 +314,10 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
     try:
         catalog = _catalog_from_config(obj.get("catalog", "default"))
         base = obj.get("base_fire_rate", 0.0)
-        if isinstance(base, (int, float)):
-            base_vec = np.full(len(catalog), float(base))
-        else:
+        if isinstance(base, (dict, list)):
             base_vec = _weights_vector(base, catalog, "base_fire_rate")
+        else:
+            base_vec = np.full(len(catalog), _number(base, "base_fire_rate"))
         causes = []
         for i, c in enumerate(_expect(obj["latent_causes"], list, "latent_causes")):
             _expect(c, dict, "latent_causes entry")

@@ -1,0 +1,290 @@
+"""The chunked, column-wise loaders and writers against the row-by-row reference ones.
+
+On every file both loaders must return an equal Dataset, or raise the
+same exception type with the same message: same row, same precedence.
+Both writers must write the same text.
+"""
+
+import csv
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toksel import dataset as dataset_module
+from toksel.dataset import (
+    ARMS,
+    BASE_COLUMNS,
+    TokenCatalog,
+    dataset_to_csv_text,
+    dataset_to_jsonl_text,
+    load_dataset,
+)
+from toksel.errors import DataError
+
+from reference_io import csv_text_reference, jsonl_text_reference, load_reference
+from test_dataset import any_dataset
+
+LABELS = ["echo", "noise", "a,b", 'say "hi"', "two\nlines", "ü"]
+TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\r\n'), max_size=6)
+
+CSV_RATINGS = ["", "1", "2", "3", "4", "5"]
+# int() reads the first six as ratings 1-5, so they are valid; "\u0663" is an Arabic-Indic 3
+CSV_ODD_RATINGS = [" 3", "+3", "03", "3 ", "\u0663", "0_3", "4_0", "0", "6", "-1", "3.0", "x", "True"]
+CSV_BAD_CELLS = ["", "11", "2", " 1", "0 ", "01", "\u0661", "x", "-0", "True"]
+BAD_ARMS = ["groupB", "", "Control", " none", "none "]
+
+JSON_ODD_RATINGS = [True, False, 1.0, 3.0, "3", " 3", "x", 0, 6, -1, [3], {}]
+# the first four equal 0 or 1, but are not JSON integers
+JSON_BAD_CELLS = [True, False, 1.0, 0.0, "1", 2, -1, None, [1]]
+JSON_VALUES = st.one_of(TEXT, st.integers(-5, 5), st.none(), st.booleans(), st.just([1, "a"]))
+BAD_LINES = ["{oops", '{"a": 1} x', "[1, 2]", "3", '"text"', "null", '{"selections": [1]}', "\ufeff{}"]
+BLANK_LINES = ["", "  ", "\t"]
+
+
+def outcome(load, path, fmt, catalog):
+    try:
+        ds = load(path, format=fmt, catalog=catalog)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
+
+
+def assert_same_outcome(path, fmt, catalog=None, chunk_rows=None):
+    expected = outcome(load_reference, path, fmt, catalog)
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows or dataset_module._CHUNK_ROWS):
+        got = outcome(load_dataset, path, fmt, catalog)
+    assert got == expected
+    return got
+
+
+def drawn_catalog(draw, labels):
+    """None (the file's own labels), the labels reordered, or now and then a catalog that does not match."""
+    kind = draw(st.sampled_from(["file", "file", "reordered", "reordered", "mismatch"]))
+    if kind == "file":
+        return None
+    labels = draw(st.permutations(labels))
+    if kind == "mismatch":
+        labels = [*labels[:-1], "static"]
+    return TokenCatalog.from_labels(labels)
+
+
+@st.composite
+def csv_file(draw):
+    """CSV text, mostly valid, with faults put into random rows and cells; and a catalog."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 14))
+    rows = [
+        [
+            draw(TEXT),
+            draw(st.sampled_from(ARMS)),
+            draw(TEXT),
+            draw(st.sampled_from(CSV_RATINGS)),
+            *draw(st.lists(st.sampled_from("01"), min_size=len(labels), max_size=len(labels))),
+        ]
+        for _ in range(n)
+    ]
+    def put_cell(row, text):  # a row made short by an earlier fault has its last field replaced
+        row[min(len(BASE_COLUMNS) + draw(st.integers(0, len(labels) - 1)), len(row) - 1)] = text
+
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        fault = draw(st.sampled_from(["arm", "rating", "cell", "empty and double", "short", "long"]))
+        if fault == "arm":
+            row[1] = draw(st.sampled_from(BAD_ARMS))
+        elif fault == "rating":
+            row[3] = draw(st.sampled_from(CSV_ODD_RATINGS))
+        elif fault == "cell":
+            put_cell(row, draw(st.sampled_from(CSV_BAD_CELLS)))
+        elif fault == "empty and double":  # in any two cells: the joined length is that of valid ones
+            put_cell(row, "")
+            put_cell(rows[draw(st.integers(0, n - 1))], "11")
+        elif fault == "short":
+            del row[max(len(row) - 1, len(BASE_COLUMNS)):]
+        else:
+            row.append("0")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerows([[*BASE_COLUMNS, *labels], *rows])
+    text = buf.getvalue()
+    if draw(st.sampled_from([False, False, True])):  # the reader raises on this field, after the rows
+        text += "x" * (csv.field_size_limit() + 1)
+    return text, drawn_catalog(draw, labels)
+
+
+@st.composite
+def jsonl_file(draw):
+    """JSONL text, mostly valid, with faults put into random records and lines; and a catalog."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        record = {
+            "call_id": draw(JSON_VALUES),
+            "arm": draw(st.sampled_from(ARMS)),
+            "platform": draw(JSON_VALUES),
+            "rating": draw(st.sampled_from([None, 1, 2, 3, 4, 5])),
+            # keys in any order, file to file and record to record
+            "selections": {label: draw(st.sampled_from([0, 1])) for label in draw(st.permutations(labels))},
+        }
+        if draw(st.booleans()):
+            del record["rating"]
+        records.append(record)
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        fault = draw(st.sampled_from(["key", "arm", "missing label", "extra label", *["rating", "cell"] * 2]))
+        label = draw(st.sampled_from(labels))
+        if fault == "key":
+            record.pop(draw(st.sampled_from(["call_id", "arm", "platform", "selections"])), None)
+        elif fault == "arm":
+            record["arm"] = draw(st.sampled_from([*BAD_ARMS, 1, None, ["control"]]))
+        elif fault == "rating":
+            record["rating"] = draw(st.sampled_from(JSON_ODD_RATINGS))
+        elif fault == "cell" and "selections" in record:
+            record["selections"][label] = draw(st.sampled_from(JSON_BAD_CELLS))
+        elif fault == "missing label" and "selections" in record:
+            record["selections"].pop(label, None)
+        elif fault == "extra label" and "selections" in record:
+            record["selections"]["static"] = 0
+    ascii_only = draw(st.booleans())
+    lines = [json.dumps(record, ensure_ascii=ascii_only) for record in records]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        bad = draw(st.sampled_from([*BAD_LINES, *BLANK_LINES]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text, drawn_catalog(draw, labels)
+
+
+class TestAgainstReference:
+    @given(drawn=csv_file(), chunk_rows=st.sampled_from([1, 2, 3, 5, None]))
+    @settings(max_examples=250, deadline=None)
+    def test_csv(self, tmp_path_factory, drawn, chunk_rows):
+        text, catalog = drawn
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_same_outcome(path, "csv", catalog, chunk_rows)
+
+    @given(drawn=jsonl_file(), chunk_rows=st.sampled_from([1, 2, 3, 5, None]))
+    @settings(max_examples=250, deadline=None)
+    def test_jsonl(self, tmp_path_factory, drawn, chunk_rows):
+        text, catalog = drawn
+        path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_same_outcome(path, "jsonl", catalog, chunk_rows)
+
+    @given(dataset=any_dataset())
+    @settings(max_examples=150, deadline=None)
+    def test_writers(self, dataset):
+        assert dataset_to_csv_text(dataset) == csv_text_reference(dataset)
+        assert dataset_to_jsonl_text(dataset) == jsonl_text_reference(dataset)
+
+
+CSV_HEAD = "call_id,arm,platform,rating,echo,noise\n"
+
+
+def csv_rows(n, start=0):
+    return "".join(
+        f"c{i},control,desktop,{1 + i % 5},{i % 2},{i // 2 % 2}\n" for i in range(start, start + n)
+    )
+
+
+def jsonl_lines(n, start=0):
+    return "".join(
+        json.dumps({
+            "call_id": f"c{i}", "arm": "treatment", "platform": "mobile",
+            "rating": None if i % 7 == 0 else 1 + i % 5, "selections": {"echo": i % 2, "noise": i // 2 % 2},
+        }) + "\n"
+        for i in range(start, start + n)
+    )
+
+
+class TestCases:
+    def write(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        return path
+
+    def test_csv_empty_cell_next_to_a_two_character_cell(self, tmp_path):
+        # joined, the cells "" and "11" have the length of two valid cells
+        path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(3) + "x,none,web,4,,11\n")
+        got = assert_same_outcome(path, "csv")
+        assert got == (DataError, "row 5: token cell for 'echo' must be 0 or 1, got ''")
+
+    @pytest.mark.parametrize("rating", [" 3", "+3", "03"])
+    def test_csv_ratings_int_reads_load_as_3(self, tmp_path, rating):
+        path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(3) + f"x,none,web,{rating},1,0\n")
+        assert assert_same_outcome(path, "csv")[4] == [1, 2, 3, 3]
+
+    @pytest.mark.parametrize(
+        "rating, error",
+        [
+            (True, "row 2: rating 'True' is not an integer"),
+            (1.0, "row 2: rating '1.0' is not an integer"),
+            ("3", None),
+        ],
+    )
+    def test_jsonl_ratings_of_other_types(self, tmp_path, rating, error):
+        line = json.dumps({"call_id": "x", "arm": "none", "platform": "web", "rating": rating,
+                           "selections": {"echo": 1, "noise": 0}})
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", jsonl_lines(1) + line + "\n"), "jsonl")
+        if error:
+            assert got == (DataError, error)
+        else:
+            assert got[4] == [0, 3]
+
+    @pytest.mark.parametrize(
+        "selections, error",
+        [
+            *[({"echo": 1, "noise": cell}, f"token cell for 'noise' must be 0 or 1, got {cell!r}")
+              for cell in (True, False, 1.0, 0.0)],
+            ({"echo": 1, "noise": 0, "static": 0}, "unknown token label 'static'"),
+        ],
+    )
+    def test_jsonl_record_fault_alone_in_its_chunk(self, tmp_path, selections, error):
+        line = json.dumps({"call_id": "x", "arm": "none", "platform": "web", "selections": selections})
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", jsonl_lines(3) + line + "\n"), "jsonl")
+        assert got[1] == f"row 4: {error}"
+
+    def test_jsonl_keys_in_another_order_than_the_catalog(self, tmp_path):
+        reordered = json.dumps({"selections": {"noise": 1, "echo": 0}, "platform": "web", "arm": "none",
+                                "call_id": "x"})
+        path = self.write(tmp_path, "d.jsonl", jsonl_lines(5) + reordered + "\n")
+        assert assert_same_outcome(path, "jsonl")[5][-1] == [0, 1]
+        catalog = TokenCatalog.from_labels(["noise", "echo"])
+        assert assert_same_outcome(path, "jsonl", catalog)[5][-1] == [1, 0]
+
+    def test_csv_catalog_in_another_order_than_the_header(self, tmp_path):
+        path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(20))
+        catalog = TokenCatalog.from_labels(["noise", "echo"])
+        assert assert_same_outcome(path, "csv", catalog)[0] == catalog
+
+    def test_jsonl_syntax_error_after_a_bad_record_in_a_later_chunk_wins(self, tmp_path):
+        n = 3 * dataset_module._CHUNK_ROWS + 10
+        bad = json.dumps(
+            {"call_id": "x", "arm": "none", "platform": "web", "selections": {"echo": 2, "noise": 0}}
+        )
+        text = jsonl_lines(n) + bad + "\n" + jsonl_lines(50, start=n) + "{oops\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        syntax = "invalid JSON (Expecting property name enclosed in double quotes)"
+        assert got == (DataError, f"row {n + 52}: {syntax}")
+        # without the syntax error the bad record is the one reported
+        text = jsonl_lines(n) + bad + "\n" + jsonl_lines(50, start=n)
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, f"row {n + 1}: token cell for 'echo' must be 0 or 1, got 2")
+
+    def test_csv_bad_row_in_a_later_chunk_wins_over_a_later_decoding_error(self, tmp_path):
+        n = 3 * dataset_module._CHUNK_ROWS + 10
+        text = (CSV_HEAD + csv_rows(n) + "x,none,web,7,1,0\n" + csv_rows(3000, start=n)).encode() + b"\xff\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv")
+        assert got == (DataError, f"row {n + 2}: rating 7 outside 1-5")
+        # the decoding error is met before the bad row when it comes first
+        text = (CSV_HEAD + csv_rows(n)).encode() + b"\xff\n" + b"x,none,web,7,1,0\n"
+        assert assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv")[1].startswith(f"{tmp_path}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_valid_files_of_several_chunks(self, tmp_path, fmt):
+        n = 3 * dataset_module._CHUNK_ROWS + 10
+        text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
+        assert len(assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt)[1]) == n

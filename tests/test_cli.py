@@ -362,6 +362,21 @@ MALFORMED = {
     "jsonl token key missing": lambda tmp: _select(_write(tmp, "d.jsonl", "".join(
         json.dumps(obj) + "\n" for obj in (_jsonl_line(), {**_jsonl_line(), "selections": {"token_00": 1}})
     ))),
+    # the cells "" and "11" have the joined length of two valid cells
+    "csv cells empty and two characters": lambda tmp: _select(
+        _write(tmp, "d.csv", "call_id,arm,platform,rating,token_00,token_01\nc0,none,web,4,,11\n")
+    ),
+    "jsonl rating true": lambda tmp: _select(_write(tmp, "d.jsonl", {**_jsonl_line(), "rating": True})),
+    "jsonl rating 1.0": lambda tmp: _select(_write(tmp, "d.jsonl", {**_jsonl_line(), "rating": 1.0})),
+    "config n_calls fractional": lambda tmp: _generate(tmp, _config(n_calls=2.7)),
+    "config n_calls true": lambda tmp: _generate(tmp, _config(n_calls=True)),
+    "config seed fractional": lambda tmp: _generate(tmp, _config(seed=1.9)),
+    "config arm seed fractional": lambda tmp: _generate(tmp, _arm_config(seed=2.5)),
+    "config fold rank fractional": lambda tmp: _generate(tmp, _arm_config(fold_rank=1.5)),
+    # a one-token catalog, as True == 1, would fit these weights
+    "config catalog true": lambda tmp: _generate(tmp, {**_cause_config(token_weights=[0.8]), "catalog": True}),
+    "config prevalence a numeric string": lambda tmp: _generate(tmp, _cause_config(prevalence="0.2")),
+    "config base fire rate true": lambda tmp: _generate(tmp, _config(base_fire_rate=True)),
 }
 
 

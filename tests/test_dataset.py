@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toksel import dataset as dataset_module
 from toksel.dataset import (
     ARMS,
     Dataset,
@@ -221,6 +222,24 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         again = load_dataset(p2, format=fmt)
         assert again.records() == loaded.records()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_file_of_several_chunks_round_trips_byte_identically(self, tmp_path, fmt, line_end):
+        truth = generate_truth(_small_demo_config(3 * dataset_module._CHUNK_ROWS + 100))
+        platforms = list(truth.platforms)
+        if line_end == "\r\n":  # a "\r" in any text field gives the CSV "\r\n" line ends
+            platforms[-50] = "web\r"
+        truth = Dataset(truth.catalog, truth.call_ids, truth.arms, platforms, truth.ratings, truth.selections)
+        p1 = tmp_path / f"one.{fmt}"
+        p2 = tmp_path / f"two.{fmt}"
+        save_dataset(truth, p1, format=fmt)
+        if fmt == "csv":
+            assert p1.read_bytes().count(line_end.encode()) == len(truth) + 1
+        loaded = load_dataset(p1, format=fmt)
+        save_dataset(loaded, p2, format=fmt)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.records() == truth.records()
 
     def test_pc_label_count_matches_rating_count(self, tmp_path):
         ds = load_dataset(write(tmp_path, "d.csv", CSV_4ROW))

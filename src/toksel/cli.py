@@ -145,6 +145,8 @@ def cmd_select(args):
 def cmd_evaluate(args):
     dataset = _load(args, args.input)
     n_tokens = len(dataset.catalog)
+    if args.k_max < 1:
+        raise ParameterError(f"--k-max must be >= 1, got {args.k_max}")
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]

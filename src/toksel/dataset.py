@@ -284,12 +284,18 @@ class Dataset:
 
     @cached_property
     def rated_selections(self) -> np.ndarray:
-        """Selection rows of rated records, as int64."""
-        return self._selections[self.rated_mask].astype(np.int64)
+        """Selection rows of rated records (uint8)."""
+        return self._selections[self.rated_mask]
 
     @cached_property
     def rated_pc(self) -> np.ndarray:
         return (self._pc[self.rated_mask] == 1).astype(np.int64)
+
+    @cached_property
+    def cooccurrence(self) -> np.ndarray:
+        """Records selecting both of two tokens, as float64: exact below 2^53, and fast."""
+        sel = self._selections.astype(np.float64)
+        return sel.T @ sel
 
     @cached_property
     def patterns(self) -> "PatternTable":
@@ -349,6 +355,18 @@ class PatternTable:
 _KEY_CHUNK = 32
 
 
+def check_subset(subset: Sequence[int], n_tokens: int) -> tuple[int, ...]:
+    """A token subset's ids as ints, in the given order. A subset is distinct
+    ids in 0..n_tokens-1; anything else raises ParameterError."""
+    ids = tuple(int(t) for t in subset)
+    if len(set(ids)) != len(ids):
+        raise ParameterError(f"subset ids must be distinct, got {list(ids)}")
+    for t in ids:
+        if not 0 <= t < n_tokens:
+            raise ParameterError(f"token id {t} outside catalog (size {n_tokens})")
+    return ids
+
+
 def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
     """Cell of each row under a token subset, and the number of cells.
 
@@ -368,6 +386,15 @@ def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
         ids = ids.reshape(-1)
     n_cells = int(ids.max()) + 1 if ids.size else 0
     return ids, n_cells
+
+
+def distinct_rows(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cell under a token subset (as `cell_ids` numbers them), and
+    the subset's columns of one row per cell, so that row c stands for cell c."""
+    cells, n_cells = cell_ids(rows, subset)
+    row_of_cell = np.empty(n_cells, dtype=np.int64)
+    row_of_cell[cells] = np.arange(cells.size)
+    return cells, rows[np.ix_(row_of_cell, list(subset))]
 
 
 def filter_dataset(
@@ -590,10 +617,11 @@ def _jsonl_records(fh) -> Iterator[tuple[int, dict]]:
         line = line.strip()
         if not line:
             continue
+        # a ValueError: JSONDecodeError or an integer past the digit limit; a RecursionError: deep nesting
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"row {row_no}: invalid JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"row {row_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
             raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
         yield row_no, obj

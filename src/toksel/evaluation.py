@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PatternTable, cell_ids
+from .dataset import Dataset, PatternTable, cell_ids, check_subset, distinct_rows
 from .errors import DataError, ParameterError, UndefinedStatisticError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,21 +62,15 @@ def jaccard(a: Sequence[int], b: Sequence[int]) -> float:
 
 def jaccard_set(dataset: Dataset, subset: Sequence[int]) -> float:
     """Mean pairwise Jaccard similarity over all token pairs in the subset."""
-    ids = sorted(set(int(t) for t in subset))
-    if len(ids) != len(list(subset)):
-        raise ParameterError("subset ids must be distinct")
-    for t in ids:
-        if not 0 <= t < len(dataset.catalog):
-            raise ParameterError(f"token id {t} outside catalog")
+    ids = sorted(check_subset(subset, len(dataset.catalog)))
     if len(ids) <= 1:
         return 0.0
-    cols = dataset.selections[:, ids].astype(np.int64)
-    inter = cols.T @ cols
+    inter = dataset.cooccurrence[np.ix_(ids, ids)]
     counts = np.diag(inter)
     union = counts[:, None] + counts[None, :] - inter
     iu = np.triu_indices(len(ids), k=1)
-    inters = inter[iu].astype(np.float64)
-    unions = union[iu].astype(np.float64)
+    inters = inter[iu]
+    unions = union[iu]
     ratios = np.divide(inters, unions, out=np.zeros_like(inters), where=unions > 0)
     return float(ratios.sum() / ratios.size)
 
@@ -116,13 +110,6 @@ class SplitPlan:
 # -- scorers -----------------------------------------------------------
 
 
-def _check_subset(subset: Sequence[int]) -> tuple[int, ...]:
-    ids = tuple(sorted(int(t) for t in subset))
-    if len(set(ids)) != len(ids):
-        raise ParameterError("subset ids must be distinct")
-    return ids
-
-
 def _smoothed_rate(n1, n, alpha: float):
     """(n_poor + alpha) / (n + 2*alpha): the table scorer's score of a cell, or its prior."""
     return (n1 + alpha) / (n + 2 * alpha)
@@ -139,26 +126,25 @@ class TableScorer:
     def __init__(self, subset: Sequence[int], alpha: float = 1.0):
         if alpha < 0:
             raise ParameterError("alpha must be >= 0")
-        self.subset = _check_subset(subset)
+        self.subset = tuple(sorted(int(t) for t in subset))
         self.alpha = alpha
         self._scores: Optional[np.ndarray] = None
         self.prior_: Optional[float] = None
 
     def fit(self, selections: np.ndarray, labels: np.ndarray) -> "TableScorer":
+        X = np.asarray(selections)
+        check_subset(self.subset, X.shape[1])
         y = np.asarray(labels, dtype=np.int64)
         n1_total = int(y.sum())
         if n1_total == 0 or n1_total == y.size:
             raise DataError("training data must contain both poor and non-poor calls")
-        X = np.asarray(selections)[:, list(self.subset)]
-        cells, n_cells = cell_ids(X, range(len(self.subset)))
+        # one training row per cell, so predict can key new rows together with them
+        cells, self._cells = distinct_rows(X, self.subset)
+        n_cells = self._cells.shape[0]
         n1 = np.bincount(cells, weights=y, minlength=n_cells)
         n = np.bincount(cells, minlength=n_cells).astype(np.float64)
         self.prior_ = _smoothed_rate(n1_total, y.size, self.alpha)
         self._scores = _smoothed_rate(n1, n, self.alpha)
-        # one training row per cell, so predict can key new rows together with them
-        last = np.empty(n_cells, dtype=np.int64)
-        last[cells] = np.arange(cells.size)
-        self._cells = X[last]
         return self
 
     def predict(self, selections: np.ndarray) -> np.ndarray:
@@ -183,22 +169,26 @@ class ForestScorer:
     by Gini reduction (each binary feature used at most once per path)
     and predicts its leaf's poor-call frequency; the ensemble averages
     tree outputs. Deterministic for a given seed.
+
+    A tree grows on the distinct training rows, each weighted by how
+    often the tree's bootstrap drew it with each label: the same tree,
+    bit for bit, as one grown on the drawn records themselves.
     """
 
     def __init__(self, subset: Sequence[int], trees: int = 100, seed=None):
         if trees < 1:
             raise ParameterError("trees must be >= 1")
-        self.subset = _check_subset(subset)
+        self.subset = tuple(sorted(int(t) for t in subset))
         self.trees = trees
         self.seed = seed
         self._roots: Optional[list] = None
 
     # tree nodes are (feature, left, right) tuples; leaves are floats
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, remaining: list[int], rng) -> object:
-        y_node = y[idx]
-        n = y_node.size
-        n1 = int(y_node.sum())
+    def _grow(self, rows: np.ndarray, w: np.ndarray, idx: np.ndarray, remaining: list[int], rng) -> object:
+        """Tree over the distinct rows `idx`, row i drawn w[i, 0] times not poor and w[i, 1] times poor."""
+        n0, n1 = (int(c) for c in w[idx].sum(axis=0))
+        n = n0 + n1
         if n1 == 0 or n1 == n or not remaining:
             return n1 / n
         m = max(1, int(round(math.sqrt(len(self.subset)))))
@@ -207,80 +197,75 @@ class ForestScorer:
         else:
             cand = sorted(rng.choice(remaining, size=m, replace=False).tolist())
 
-        best = self._best_split(X, y, idx, cand, n, n1)
-        if best is None:
+        feat = self._best_split(rows, w, idx, cand, n, n1)
+        if feat is None:
             # sampled candidates were constant here; fall back to all remaining
-            best = self._best_split(X, y, idx, remaining, n, n1)
-        if best is None:
+            feat = self._best_split(rows, w, idx, remaining, n, n1)
+        if feat is None:
             return n1 / n
-        feat, left_idx, right_idx = best
+        right = rows[idx, feat] == 1
         rest = [f for f in remaining if f != feat]
         return (
             feat,
-            self._grow(X, y, left_idx, rest, rng),
-            self._grow(X, y, right_idx, rest, rng),
+            self._grow(rows, w, idx[~right], rest, rng),
+            self._grow(rows, w, idx[right], rest, rng),
         )
 
     @staticmethod
-    def _best_split(X, y, idx, candidates, n, n1):
-        best_gain = -1.0
-        best = None
+    def _best_split(rows, w, idx, candidates, n, n1):
+        """The candidate of largest Gini gain (the first of equal gains), or None if all are constant."""
+        r0, r1 = w[idx].T @ (rows[np.ix_(idx, candidates)] == 1)
+        nr = r0 + r1
+        ok = np.flatnonzero((nr > 0) & (nr < n))
+        if ok.size == 0:
+            return None
+        nr, r1 = nr[ok], r1[ok]
+        nl, l1 = n - nr, n1 - r1
+        gini = (nl * 2.0 * (l1 / nl) * (1.0 - l1 / nl) + nr * 2.0 * (r1 / nr) * (1.0 - r1 / nr)) / n
         parent = 2.0 * (n1 / n) * (1.0 - n1 / n)
-        for feat in candidates:
-            mask = X[idx, feat] == 1
-            nr = int(mask.sum())
-            if nr == 0 or nr == n:
-                continue
-            right = idx[mask]
-            left = idx[~mask]
-            r1 = int(y[right].sum())
-            l1 = n1 - r1
-            gini = (
-                left.size * 2.0 * (l1 / left.size) * (1.0 - l1 / left.size)
-                + right.size * 2.0 * (r1 / right.size) * (1.0 - r1 / right.size)
-            ) / n
-            gain = parent - gini
-            if gain > best_gain:
-                best_gain = gain
-                best = (feat, left, right)
-        return best
+        return candidates[ok[np.argmax(parent - gini)]]
 
     def fit(self, selections: np.ndarray, labels: np.ndarray) -> "ForestScorer":
+        X = np.asarray(selections)
+        check_subset(self.subset, X.shape[1])
         y = np.asarray(labels, dtype=np.int64)
         n1 = int(y.sum())
         if n1 == 0 or n1 == y.size:
             raise DataError("training data must contain both poor and non-poor calls")
-        X = np.asarray(selections)[:, list(self.subset)].astype(np.int8)
+        cells, rows = distinct_rows(X, self.subset)
+        keys = cells * 2 + y
         rng = np.random.default_rng(self.seed)
         n = y.size
         features = list(range(len(self.subset)))
         self._roots = []
         for _ in range(self.trees):
             boot = rng.integers(0, n, size=n)
-            self._roots.append(self._grow(X, y, boot, features, rng))
+            w = np.bincount(keys[boot], minlength=2 * rows.shape[0]).reshape(-1, 2)
+            self._roots.append(self._grow(rows, w, np.flatnonzero(w.any(axis=1)), features, rng))
         return self
 
     @staticmethod
-    def _predict_tree(node, X, idx, out):
+    def _predict_tree(node, rows, idx, out):
         if isinstance(node, float):
             out[idx] = node
             return
         feat, left, right = node
-        mask = X[idx, feat] == 1
-        ForestScorer._predict_tree(left, X, idx[~mask], out)
-        ForestScorer._predict_tree(right, X, idx[mask], out)
+        mask = rows[idx, feat] == 1
+        ForestScorer._predict_tree(left, rows, idx[~mask], out)
+        ForestScorer._predict_tree(right, rows, idx[mask], out)
 
     def predict(self, selections: np.ndarray) -> np.ndarray:
         if self._roots is None:
             raise ParameterError("scorer is not fitted")
-        X = np.asarray(selections)[:, list(self.subset)].astype(np.int8)
-        total = np.zeros(X.shape[0], dtype=np.float64)
-        scratch = np.empty(X.shape[0], dtype=np.float64)
-        idx = np.arange(X.shape[0])
+        # each distinct row walks each tree once; its records share the result
+        cells, rows = distinct_rows(np.asarray(selections), self.subset)
+        total = np.zeros(rows.shape[0], dtype=np.float64)
+        scratch = np.empty(rows.shape[0], dtype=np.float64)
+        idx = np.arange(rows.shape[0])
         for root in self._roots:
-            self._predict_tree(root, X, idx, scratch)
+            self._predict_tree(root, rows, idx, scratch)
             total += scratch
-        return total / len(self._roots)
+        return (total / len(self._roots))[cells]
 
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
         return self.predict(dataset.rated_selections)
@@ -381,9 +366,8 @@ def _table_split_aucs(
     return vals
 
 
-def _forest_split_aucs(
-    X: np.ndarray, y: np.ndarray, subset: tuple[int, ...], partitions, trees: int
-) -> np.ndarray:
+def _forest_split_aucs(dataset: Dataset, subset: tuple[int, ...], partitions, trees: int) -> np.ndarray:
+    X, y = dataset.rated_selections, dataset.rated_pc
     vals = np.empty(len(partitions))
     for i, (train_idx, test_idx, scorer_seed) in enumerate(partitions):
         scorer = ForestScorer(subset, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
@@ -410,9 +394,8 @@ def evaluate_subsets(
         raise ParameterError("traces must be non-empty")
     if scorer_kind not in ("table", "forest"):
         raise ParameterError(f"unknown scorer kind {scorer_kind!r}")
-    X = dataset.rated_selections
     y = dataset.rated_pc
-    partitions = plan.partitions(X.shape[0])
+    partitions = plan.partitions(y.size)
     if scorer_kind == "table":
         split_counts = _split_counts(dataset.patterns, y, partitions)
 
@@ -427,7 +410,7 @@ def evaluate_subsets(
                 if scorer_kind == "table":
                     cache[subset] = _table_split_aucs(dataset.patterns, subset, split_counts, alpha)
                 else:
-                    cache[subset] = _forest_split_aucs(X, y, subset, partitions, trees)
+                    cache[subset] = _forest_split_aucs(dataset, subset, partitions, trees)
             vals = cache[subset]
             std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
             entries.append(

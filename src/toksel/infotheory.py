@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, cell_ids
+from .dataset import Dataset, cell_ids, check_subset
 from .errors import DataError, ParameterError
 
 
@@ -37,17 +37,6 @@ def entropy(p: float) -> float:
     return -p * math.log2(p) - q * math.log2(q)
 
 
-def _validate_subset(dataset: Dataset, subset: Sequence[int]) -> tuple[int, ...]:
-    ids = tuple(int(t) for t in subset)
-    if len(set(ids)) != len(ids):
-        raise ParameterError(f"subset ids must be distinct, got {list(subset)}")
-    n_tokens = len(dataset.catalog)
-    for t in ids:
-        if not 0 <= t < n_tokens:
-            raise ParameterError(f"token id {t} outside catalog (size {n_tokens})")
-    return ids
-
-
 def cell_counts(dataset: Dataset, subset: Sequence[int]) -> np.ndarray:
     """Rated records per (occupied cell, poor-call label) of a token subset.
 
@@ -56,7 +45,7 @@ def cell_counts(dataset: Dataset, subset: Sequence[int]) -> np.ndarray:
     values; cells no rated record falls in are omitted, and cells come
     in the order `toksel.dataset.cell_ids` numbers them.
     """
-    ids = _validate_subset(dataset, subset)
+    ids = check_subset(subset, len(dataset.catalog))
     table = dataset.patterns
     if table.total == 0:
         raise DataError("dataset has no rated records")
@@ -78,24 +67,18 @@ def _cell_terms(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
 
 
 def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
-    """Sum over cells of n*H(pc within cell), scaled by n (i.e. N * H[pc|subset])."""
+    """Sum over cells of n*H(pc within cell), scaled by n (i.e. N * H[pc|subset]).
+
+    The empty subset has one cell holding every rated record: its sum is N * H[pc].
+    """
     counts = cell_counts(dataset, subset)
     terms = _cell_terms(counts[:, 0], counts[:, 1])
     return math.fsum(terms[terms != 0.0])
 
 
-def _marginal_term(dataset: Dataset) -> tuple[float, int]:
-    n0, n1 = (int(c) for c in dataset.patterns.counts.sum(axis=0))
-    if n0 + n1 == 0:
-        raise DataError("dataset has no rated records")
-    term = float(_cell_terms(np.array([float(n0)]), np.array([float(n1)]))[0])
-    return term, n0 + n1
-
-
 def pc_entropy(dataset: Dataset) -> float:
     """Entropy of the poor-call label over rated records, in bits."""
-    term, total = _marginal_term(dataset)
-    return term / total
+    return _cond_term_sum(dataset, ()) / dataset.patterns.total
 
 
 class IgEvaluator:
@@ -109,8 +92,9 @@ class IgEvaluator:
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        self.base_term, self.total = _marginal_term(dataset)
         self._memo: dict[tuple[int, ...], float] = {}
+        self.base_term = self.cond(())
+        self.total = dataset.patterns.total
 
     def cond(self, subset: Sequence[int]) -> float:
         key = tuple(sorted(int(t) for t in subset))
@@ -132,7 +116,7 @@ def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0
     alpha > 0, every one of the 2^k * 2 cells receives an add-alpha
     pseudocount (which breaks exact monotonicity).
     """
-    subset = _validate_subset(dataset, subset)
+    subset = check_subset(subset, len(dataset.catalog))
     if alpha < 0:
         raise ParameterError("alpha must be >= 0")
     if alpha > 0:
@@ -178,19 +162,11 @@ class AuditReport:
         }
 
 
-def _audit_sizes(dataset: Dataset, max_subset_size: Optional[int]) -> int:
-    """Largest subset size the audits sample; defaults to min(catalog, 10)
-    to keep thousands of trials affordable on wide catalogs."""
-    n_tokens = len(dataset.catalog)
-    return max(1, min(n_tokens, 10 if max_subset_size is None else max_subset_size))
+# Largest subset the audits sample, so that thousands of trials stay affordable on wide catalogs.
+_AUDIT_MAX_SIZE = 10
 
 
-def audit_monotonicity(
-    dataset: Dataset,
-    trials: int,
-    seed: Optional[int] = None,
-    max_subset_size: Optional[int] = None,
-) -> AuditReport:
+def audit_monotonicity(dataset: Dataset, trials: int, seed: Optional[int] = None) -> AuditReport:
     """Check IG(T1) <= IG(T2) on random chains T1 within T2, at zero tolerance.
 
     The plug-in estimate satisfies this exactly: conditioning on a finer
@@ -202,7 +178,7 @@ def audit_monotonicity(
         raise ParameterError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     n_tokens = len(dataset.catalog)
-    cap = _audit_sizes(dataset, max_subset_size)
+    cap = min(n_tokens, _AUDIT_MAX_SIZE)
     ev = IgEvaluator(dataset)
 
     violations = 0
@@ -225,7 +201,6 @@ def audit_submodularity(
     trials: int,
     seed: Optional[int] = None,
     tolerance: float = 1e-9,
-    max_subset_size: Optional[int] = None,
 ) -> AuditReport:
     """Check the diminishing-returns inequality on random triples (T1 ⊆ T2, e ∉ T2).
 
@@ -242,7 +217,7 @@ def audit_submodularity(
     n_tokens = len(dataset.catalog)
     if n_tokens < 2:
         raise DataError("submodularity audit needs at least 2 tokens")
-    cap = min(_audit_sizes(dataset, max_subset_size), n_tokens - 1)
+    cap = min(n_tokens - 1, _AUDIT_MAX_SIZE)
     ev = IgEvaluator(dataset)
 
     violations = 0

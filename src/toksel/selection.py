@@ -163,9 +163,7 @@ def select_random(catalog_size: int, k: int, seed: int) -> SelectionTrace:
     return SelectionTrace("random", steps, budget_k=k, seed=seed, gain_metric="none")
 
 
-def select_exhaustive(
-    dataset: Dataset, k: int, max_subsets: int = EXHAUSTIVE_SUBSET_CAP
-) -> SelectionTrace:
+def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
     """Best size-k subset by joint information gain, by full enumeration.
 
     Ties resolve to the lexicographically smallest id list. Steps replay
@@ -174,9 +172,9 @@ def select_exhaustive(
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
     n_subsets = math.comb(n_tokens, k)
-    if n_subsets > max_subsets:
+    if n_subsets > EXHAUSTIVE_SUBSET_CAP:
         raise CapacityError(
-            f"{n_subsets} subsets of size {k} exceed the enumeration cap of {max_subsets}"
+            f"{n_subsets} subsets of size {k} exceed the enumeration cap of {EXHAUSTIVE_SUBSET_CAP}"
         )
     ev = IgEvaluator(dataset)
     best_subset = None

@@ -299,7 +299,7 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
-_JSON_KINDS = {dict: "an object", list: "a list"}
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _expect(value, kind: type, name: str):
@@ -338,7 +338,7 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
             rating_intercept=_number(rating.get("intercept", 0.0), "intercept"),
             rating_severity_slope=_number(rating.get("severity_slope", 1.0), "severity_slope"),
             rating_rate=_number(rating.get("rate", 1.0), "rate"),
-            platform=obj.get("platform", "desktop"),
+            platform=_expect(obj.get("platform", "desktop"), str, "platform"),
             seed=_number(obj.get("seed", 0), "seed", int),
         )
     except KeyError as exc:

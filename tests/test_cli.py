@@ -188,6 +188,18 @@ class TestEvaluate:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("k_max", ["-3", "0"])
+    def test_k_max_below_one_is_usage_error(self, k_max, tmp_path, capsys):
+        data = write_selection_data(tmp_path)
+        code = main([
+            "evaluate", "--input", str(data), "--k-max", k_max, "--splits", "2",
+            "--seed", "1", "--output", str(tmp_path / "r"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("toksel: error: --k-max") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     def test_forest_scorer_accepted(self, tmp_path):
         data = write_selection_data(tmp_path, n_calls=400)
         code = main([
@@ -377,6 +389,14 @@ MALFORMED = {
     "config catalog true": lambda tmp: _generate(tmp, {**_cause_config(token_weights=[0.8]), "catalog": True}),
     "config prevalence a numeric string": lambda tmp: _generate(tmp, _cause_config(prevalence="0.2")),
     "config base fire rate true": lambda tmp: _generate(tmp, _config(base_fire_rate=True)),
+    "jsonl integer past the digit limit": lambda tmp: _select(
+        _write(tmp, "d.jsonl", f'{{"rating": {"1" * 5000}}}\n')
+    ),
+    "jsonl nesting past the recursion limit": lambda tmp: _select(
+        _write(tmp, "d.jsonl", "[" * 100_000 + "]" * 100_000 + "\n")
+    ),
+    # a platform of 5 would be written as 5 and load back as "5"
+    "config platform a number": lambda tmp: _generate(tmp, _config(platform=5)),
 }
 
 

@@ -10,12 +10,14 @@ from toksel.dataset import (
     ResponseRecord,
     TokenCatalog,
     Token,
+    check_subset,
+    distinct_rows,
     filter_dataset,
     label_pc,
     load_dataset,
     save_dataset,
 )
-from toksel.errors import DataError, SchemaError
+from toksel.errors import DataError, ParameterError, SchemaError
 from toksel.synthgen import demo_generator_config, generate_truth
 
 from conftest import make_dataset
@@ -283,6 +285,32 @@ class TestDatasetInvariants:
         recs = [ResponseRecord("a", "none", "desktop", 2, (1, 0, 1))]
         with pytest.raises(DataError):
             Dataset.from_records(TokenCatalog.numbered(2), recs)
+
+
+class TestSubsetsAndCells:
+    def test_check_subset_keeps_order(self):
+        assert check_subset([2, 0, 1], 3) == (2, 0, 1)
+        assert check_subset(np.array([1, 0]), 2) == (1, 0)
+
+    @pytest.mark.parametrize("subset", [[0, 0], [-1], [3]])
+    def test_check_subset_rejects(self, subset):
+        with pytest.raises(ParameterError):
+            check_subset(subset, 3)
+
+    def test_distinct_rows_stand_for_their_cells(self):
+        rows = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 0], [1, 0, 1]], dtype=np.uint8)
+        cells, distinct = distinct_rows(rows, [2, 0])
+        assert distinct.dtype == np.uint8 and distinct.shape == (3, 2)
+        assert np.array_equal(distinct[cells], rows[:, [2, 0]])
+
+    def test_rated_selections_are_uint8_rows_of_rated_records(self):
+        ds = make_dataset([[1, 0], [0, 1], [1, 1]], [2, None, 5])
+        assert ds.rated_selections.dtype == np.uint8
+        assert ds.rated_selections.tolist() == [[1, 0], [1, 1]]
+
+    def test_cooccurrence_counts_every_record(self):
+        ds = make_dataset([[1, 0], [1, 1], [0, 1]], [2, None, 5])
+        assert ds.cooccurrence.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
 
 class TestFilter:

@@ -9,6 +9,7 @@ from toksel.errors import DataError, ParameterError, UndefinedStatisticError
 from toksel.evaluation import (
     _split_counts,
     _table_split_aucs,
+    _forest_split_aucs,
     ForestScorer,
     SplitPlan,
     TableScorer,
@@ -20,11 +21,13 @@ from toksel.evaluation import (
     report_to_json_text,
     table_scorer_fit,
 )
+from toksel.infotheory import cell_counts, information_gain
 from toksel.selection import select_auc_greedy, select_rits
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 from toksel.dataset import TokenCatalog
 
 from conftest import make_dataset, pc_to_rating
+import reference_forest
 
 
 def brute_force_auc(scores, labels):
@@ -265,6 +268,83 @@ def test_table_split_aucs_equal_row_scorer(data):
             _table_split_aucs(ds.patterns, subset, split_counts, alpha)
     else:
         assert _table_split_aucs(ds.patterns, subset, split_counts, alpha).tolist() == expected
+
+
+@st.composite
+def forest_data(draw):
+    """Rated rows with duplicate and constant columns mixed in, and a subset of them."""
+    n = draw(st.integers(4, 80))
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "copy", "constant"]) if columns else st.just("random"))
+        if kind == "copy":
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append([draw(st.integers(0, 1))] * n)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    ratings = draw(st.lists(st.sampled_from([None, 1, 2, 4, 5]), min_size=n, max_size=n))
+    ds = make_dataset(np.array(columns).T, ratings)
+    subset = draw(st.lists(st.integers(0, len(columns) - 1), unique=True, max_size=len(columns)))
+    return ds, subset
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DataError, UndefinedStatisticError) as exc:
+        return type(exc)
+
+
+@given(forest_data(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_forest_equals_record_forest(data, trees, seed):
+    """The weighted-row forest grows the record-by-record forest's trees, bit for bit."""
+    ds, subset = data
+    X, y = ds.rated_selections, ds.rated_pc
+    assume(y.size >= 2)
+    probe = np.array(list(itertools.product([0, 1], repeat=X.shape[1])))
+
+    def fitted(cls):
+        return _outcome(lambda: cls(subset, trees=trees, seed=seed).fit(X, y))
+
+    new, ref = fitted(ForestScorer), fitted(reference_forest.ForestScorer)
+    if isinstance(ref, type):
+        assert new is ref
+    else:
+        assert new._roots == ref._roots
+        for rows in (X, probe):
+            assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
+
+    partitions = SplitPlan(splits=3, master_seed=seed).partitions(y.size)
+    expected = []
+    for train, test, scorer_seed in partitions:
+        scorer = reference_forest.ForestScorer(tuple(sorted(subset)), trees=trees, seed=scorer_seed)
+        expected.append(_outcome(lambda: auc(scorer.fit(X[train], y[train]).predict(X[test]), y[test])))
+        if isinstance(expected[-1], type):
+            break
+    if isinstance(expected[-1], type):
+        with pytest.raises(expected[-1]):
+            _forest_split_aucs(ds, tuple(sorted(subset)), partitions, trees)
+    else:
+        assert _forest_split_aucs(ds, tuple(sorted(subset)), partitions, trees).tolist() == expected
+
+
+SUBSET_USERS = {
+    "information_gain": information_gain,
+    "cell_counts": cell_counts,
+    "jaccard_set": jaccard_set,
+    "TableScorer.fit": lambda ds, s: TableScorer(s).fit(ds.rated_selections, ds.rated_pc),
+    "ForestScorer.fit": lambda ds, s: ForestScorer(s, trees=2, seed=0).fit(ds.rated_selections, ds.rated_pc),
+}
+
+
+@pytest.mark.parametrize("subset", [[1, 1], [-1], [3]], ids=["duplicate", "minus_one", "n_tokens"])
+@pytest.mark.parametrize("user", sorted(SUBSET_USERS))
+def test_invalid_subset_is_a_parameter_error(user, subset):
+    ds = make_dataset([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [1, 5, 2, 4])
+    with pytest.raises(ParameterError):
+        SUBSET_USERS[user](ds, subset)
 
 
 class TestForestScorer:

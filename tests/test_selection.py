@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from toksel import selection
 from toksel.dataset import TokenCatalog
 from toksel.errors import CapacityError, ParameterError
 from toksel.evaluation import SplitPlan, TableScorer, auc
@@ -261,10 +262,11 @@ class TestSelectExhaustive:
             e = select_exhaustive(ds, 3).steps[-1].cumulative_ig_bits
             assert g >= bound * e
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         ds = synthetic(1, n_tokens=10)
+        monkeypatch.setattr(selection, "EXHAUSTIVE_SUBSET_CAP", 100)
         with pytest.raises(CapacityError):
-            select_exhaustive(ds, 5, max_subsets=100)
+            select_exhaustive(ds, 5)
 
     def test_replay_cumulative_ends_at_subset_ig(self):
         ds = synthetic(31, n_tokens=6)

@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def non_negative_int(text: str) -> int:
+    """The --seed flags' type: numpy's generators take only seeds >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _run(args) -> None:
     """Run one command, then write its outputs and, if there are any, their manifest.
 
@@ -269,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES), default="rits")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=non_negative_int)
     p.add_argument("--splits", type=int, default=100)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--output", help="trace JSON path")
@@ -281,7 +288,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategies", default="rits,auc_greedy,random")
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--splits", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--scorer", choices=["table", "forest"], default="table")
     p.add_argument("--trees", type=int, default=100)
@@ -302,7 +309,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("audit", help="audit monotonicity and diminishing returns")
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--output", help="audit report JSON path")
     _add_io_flags(p)

@@ -293,9 +293,12 @@ class Dataset:
 
     @cached_property
     def cooccurrence(self) -> np.ndarray:
-        """Records selecting both of two tokens, as float64: exact below 2^53, and fast."""
-        sel = self._selections.astype(np.float64)
-        return sel.T @ sel
+        """Records selecting both of two tokens, as float64 sums over row chunks: exact below 2^53."""
+        out = np.zeros((self._selections.shape[1],) * 2)
+        for start in range(0, len(self), _CHUNK_ROWS):
+            sel = self._selections[start:start + _CHUNK_ROWS].astype(np.float64)
+            out += sel.T @ sel
+        return out
 
     @cached_property
     def patterns(self) -> "PatternTable":

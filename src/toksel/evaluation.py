@@ -12,12 +12,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PatternTable, cell_ids, check_subset, distinct_rows
+from .dataset import Dataset, cell_ids, check_subset, distinct_rows
 from .errors import DataError, ParameterError, UndefinedStatisticError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,17 +94,18 @@ class SplitPlan:
         if not 0.0 < self.train_fraction < 1.0:
             raise ParameterError("train_fraction must be in (0, 1)")
 
-    def partitions(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.random.SeedSequence]]:
-        """Per-split (train_idx, test_idx, scorer_seed) over n records."""
+    def partitions(self, n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.random.SeedSequence]]:
+        """Per-split (train_idx, test_idx, scorer_seed) over n records, as a
+        one-shot iterator that draws each split when it is reached."""
         if n < 2:
             raise DataError("need at least 2 rated records to split")
         n_train = min(max(int(round(self.train_fraction * n)), 1), n - 1)
-        out = []
-        for child in np.random.SeedSequence(self.master_seed).spawn(self.splits):
-            rng = np.random.default_rng(child)
-            perm = rng.permutation(n)
-            out.append((perm[:n_train], perm[n_train:], child.spawn(1)[0]))
-        return out
+
+        def draw(child):
+            perm = np.random.default_rng(child).permutation(n)
+            return perm[:n_train], perm[n_train:], child.spawn(1)[0]
+
+        return map(draw, np.random.SeedSequence(self.master_seed).spawn(self.splits))
 
 
 # -- scorers -----------------------------------------------------------
@@ -299,19 +300,7 @@ class EvalReport:
     per_k: tuple[KEval, ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "per_k": [
-                {
-                    "k": e.k,
-                    "auc_mean": e.auc_mean,
-                    "auc_std": e.auc_std,
-                    "js_mean": e.js_mean,
-                    "js_std": e.js_std,
-                }
-                for e in self.per_k
-            ],
-        }
+        return {"strategy": self.strategy, "per_k": [asdict(e) for e in self.per_k]}
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -327,52 +316,58 @@ def report_to_json_text(report: EvalReport) -> str:
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _split_counts(table: PatternTable, pc: np.ndarray, partitions) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per split, the (train, test) records of each pattern, as (n_patterns, 2) label counts."""
-    out = []
-    for train_idx, _, _ in partitions:
-        keys = table.row_of_record[train_idx] * 2 + pc[train_idx]
-        train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
-        out.append((train, table.counts - train))
-    return out
-
-
-def _table_split_aucs(
-    table: PatternTable, subset: tuple[int, ...], split_counts, alpha: float
-) -> np.ndarray:
-    """Table-scorer test AUC per split, from pattern counts; equals fitting
-    TableScorer on each split's training rows and scoring its test rows."""
-    cells, n_cells = cell_ids(table.rows, subset)
+def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndarray, alpha: float) -> float:
+    """Table-scorer test AUC from (n_patterns, 2) train and test label counts, `cells`
+    mapping patterns to cells; equals fitting TableScorer on the training records
+    and scoring the test records."""
 
     def per_cell(counts, label):
         return np.bincount(cells, weights=counts[:, label], minlength=n_cells)
 
-    vals = np.empty(len(split_counts))
-    for i, (train, test) in enumerate(split_counts):
-        n1 = per_cell(train, 1)
-        n = n1 + per_cell(train, 0)
-        n1_total = int(train[:, 1].sum())
-        if n1_total == 0 or n1_total == int(train.sum()):
-            raise DataError("training data must contain both poor and non-poor calls")
-        prior = _smoothed_rate(n1_total, int(train.sum()), alpha)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(n > 0, _smoothed_rate(n1, n, alpha), prior)
-        # each cell's test records enter the AUC as one weighted entry per label
-        vals[i] = auc(
-            np.concatenate([scores, scores]),
-            np.repeat([0, 1], n_cells),
-            np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
-        )
-    return vals
+    n1 = per_cell(train, 1)
+    n = n1 + per_cell(train, 0)
+    n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
+    if n1_total == 0 or n1_total == n_total:
+        raise DataError("training data must contain both poor and non-poor calls")
+    prior = _smoothed_rate(n1_total, n_total, alpha)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scores = np.where(n > 0, _smoothed_rate(n1, n, alpha), prior)
+    # each cell's test records enter the AUC as one weighted entry per label
+    return auc(
+        np.concatenate([scores, scores]),
+        np.repeat([0, 1], n_cells),
+        np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
+    )
 
 
-def _forest_split_aucs(dataset: Dataset, subset: tuple[int, ...], partitions, trees: int) -> np.ndarray:
-    X, y = dataset.rated_selections, dataset.rated_pc
-    vals = np.empty(len(partitions))
-    for i, (train_idx, test_idx, scorer_seed) in enumerate(partitions):
-        scorer = ForestScorer(subset, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
-        vals[i] = auc(scorer.predict(X[test_idx]), y[test_idx])
-    return vals
+def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table", alpha=1.0, trees=100) -> np.ndarray:
+    """Test AUC of each subset (rows) on each of the plan's splits (columns).
+
+    Each split is drawn, scored for every subset and dropped before the
+    next, so memory does not grow with the number of splits. The table
+    scorer keys each subset's cells once and scores them from the split's
+    pattern counts; the forest scorer fits on the split's records.
+    """
+    y = dataset.rated_pc
+    splits = plan.partitions(y.size)
+    if scorer_kind == "table":
+        table = dataset.patterns
+        cells = [cell_ids(table.rows, s) for s in subsets]
+    else:
+        X = dataset.rated_selections
+    out = np.empty((len(subsets), plan.splits))
+    for j, (train_idx, test_idx, scorer_seed) in enumerate(splits):
+        if scorer_kind == "table":
+            keys = table.row_of_record[train_idx] * 2 + y[train_idx]
+            train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
+            test = table.counts - train
+            for i, (c, n_cells) in enumerate(cells):
+                out[i, j] = _table_auc(c, n_cells, train, test, alpha)
+        else:
+            for i, s in enumerate(subsets):
+                scorer = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
+                out[i, j] = auc(scorer.predict(X[test_idx]), y[test_idx])
+    return out
 
 
 def evaluate_subsets(
@@ -387,51 +382,31 @@ def evaluate_subsets(
 
     Splits are shared across strategies and prefix sizes, so at a common
     feature set (e.g. the full catalog) all strategies report the same
-    AUC. Jaccard is computed once on the full dataset: it does not
-    depend on the split.
+    AUC, and each distinct subset is scored once. Jaccard is computed on
+    the full dataset: it does not depend on the split.
     """
     if not traces:
         raise ParameterError("traces must be non-empty")
     if scorer_kind not in ("table", "forest"):
         raise ParameterError(f"unknown scorer kind {scorer_kind!r}")
-    y = dataset.rated_pc
-    partitions = plan.partitions(y.size)
-    if scorer_kind == "table":
-        split_counts = _split_counts(dataset.patterns, y, partitions)
+    if trees < 1:
+        raise ParameterError("trees must be >= 1")
+    prefixes = [[tuple(sorted(t.token_ids[:k])) for k in range(1, len(t.steps) + 1)] for t in traces]
+    subsets = list(dict.fromkeys(s for p in prefixes for s in p))
+    aucs = dict(zip(subsets, _split_aucs(dataset, subsets, plan, scorer_kind, alpha, trees)))
 
-    cache: dict[tuple[int, ...], np.ndarray] = {}
     reports = []
-    for trace in traces:
+    for trace, subs in zip(traces, prefixes):
         entries = []
-        ids = [step.token_id for step in trace.steps]
-        for k in range(1, len(ids) + 1):
-            subset = tuple(sorted(ids[:k]))
-            if subset not in cache:
-                if scorer_kind == "table":
-                    cache[subset] = _table_split_aucs(dataset.patterns, subset, split_counts, alpha)
-                else:
-                    cache[subset] = _forest_split_aucs(dataset, subset, partitions, trees)
-            vals = cache[subset]
+        for k, subset in enumerate(subs, start=1):
+            vals = aucs[subset]
             std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-            entries.append(
-                KEval(
-                    k=k,
-                    auc_mean=float(np.mean(vals)),
-                    auc_std=std,
-                    js_mean=jaccard_set(dataset, subset),
-                    js_std=0.0,
-                )
-            )
-        reports.append(EvalReport(strategy=trace.strategy, per_k=tuple(entries)))
+            entries.append(KEval(k, float(np.mean(vals)), std, jaccard_set(dataset, subset), 0.0))
+        reports.append(EvalReport(trace.strategy, tuple(entries)))
     return reports
 
 
 def univariate_aucs(dataset: Dataset, plan: SplitPlan, alpha: float = 1.0) -> np.ndarray:
     """Mean single-token AUC per catalog token over the plan's splits."""
-    y = dataset.rated_pc
-    split_counts = _split_counts(dataset.patterns, y, plan.partitions(y.size))
-    n_tokens = len(dataset.catalog)
-    means = np.empty(n_tokens)
-    for t in range(n_tokens):
-        means[t] = _table_split_aucs(dataset.patterns, (t,), split_counts, alpha).mean()
-    return means
+    singletons = [(t,) for t in range(len(dataset.catalog))]
+    return _split_aucs(dataset, singletons, plan, alpha=alpha).mean(axis=1)

@@ -211,8 +211,8 @@ def audit_submodularity(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if tolerance < 0:
-        raise ParameterError("tolerance must be >= 0")
+    if not 0 <= tolerance < math.inf:
+        raise ParameterError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     n_tokens = len(dataset.catalog)
     if n_tokens < 2:

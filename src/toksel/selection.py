@@ -133,8 +133,6 @@ def select_auc_greedy(
     """
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
-    if splits < 1:
-        raise ParameterError("splits must be >= 1")
     plan = SplitPlan(splits=splits, train_fraction=train_fraction, master_seed=seed)
     means = univariate_aucs(dataset, plan)
     order = np.lexsort((np.arange(n_tokens), -means))[:k]

@@ -299,6 +299,13 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
+def _seed(value) -> int:
+    """A config seed: a JSON integer >= 0, as numpy's generators take."""
+    if _number(value, "seed", int) < 0:
+        raise DataError(f"config value 'seed' must be >= 0, got {value!r}")
+    return value
+
+
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -339,7 +346,7 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
             rating_severity_slope=_number(rating.get("severity_slope", 1.0), "severity_slope"),
             rating_rate=_number(rating.get("rate", 1.0), "rate"),
             platform=_expect(obj.get("platform", "desktop"), str, "platform"),
-            seed=_number(obj.get("seed", 0), "seed", int),
+            seed=_seed(obj.get("seed", 0)),
         )
     except KeyError as exc:
         raise DataError(f"config missing required key {exc.args[0]!r}") from None
@@ -363,7 +370,7 @@ def experiment_from_config(
         if arm not in ("control", "treatment"):
             raise DataError(f"arm name must be control or treatment, got {arm!r}")
         arms[arm] = presentation_from_config(arm_obj)
-        arm_seeds[arm] = _number(arm_obj.get("seed", gen.seed + 1000 + i), "seed", int)
+        arm_seeds[arm] = _seed(arm_obj.get("seed", gen.seed + 1000 + i))
     return gen, arms, arm_seeds
 
 

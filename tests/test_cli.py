@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toksel
 from toksel.cli import main
@@ -200,6 +204,17 @@ class TestEvaluate:
         assert err.startswith("toksel: error: --k-max") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    def test_trees_checked_with_the_table_scorer(self, tmp_path, capsys):
+        data = write_selection_data(tmp_path, n_calls=400)
+        code = main([
+            "evaluate", "--input", str(data), "--strategies", "rits", "--k-max", "2",
+            "--splits", "2", "--seed", "3", "--trees", "0", "--output", str(tmp_path / "r"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "toksel: error: trees must be >= 1\n"
+        assert not (tmp_path / "r").exists()
+
     def test_forest_scorer_accepted(self, tmp_path):
         data = write_selection_data(tmp_path, n_calls=400)
         code = main([
@@ -281,6 +296,18 @@ class TestAudit:
         assert payload["submodularity"]["violations"] > 0
         assert payload["monotonicity"]["violations"] == 0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_not_finite_and_non_negative_is_usage_error(self, tolerance, tmp_path, capsys):
+        data = write_selection_data(tmp_path, n_calls=200)
+        code = main([
+            "audit", "--input", str(data), "--trials", "5", "--seed", "1", "--tolerance", tolerance,
+            "--output", str(tmp_path / "audit.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("toksel: error: tolerance") and err.count("\n") == 1
+        assert not (tmp_path / "audit.json").exists()
+
     def test_rerun_identical_output(self, tmp_path):
         data = write_selection_data(tmp_path, n_calls=400)
         p1, p2 = tmp_path / "a1.json", tmp_path / "a2.json"
@@ -288,6 +315,21 @@ class TestAudit:
         main(args + ["--output", str(p1)])
         main(args + ["--output", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["select", "--k", "2", "--strategy", "random", "--seed", "-2"],
+    ["select", "--k", "2", "--strategy", "auc_greedy", "--splits", "2", "--seed", "-2"],
+    ["evaluate", "--k-max", "2", "--splits", "2", "--seed", "-1", "--output", "r"],
+    ["audit", "--trials", "5", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(command, tmp_path, capsys):
+    data = write_selection_data(tmp_path, n_calls=200)
+    code = main([command[0], "--input", str(data), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(": error: argument --seed: must be >= 0, got " + command[command.index("--seed") + 1])
 
 
 class TestTopLevel:
@@ -384,6 +426,8 @@ MALFORMED = {
     "config n_calls true": lambda tmp: _generate(tmp, _config(n_calls=True)),
     "config seed fractional": lambda tmp: _generate(tmp, _config(seed=1.9)),
     "config arm seed fractional": lambda tmp: _generate(tmp, _arm_config(seed=2.5)),
+    "config seed negative": lambda tmp: _generate(tmp, _config(seed=-1)),
+    "config arm seed negative": lambda tmp: _generate(tmp, _arm_config(seed=-3)),
     "config fold rank fractional": lambda tmp: _generate(tmp, _arm_config(fold_rank=1.5)),
     # a one-token catalog, as True == 1, would fit these weights
     "config catalog true": lambda tmp: _generate(tmp, {**_cause_config(token_weights=[0.8]), "catalog": True}),
@@ -417,3 +461,70 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+# Each flag's base command, with every other numeric flag at a small valid value.
+_NUMERIC_BASE = {
+    "select": ["--k", "2", "--strategy", "auc_greedy", "--seed", "1", "--splits", "2", "--train-frac", "0.7"],
+    "evaluate": [
+        "--k-max", "2", "--splits", "2", "--seed", "1", "--train-frac", "0.7",
+        "--scorer", "forest", "--trees", "2",
+    ],
+    "audit": ["--trials", "2", "--seed", "1", "--tolerance", "1e-9"],
+    "abtest": ["--alpha", "0.01"],
+}
+_NUMERIC_FLAGS = {
+    "--k": ["select"],
+    "--k-max": ["evaluate"],
+    "--seed": ["select", "evaluate", "audit"],
+    "--splits": ["select", "evaluate"],
+    "--train-frac": ["select", "evaluate"],
+    "--trees": ["evaluate"],
+    "--trials": ["audit"],
+    "--tolerance": ["audit"],
+    "--alpha": ["abtest"],
+}
+# flags whose cost grows with their value draw no large values
+_COSTLY = {"--splits", "--trees", "--trials"}
+_VALUES = ["-1", "0", "1", "2", "0.5", "nan", "inf", "-inf"]
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    return tmp, write_selection_data(tmp, n_tokens=3, n_calls=120)
+
+
+@st.composite
+def numeric_flag_runs(draw):
+    flag = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    command = draw(st.sampled_from(_NUMERIC_FLAGS[flag]))
+    values = _VALUES if flag in _COSTLY else _VALUES + ["1000000", str(2**70)]
+    return flag, command, draw(st.sampled_from(values))
+
+
+@given(numeric_flag_runs())
+@settings(max_examples=80, deadline=None)
+def test_numeric_flags_exit_by_contract(tiny_data, run):
+    """Any one numeric flag at an edge value: a documented exit code, and on failure one error line."""
+    tmp, data = tiny_data
+    flag, command, value = run
+    args = list(_NUMERIC_BASE[command])
+    args[args.index(flag) + 1] = value
+    if command == "abtest":
+        args += ["--control", str(data), "--treatment", str(data)]
+    else:
+        args += ["--input", str(data)]
+    if command == "evaluate":
+        args += ["--output", str(tmp / "reports")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, *args])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert "error:" in lines[-1] and sum("error:" in line for line in lines) == 1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 
 from toksel.errors import DataError, ParameterError, UndefinedStatisticError
 from toksel.evaluation import (
-    _split_counts,
-    _table_split_aucs,
-    _forest_split_aucs,
+    _split_aucs,
     ForestScorer,
     SplitPlan,
     TableScorer,
@@ -252,22 +251,21 @@ def test_table_split_aucs_equal_row_scorer(data):
     ds = make_dataset(rows, ratings)
     X, y = ds.rated_selections, ds.rated_pc
     assume(y.size >= 2)
-    partitions = SplitPlan(splits=4, master_seed=data.draw(st.integers(0, 99))).partitions(y.size)
+    plan = SplitPlan(splits=4, master_seed=data.draw(st.integers(0, 99)))
 
     expected = []
-    for train, test, _ in partitions:
+    for train, test, _ in plan.partitions(y.size):
         try:
             scorer = TableScorer(subset, alpha=alpha).fit(X[train], y[train])
             expected.append(auc(scorer.predict(X[test]), y[test]))
         except DataError as exc:
             expected.append(type(exc))
             break
-    split_counts = _split_counts(ds.patterns, y, partitions)
     if isinstance(expected[-1], type):
         with pytest.raises(expected[-1]):
-            _table_split_aucs(ds.patterns, subset, split_counts, alpha)
+            _split_aucs(ds, [subset], plan, "table", alpha)
     else:
-        assert _table_split_aucs(ds.patterns, subset, split_counts, alpha).tolist() == expected
+        assert _split_aucs(ds, [subset], plan, "table", alpha)[0].tolist() == expected
 
 
 @st.composite
@@ -316,18 +314,18 @@ def test_forest_equals_record_forest(data, trees, seed):
         for rows in (X, probe):
             assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
 
-    partitions = SplitPlan(splits=3, master_seed=seed).partitions(y.size)
+    plan = SplitPlan(splits=3, master_seed=seed)
     expected = []
-    for train, test, scorer_seed in partitions:
+    for train, test, scorer_seed in plan.partitions(y.size):
         scorer = reference_forest.ForestScorer(tuple(sorted(subset)), trees=trees, seed=scorer_seed)
         expected.append(_outcome(lambda: auc(scorer.fit(X[train], y[train]).predict(X[test]), y[test])))
         if isinstance(expected[-1], type):
             break
     if isinstance(expected[-1], type):
         with pytest.raises(expected[-1]):
-            _forest_split_aucs(ds, tuple(sorted(subset)), partitions, trees)
+            _split_aucs(ds, [tuple(sorted(subset))], plan, "forest", trees=trees)
     else:
-        assert _forest_split_aucs(ds, tuple(sorted(subset)), partitions, trees).tolist() == expected
+        assert _split_aucs(ds, [tuple(sorted(subset))], plan, "forest", trees=trees)[0].tolist() == expected
 
 
 SUBSET_USERS = {
@@ -476,3 +474,25 @@ class TestEvaluateSubsets:
         rits = select_rits(small, 2)
         with pytest.raises(ParameterError):
             evaluate_subsets(small, [rits], SplitPlan(splits=2, master_seed=3), scorer_kind="svm")
+
+
+def test_memory_does_not_grow_with_splits():
+    """Each split is drawn, scored and dropped before the next: 40 splits peak like 4."""
+    rng = np.random.default_rng(8)
+    n = 20_000
+    pc = rng.random(n) < 0.3
+    sel = (rng.random((n, 6)) < np.where(pc[:, None], 0.5, 0.2)).astype(np.uint8)
+    ds = make_dataset(sel, pc_to_rating(pc))
+    trace = select_rits(ds, 6)
+    evaluate_subsets(ds, [trace], SplitPlan(splits=2, master_seed=0))  # fills the dataset's caches
+
+    def peak(splits):
+        tracemalloc.start()
+        try:
+            evaluate_subsets(ds, [trace], SplitPlan(splits=splits, master_seed=0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_split = n * np.dtype(np.int64).itemsize  # a split's train and test indices
+    assert peak(40) - peak(4) < one_split * 36 / 8

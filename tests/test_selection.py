@@ -166,7 +166,7 @@ class TestSelectAucGreedy:
         # independent recomputation of each token's mean AUC over the same plan
         plan = SplitPlan(splits=splits, train_fraction=0.7, master_seed=seed)
         X, y = ds.rated_selections, ds.rated_pc
-        parts = plan.partitions(X.shape[0])
+        parts = list(plan.partitions(X.shape[0]))
         means = []
         for t in range(6):
             vals = []

@@ -28,10 +28,8 @@ from .evaluation import (
     TableScorer,
     auc,
     evaluate_subsets,
-    forest_scorer_fit,
     jaccard,
     jaccard_set,
-    table_scorer_fit,
 )
 from .infotheory import (
     AuditReport,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,13 +54,7 @@ class ProportionComparison:
         return "flat"
 
     def to_json(self) -> dict:
-        return {
-            "control": {"successes": self.control.successes, "trials": self.control.trials},
-            "treatment": {"successes": self.treatment.successes, "trials": self.treatment.trials},
-            "relative_delta": self.relative_delta,
-            "z": self.z,
-            "p_value": self.p_value,
-        }
+        return asdict(self)
 
 
 def compare_proportions(c_succ: int, c_n: int, t_succ: int, t_n: int) -> ProportionComparison:
@@ -106,19 +100,11 @@ class AbTestReport:
         return [t for t in self.per_token if t.comparison.p_value < self.significance_level]
 
     def to_json(self) -> dict:
-        return {
-            "overall": self.overall.to_json(),
-            "per_token": [
-                {
-                    "token_id": t.token_id,
-                    "label": t.label,
-                    **t.comparison.to_json(),
-                }
-                for t in self.per_token
-            ],
-            "significance_level": self.significance_level,
-            "denominator": self.denominator,
-        }
+        payload = asdict(self)
+        # a token's entry carries its comparison's fields beside token_id and label
+        for entry in payload["per_token"]:
+            entry.update(entry.pop("comparison"))
+        return payload
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"

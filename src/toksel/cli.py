@@ -39,11 +39,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def non_negative_int(text: str) -> int:
-    """The --seed flags' type: numpy's generators take only seeds >= 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return int(text)
+def _bounded(convert, ok, rule):
+    """An argparse type: `convert(text)`, refused with "must be <rule>" when `ok` rejects it."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+# numpy's generators take only seeds >= 0; a split plan needs one split; NaN is no fraction
+non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+open_fraction = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _run(args) -> None:
@@ -66,8 +78,10 @@ def _run(args) -> None:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(data)
 
+    # a catalog file sets token ids and labels, so it is digested as an input too
+    catalog = [Path(args.catalog)] if getattr(args, "catalog", None) else []
     digest = hashlib.sha256()
-    for p in inputs:
+    for p in [*inputs, *catalog]:
         digest.update(p.read_bytes())
     digest.update(json.dumps(flags, sort_keys=True).encode())
     manifest = {
@@ -277,8 +291,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES), default="rits")
     p.add_argument("--seed", type=non_negative_int)
-    p.add_argument("--splits", type=int, default=100)
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--splits", type=positive_int, default=100)
+    p.add_argument("--train-frac", type=open_fraction, default=0.7)
     p.add_argument("--output", help="trace JSON path")
     _add_io_flags(p)
     p.set_defaults(func=cmd_select)
@@ -287,9 +301,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--strategies", default="rits,auc_greedy,random")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--splits", type=int, default=100)
+    p.add_argument("--splits", type=positive_int, default=100)
     p.add_argument("--seed", type=non_negative_int, required=True)
-    p.add_argument("--train-frac", type=float, default=0.7)
+    p.add_argument("--train-frac", type=open_fraction, default=0.7)
     p.add_argument("--scorer", choices=["table", "forest"], default="table")
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--output", required=True, help="report directory")

@@ -1,9 +1,9 @@
 """Subset scoring: repeated-split AUC with pluggable scorers, and Jaccard redundancy.
 
-The default scorer is a smoothed probability table over the subset's
-joint token patterns; with binary tokens and small subsets it is the
-empirical Bayes-optimal scorer and keeps every reported number exactly
-reproducible from the master seed. A from-scratch randomized-tree
+The default scorer is a Laplace-smoothed probability table over the
+subset's joint token patterns; with binary tokens and small subsets it is
+the empirical Bayes-optimal scorer and keeps every reported number
+exactly reproducible from the master seed. A from-scratch randomized-tree
 ensemble is available for comparison.
 """
 
@@ -111,24 +111,23 @@ class SplitPlan:
 # -- scorers -----------------------------------------------------------
 
 
-def _smoothed_rate(n1, n, alpha: float):
-    """(n_poor + alpha) / (n + 2*alpha): the table scorer's score of a cell, or its prior."""
-    return (n1 + alpha) / (n + 2 * alpha)
+def _smoothed_rate(n1, n):
+    """(n_poor + 1) / (n + 2), Laplace smoothing: the table scorer's score of a cell,
+    or its prior. The pseudocount is fixed; there is no option to change it."""
+    return (n1 + 1) / (n + 2)
 
 
 class TableScorer:
-    """Smoothed empirical P(poor | token pattern) lookup.
+    """Laplace-smoothed empirical P(poor | token pattern) lookup.
 
-    Fitted patterns score (n_poor + alpha) / (n + 2*alpha); patterns
-    unseen in training back off to the smoothed training prior. Subset
-    order is canonicalized so the scorer depends only on the token set.
+    Fitted patterns score (n_poor + 1) / (n + 2), with no option to
+    change the smoothing; patterns unseen in training back off to the
+    smoothed training prior. Subset order is canonicalized so the scorer
+    depends only on the token set.
     """
 
-    def __init__(self, subset: Sequence[int], alpha: float = 1.0):
-        if alpha < 0:
-            raise ParameterError("alpha must be >= 0")
+    def __init__(self, subset: Sequence[int]):
         self.subset = tuple(sorted(int(t) for t in subset))
-        self.alpha = alpha
         self._scores: Optional[np.ndarray] = None
         self.prior_: Optional[float] = None
 
@@ -144,8 +143,8 @@ class TableScorer:
         n_cells = self._cells.shape[0]
         n1 = np.bincount(cells, weights=y, minlength=n_cells)
         n = np.bincount(cells, minlength=n_cells).astype(np.float64)
-        self.prior_ = _smoothed_rate(n1_total, y.size, self.alpha)
-        self._scores = _smoothed_rate(n1, n, self.alpha)
+        self.prior_ = _smoothed_rate(n1_total, y.size)
+        self._scores = _smoothed_rate(n1, n)
         return self
 
     def predict(self, selections: np.ndarray) -> np.ndarray:
@@ -157,10 +156,6 @@ class TableScorer:
         scores = np.full(n_cells, self.prior_)
         scores[cells[:fitted]] = self._scores
         return scores[cells[fitted:]]
-
-    def score_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Scores for the dataset's rated records."""
-        return self.predict(dataset.rated_selections)
 
 
 class ForestScorer:
@@ -268,19 +263,6 @@ class ForestScorer:
             total += scratch
         return (total / len(self._roots))[cells]
 
-    def score_dataset(self, dataset: Dataset) -> np.ndarray:
-        return self.predict(dataset.rated_selections)
-
-
-def table_scorer_fit(train: Dataset, subset: Sequence[int], alpha: float = 1.0) -> TableScorer:
-    """Fit the probability-table scorer on a dataset's rated records."""
-    return TableScorer(subset, alpha=alpha).fit(train.rated_selections, train.rated_pc)
-
-
-def forest_scorer_fit(train: Dataset, subset: Sequence[int], trees: int = 100, seed=None) -> ForestScorer:
-    """Fit the randomized-tree ensemble scorer on a dataset's rated records."""
-    return ForestScorer(subset, trees=trees, seed=seed).fit(train.rated_selections, train.rated_pc)
-
 
 # -- repeated-split evaluation ------------------------------------------
 
@@ -316,7 +298,7 @@ def report_to_json_text(report: EvalReport) -> str:
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndarray, alpha: float) -> float:
+def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndarray) -> float:
     """Table-scorer test AUC from (n_patterns, 2) train and test label counts, `cells`
     mapping patterns to cells; equals fitting TableScorer on the training records
     and scoring the test records."""
@@ -329,9 +311,8 @@ def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndar
     n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
     if n1_total == 0 or n1_total == n_total:
         raise DataError("training data must contain both poor and non-poor calls")
-    prior = _smoothed_rate(n1_total, n_total, alpha)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(n > 0, _smoothed_rate(n1, n, alpha), prior)
+    prior = _smoothed_rate(n1_total, n_total)
+    scores = np.where(n > 0, _smoothed_rate(n1, n), prior)
     # each cell's test records enter the AUC as one weighted entry per label
     return auc(
         np.concatenate([scores, scores]),
@@ -340,7 +321,7 @@ def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndar
     )
 
 
-def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table", alpha=1.0, trees=100) -> np.ndarray:
+def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table", trees=100) -> np.ndarray:
     """Test AUC of each subset (rows) on each of the plan's splits (columns).
 
     Each split is drawn, scored for every subset and dropped before the
@@ -362,7 +343,7 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
             train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
             test = table.counts - train
             for i, (c, n_cells) in enumerate(cells):
-                out[i, j] = _table_auc(c, n_cells, train, test, alpha)
+                out[i, j] = _table_auc(c, n_cells, train, test)
         else:
             for i, s in enumerate(subsets):
                 scorer = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
@@ -375,7 +356,6 @@ def evaluate_subsets(
     traces: Sequence["SelectionTrace"],
     plan: SplitPlan,
     scorer_kind: str = "table",
-    alpha: float = 1.0,
     trees: int = 100,
 ) -> list[EvalReport]:
     """AUC (mean/std over splits) and Jaccard for every prefix of every trace.
@@ -393,7 +373,7 @@ def evaluate_subsets(
         raise ParameterError("trees must be >= 1")
     prefixes = [[tuple(sorted(t.token_ids[:k])) for k in range(1, len(t.steps) + 1)] for t in traces]
     subsets = list(dict.fromkeys(s for p in prefixes for s in p))
-    aucs = dict(zip(subsets, _split_aucs(dataset, subsets, plan, scorer_kind, alpha, trees)))
+    aucs = dict(zip(subsets, _split_aucs(dataset, subsets, plan, scorer_kind, trees)))
 
     reports = []
     for trace, subs in zip(traces, prefixes):
@@ -406,7 +386,7 @@ def evaluate_subsets(
     return reports
 
 
-def univariate_aucs(dataset: Dataset, plan: SplitPlan, alpha: float = 1.0) -> np.ndarray:
+def univariate_aucs(dataset: Dataset, plan: SplitPlan) -> np.ndarray:
     """Mean single-token AUC per catalog token over the plan's splits."""
     singletons = [(t,) for t in range(len(dataset.catalog))]
-    return _split_aucs(dataset, singletons, plan, alpha=alpha).mean(axis=1)
+    return _split_aucs(dataset, singletons, plan).mean(axis=1)

@@ -163,6 +163,44 @@ class TestSelect:
         data = write_selection_data(tmp_path)
         assert main(["select", "--input", str(data), "--k", "2", "--strategy", "pca"]) == 1
 
+    @pytest.mark.parametrize("strategy", ["rits", "auc_greedy"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--splits", "0"), ("--train-frac", "nan"), ("--train-frac", "1")]
+    )
+    def test_split_flags_checked_whatever_the_strategy(self, strategy, flag, value, tmp_path, capsys):
+        # rits never reads these flags, but they still enter the manifest
+        data = write_selection_data(tmp_path, n_calls=200)
+        out = tmp_path / "trace.json"
+        code = main([
+            "select", "--input", str(data), "--k", "2", "--strategy", strategy,
+            "--seed", "1", flag, value, "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument {flag}: must be" in err.splitlines()[-1]
+        assert not out.exists()
+
+    def test_catalog_file_is_digested(self, tmp_path):
+        """Two catalogs that differ only in token order give different config digests."""
+        data = write_selection_data(tmp_path, n_tokens=3, n_calls=300)
+        labels = ["token_00", "token_01", "token_02"]
+        digests = []
+        for name, order in (("forward", labels), ("reversed", labels[::-1])):
+            catalog = tmp_path / f"{name}.csv"
+            catalog.write_text(
+                "id,label,panel\n" + "".join(f"{i},{lab},audio\n" for i, lab in enumerate(order)),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"{name}.json"
+            code = main([
+                "select", "--input", str(data), "--k", "2", "--catalog", str(catalog),
+                "--output", str(out),
+            ])
+            assert code == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] != digests[1]
+
 
 class TestEvaluate:
     def test_reports_written_and_deterministic(self, tmp_path, capsys):
@@ -500,7 +538,9 @@ def numeric_flag_runs(draw):
     flag = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
     command = draw(st.sampled_from(_NUMERIC_FLAGS[flag]))
     values = _VALUES if flag in _COSTLY else _VALUES + ["1000000", str(2**70)]
-    return flag, command, draw(st.sampled_from(values))
+    # select's base runs auc_greedy, which reads --splits and --train-frac, or rits, which does not
+    strategy = draw(st.sampled_from(["auc_greedy", "rits"])) if command == "select" else None
+    return flag, command, draw(st.sampled_from(values)), strategy
 
 
 @given(numeric_flag_runs())
@@ -508,9 +548,11 @@ def numeric_flag_runs(draw):
 def test_numeric_flags_exit_by_contract(tiny_data, run):
     """Any one numeric flag at an edge value: a documented exit code, and on failure one error line."""
     tmp, data = tiny_data
-    flag, command, value = run
+    flag, command, value, strategy = run
     args = list(_NUMERIC_BASE[command])
     args[args.index(flag) + 1] = value
+    if strategy is not None:
+        args[args.index("--strategy") + 1] = strategy
     if command == "abtest":
         args += ["--control", str(data), "--treatment", str(data)]
     else:

@@ -14,11 +14,9 @@ from toksel.evaluation import (
     TableScorer,
     auc,
     evaluate_subsets,
-    forest_scorer_fit,
     jaccard,
     jaccard_set,
     report_to_json_text,
-    table_scorer_fit,
 )
 from toksel.infotheory import cell_counts, information_gain
 from toksel.selection import select_auc_greedy, select_rits
@@ -194,42 +192,35 @@ class TestTableScorer:
         sel = [[1], [1], [1], [1], [0], [0]]
         ratings = [1, 1, 1, 5, 5, 5]
         ds = make_dataset(sel, ratings)
-        scorer = table_scorer_fit(ds, [0], alpha=1.0)
+        scorer = TableScorer([0]).fit(ds.rated_selections, ds.rated_pc)
         assert scorer.predict(np.array([[1]]))[0] == pytest.approx((3 + 1) / (4 + 2))
 
     def test_unseen_pattern_backs_off_to_prior(self):
         sel = [[1, 1], [1, 1], [0, 0], [0, 0]]
         ds = make_dataset(sel, [1, 1, 5, 5])
-        scorer = table_scorer_fit(ds, [0, 1], alpha=1.0)
+        scorer = TableScorer([0, 1]).fit(ds.rated_selections, ds.rated_pc)
         prior = (2 + 1) / (4 + 2)
         assert scorer.predict(np.array([[1, 0]]))[0] == pytest.approx(prior)
         assert scorer.prior_ == pytest.approx(prior)
 
     def test_empty_subset_scores_prior_everywhere(self):
         ds = make_dataset([[1], [0], [1], [0]], [1, 5, 2, 4])
-        scorer = table_scorer_fit(ds, [], alpha=1.0)
+        scorer = TableScorer([]).fit(ds.rated_selections, ds.rated_pc)
         scores = scorer.predict(np.array([[1], [0]]))
         assert np.all(scores == scores[0])
-
-    def test_alpha_zero_gives_raw_frequencies(self):
-        sel = [[1], [1], [0], [0]]
-        ds = make_dataset(sel, [1, 5, 5, 5])
-        scorer = table_scorer_fit(ds, [0], alpha=0.0)
-        assert scorer.predict(np.array([[1]]))[0] == 0.5
-        assert scorer.predict(np.array([[0]]))[0] == 0.0
 
     def test_single_class_training_rejected(self):
         ds = make_dataset([[1], [0]], [1, 2])
         with pytest.raises(DataError):
-            table_scorer_fit(ds, [0])
+            TableScorer([0]).fit(ds.rated_selections, ds.rated_pc)
 
     def test_subset_order_irrelevant(self):
         rng = np.random.default_rng(4)
         sel = (rng.random((50, 3)) < 0.4).astype(int)
         pc = (rng.random(50) < 0.5).astype(int)
         ds = make_dataset(sel, pc_to_rating(pc))
-        s1 = table_scorer_fit(ds, [0, 2, 1])
-        s2 = table_scorer_fit(ds, [1, 2, 0])
+        s1 = TableScorer([0, 2, 1]).fit(ds.rated_selections, ds.rated_pc)
+        s2 = TableScorer([1, 2, 0]).fit(ds.rated_selections, ds.rated_pc)
         probe = (rng.random((20, 3)) < 0.5).astype(int)
         assert np.array_equal(s1.predict(probe), s2.predict(probe))
 
@@ -247,7 +238,6 @@ def test_table_split_aucs_equal_row_scorer(data):
     subset = tuple(sorted(data.draw(
         st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens)
     )))
-    alpha = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     ds = make_dataset(rows, ratings)
     X, y = ds.rated_selections, ds.rated_pc
     assume(y.size >= 2)
@@ -256,16 +246,16 @@ def test_table_split_aucs_equal_row_scorer(data):
     expected = []
     for train, test, _ in plan.partitions(y.size):
         try:
-            scorer = TableScorer(subset, alpha=alpha).fit(X[train], y[train])
+            scorer = TableScorer(subset).fit(X[train], y[train])
             expected.append(auc(scorer.predict(X[test]), y[test]))
         except DataError as exc:
             expected.append(type(exc))
             break
     if isinstance(expected[-1], type):
         with pytest.raises(expected[-1]):
-            _split_aucs(ds, [subset], plan, "table", alpha)
+            _split_aucs(ds, [subset], plan, "table")
     else:
-        assert _split_aucs(ds, [subset], plan, "table", alpha)[0].tolist() == expected
+        assert _split_aucs(ds, [subset], plan, "table")[0].tolist() == expected
 
 
 @st.composite
@@ -356,13 +346,14 @@ class TestForestScorer:
     @pytest.mark.parametrize("trees", [1, 100])
     def test_perfect_token_gives_auc_one(self, trees):
         ds, pc = self._separable()
-        scorer = forest_scorer_fit(ds, [0], trees=trees, seed=3)
-        assert auc(scorer.score_dataset(ds), ds.rated_pc) == 1.0
+        scorer = ForestScorer([0], trees=trees, seed=3).fit(ds.rated_selections, ds.rated_pc)
+        assert auc(scorer.predict(ds.rated_selections), ds.rated_pc) == 1.0
 
     def test_deterministic_given_seed(self):
         ds, _ = self._separable(seed=9)
-        a = forest_scorer_fit(ds, [0, 1], trees=20, seed=5).score_dataset(ds)
-        b = forest_scorer_fit(ds, [0, 1], trees=20, seed=5).score_dataset(ds)
+        X, y = ds.rated_selections, ds.rated_pc
+        a = ForestScorer([0, 1], trees=20, seed=5).fit(X, y).predict(X)
+        b = ForestScorer([0, 1], trees=20, seed=5).fit(X, y).predict(X)
         assert np.array_equal(a, b)
 
     def test_seed_changes_ensemble(self):
@@ -371,8 +362,9 @@ class TestForestScorer:
         pc = (rng.random(n) < 0.5).astype(int)
         sel = (rng.random((n, 4)) < (0.2 + 0.4 * pc[:, None])).astype(int)
         ds = make_dataset(sel, pc_to_rating(pc))
-        a = forest_scorer_fit(ds, [0, 1, 2, 3], trees=5, seed=5).score_dataset(ds)
-        b = forest_scorer_fit(ds, [0, 1, 2, 3], trees=5, seed=6).score_dataset(ds)
+        X, y = ds.rated_selections, ds.rated_pc
+        a = ForestScorer([0, 1, 2, 3], trees=5, seed=5).fit(X, y).predict(X)
+        b = ForestScorer([0, 1, 2, 3], trees=5, seed=6).fit(X, y).predict(X)
         assert not np.array_equal(a, b)
 
     def test_close_to_table_scorer_on_synthetic_data(self):

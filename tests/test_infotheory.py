@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from toksel.errors import DataError, ParameterError
 from toksel.infotheory import (
     _cell_terms,
+    _cond_term_sum,
     audit_monotonicity,
     audit_submodularity,
     cell_counts,
@@ -309,6 +311,83 @@ class TestAuditSubmodularity:
     def test_violation_fraction(self, xor_dataset):
         report = audit_submodularity(xor_dataset, trials=200, seed=3)
         assert report.violation_fraction == report.violations / 200
+
+
+def _interacting_dataset():
+    """Label tracks t0 XOR t1 (3:5 odds either way); t2..t4 split every cell in fixed
+    proportions, so their true gains are 0 and rounding alone decides monotonicity gaps."""
+    rows, ratings = [], []
+    for bits in itertools.product([0, 1], repeat=5):
+        weight = 1 + bits[2] + 2 * bits[3] + 4 * bits[4]
+        not_poor, poor = (3, 5) if bits[0] ^ bits[1] else (5, 3)
+        rows += [list(bits)] * (weight * (not_poor + poor))
+        ratings += [5] * (weight * not_poor) + [1] * (weight * poor)
+    return make_dataset(rows, ratings)
+
+
+def _count(gaps, tolerance):
+    over = [g for g in gaps if g > tolerance]
+    return len(over), max(over, default=0.0)
+
+
+def _replayed_monotonicity(ds, trials, seed):
+    rng = np.random.default_rng(seed)
+    n, total = len(ds.catalog), ds.patterns.total
+    gaps = []
+    for _ in range(trials):
+        size2 = int(rng.integers(1, min(n, 10) + 1))
+        t2 = rng.permutation(n)[:size2]
+        size1 = int(rng.integers(0, size2 + 1))
+        t1 = t2[rng.permutation(size2)[:size1]]
+        gaps.append((_cond_term_sum(ds, sorted(t2)) - _cond_term_sum(ds, sorted(t1))) / total)
+    return _count(gaps, 0.0)
+
+
+def _replayed_submodularity(ds, trials, seed, tolerance):
+    rng = np.random.default_rng(seed)
+    n, total = len(ds.catalog), ds.patterns.total
+
+    def cond(*parts):
+        return _cond_term_sum(ds, sorted(int(t) for part in parts for t in part))
+
+    gaps = []
+    for _ in range(trials):
+        size2 = int(rng.integers(0, min(n - 1, 10) + 1))
+        perm = rng.permutation(n)
+        t2, e = perm[:size2], [perm[size2]]
+        size1 = int(rng.integers(0, size2 + 1))
+        t1 = t2[rng.permutation(size2)[:size1]]
+        gaps.append(((cond(t2) - cond(t2, e)) - (cond(t1) - cond(t1, e))) / total)
+    return _count(gaps, tolerance)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_audits_follow_their_documented_draws(seed):
+    """Each trial draws integers, permutation, integers, permutation, in that order.
+
+    The replay recomputes every gap from _cond_term_sum with its own generator; the
+    monotonicity gaps here come from rounding only, so they too depend on the draws.
+    """
+    ds = _interacting_dataset()
+    mono = audit_monotonicity(ds, trials=60, seed=seed)
+    assert (mono.violations, mono.max_violation) == _replayed_monotonicity(ds, 60, seed)
+    sub = audit_submodularity(ds, trials=60, seed=seed, tolerance=1e-9)
+    assert (sub.violations, sub.max_violation) == _replayed_submodularity(ds, 60, seed, 1e-9)
+
+
+def _proportional_split_dataset():
+    """803 rated records; token 0 splits (396 not poor, 407 poor) into (108, 111) and
+    (288, 296), so its true gain is 0; token 1 is constant."""
+    rows = [[1, 0]] * 219 + [[0, 0]] * 584
+    ratings = [5] * 108 + [1] * 111 + [5] * 288 + [1] * 296
+    return make_dataset(rows, ratings)
+
+
+@pytest.mark.xfail(strict=True, reason="per-cell terms are rounded before fsum (ROADMAP item 1)")
+def test_proportional_split_is_monotone():
+    ds = _proportional_split_dataset()
+    assert _cond_term_sum(ds, (0,)) <= _cond_term_sum(ds, ())
+    assert audit_monotonicity(ds, trials=200, seed=0).violations == 0
 
 
 class TestPcEntropy:

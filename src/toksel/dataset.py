@@ -210,7 +210,7 @@ class Dataset:
                 raise SchemaError(f"unknown arm {arm!r}")
 
         self._catalog = catalog
-        self._call_ids = tuple(str(c) for c in call_ids)
+        self._call_ids = tuple(map(str, call_ids))
         self._arms = tuple(arms)
         self._platforms = tuple(platforms)
         self._ratings = ratings
@@ -595,16 +595,15 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
     cat, error, columns = None, None, _Columns()
     with open(path, encoding="utf-8") as fh:
-        records = _jsonl_records(fh)
-        for chunk in iter(lambda: list(islice(records, _CHUNK_ROWS)), []):
+        for rows, objs in _jsonl_chunks(fh):
             # a line that is not a JSON object is reported before any record
             # error, so after one the rest of the file is only parsed
             if error is not None:
                 continue
             try:
                 if cat is None:
-                    cat = _catalog_for_labels(list(chunk[0][1].get("selections", {})), catalog)
-                columns.add(*_jsonl_chunk(chunk, cat))
+                    cat = _catalog_for_labels(list(objs[0].get("selections", {})), catalog)
+                columns.add(*_jsonl_chunk(rows, objs, cat))
             except DataError as exc:
                 error = exc
     if error is not None:
@@ -614,47 +613,105 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
     return columns.dataset(cat)
 
 
-def _jsonl_records(fh) -> Iterator[tuple[int, dict]]:
-    """(line number, object) of each non-blank line; a line that is not a JSON object raises."""
-    for row_no, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        # a ValueError: JSONDecodeError or an integer past the digit limit; a RecursionError: deep nesting
+def _jsonl_chunks(fh) -> Iterator[tuple[list[int], list[dict]]]:
+    """Line numbers and objects of the non-blank lines, _CHUNK_ROWS lines at a time.
+
+    A line that is not a JSON object raises. A decoding error is raised
+    after the lines read before it are parsed, so that a bad line among
+    them is the error reported.
+    """
+    first_row = 1
+    while True:
+        lines: list[str] = []
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"row {row_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
-            raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
-        yield row_no, obj
+            for line in islice(fh, _CHUNK_ROWS):
+                lines.append(line)
+        except UnicodeDecodeError:
+            _jsonl_objects(lines, first_row)
+            raise
+        if not lines:
+            return
+        rows, objs = _jsonl_objects(lines, first_row)
+        first_row += len(lines)
+        if objs:
+            yield rows, objs
 
 
-def _jsonl_chunk(chunk: list[tuple[int, dict]], cat: TokenCatalog):
+def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[dict]]:
+    """Line numbers and objects of the non-blank lines of `lines`, numbered from `first_row`.
+
+    The lines are decoded in one `json.loads` of "[" + ",\n".join(lines)
+    + "]" when every line starts with "{", the joined text holds no "[",
+    and the result is one object per line whose selections, if present,
+    are an object. Then each line holds exactly that line's object: strict
+    JSON has no raw line break inside a string, so every joining comma is
+    a structural one; with no "[" the wrapper is the only array, and a
+    comma between members of an object must be followed by a string key,
+    not by the "{" that starts the next line; so every joining comma
+    separates two values of the wrapper, and N values from N lines put
+    one value on each line. Otherwise each line is decoded on its own,
+    which raises the first bad line's error.
+    """
+    texts = list(map(str.strip, lines))
+    rows = [row_no for row_no, text in enumerate(texts, first_row) if text]
+    if len(rows) < len(texts):
+        texts = list(filter(None, texts))
+    joined = ",\n".join(texts)
+    if "[" not in joined and all(map(str.startswith, texts, repeat("{"))):
+        try:
+            objs = json.loads(f"[{joined}]")
+        except (ValueError, RecursionError):
+            objs = None
+        if (
+            objs is not None
+            and len(objs) == len(texts)
+            and set(map(type, objs)) <= {dict}
+            and set(map(type, map(dict.get, objs, repeat("selections"), repeat({})))) <= {dict}
+        ):
+            return rows, objs
+    return rows, list(map(_jsonl_object, texts, rows))
+
+
+def _jsonl_object(text: str, row_no: int) -> dict:
+    """The JSON object on a stripped, non-blank line; anything else raises."""
+    # a ValueError: JSONDecodeError or an integer past the digit limit; a RecursionError: deep nesting
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"row {row_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
+        raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
+    return obj
+
+
+def _jsonl_chunk(rows: list[int], objs: list[dict], cat: TokenCatalog):
     """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL records.
 
     Checked as `_csv_chunk` checks CSV rows, with `_check_jsonl_record` as the row check.
     """
-    objs = [obj for _, obj in chunk]
     ratings = list(map(dict.get, objs, repeat("rating")))
     try:
-        call_ids, arms, platforms, selections = (tuple(map(itemgetter(key), objs)) for key in _JSONL_KEYS)
-        tokens = [tuple(map(itemgetter(label), selections)) for label in cat.labels]
+        call_ids, arms, platforms, selections = zip(*map(itemgetter(*_JSONL_KEYS), objs))
+        cells = list(map(itemgetter(*cat.labels), selections))
     except KeyError:
-        tokens = None
+        cells = None
+    else:
+        # itemgetter of one key returns the value itself, not a 1-tuple
+        if len(cat) > 1:
+            cells = list(chain.from_iterable(cells))
     if (
-        tokens is not None
+        cells is not None
         and all(map(ARMS.__contains__, arms))
         and set(map(type, ratings)) <= {int, type(None)}
         and set(ratings) <= _JSON_RATINGS.keys()
         and set(map(len, selections)) == {len(cat)}
-        and set(map(type, chain.from_iterable(tokens))) == {int}
-        and set(chain.from_iterable(tokens)) <= {0, 1}
+        and set(map(type, cells)) == {int}
+        and set(cells) <= {0, 1}
     ):
         ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
-        cells = np.fromiter(chain.from_iterable(tokens), np.uint8, len(objs) * len(cat)).reshape(len(cat), -1)
-        return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells.T
-    return zip(*(_check_jsonl_record(obj, row_no, cat) for row_no, obj in chunk))
+        cells = np.fromiter(cells, np.uint8, len(cells)).reshape(len(objs), len(cat))
+        return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells
+    return zip(*(_check_jsonl_record(obj, row_no, cat) for row_no, obj in zip(rows, objs)))
 
 
 def _check_jsonl_record(obj: dict, row_no: int, cat: TokenCatalog):

@@ -7,6 +7,11 @@ costs time in distinct token rows, not in records, with optional
 add-alpha smoothing (off by default: smoothing trades the exact
 monotonicity of the plug-in estimate for variance reduction).
 
+A single subset's cells are keyed by `toksel.dataset.cell_ids`, which
+sorts. Searches that grow subsets one token at a time instead refine
+the cells they hold (`refine_cells`) and score every one-token extension
+of a subset in one batch (`extension_term_sums`).
+
 Numerical note: conditional entropies are assembled from one term per
 occupied cell, n*log2(n) - n1*log2(n1) - n0*log2(n0), combined with
 math.fsum. fsum returns the correctly rounded sum of the term multiset,
@@ -25,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, cell_ids, check_subset
+from .dataset import Dataset, PatternTable, cell_ids, check_subset
 from .errors import DataError, ParameterError
 
 
@@ -78,6 +83,47 @@ def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
     return math.fsum(terms[terms != 0.0])
 
 
+def refine_cells(cells: np.ndarray, column: np.ndarray, n_cells: int) -> tuple[np.ndarray, int]:
+    """Cells of S + t from the cells of S (ids 0..n_cells-1) and t's 0/1 column.
+
+    A row's new cell is its pair (old cell, column value), numbered in
+    increasing order over the occupied pairs: one bincount and a cumsum,
+    no sort. The ids differ from `cell_ids`' for the same subset, but the
+    cell populations, and so every term sum, are the same.
+    """
+    keys = 2 * cells + column
+    ids = np.cumsum(np.bincount(keys, minlength=2 * n_cells) > 0) - 1
+    return ids[keys], int(ids[-1]) + 1
+
+
+def extension_term_sums(
+    table: PatternTable, cells: np.ndarray, n_cells: int, candidates: Sequence[int]
+) -> list[float]:
+    """N * H[pc | S + t] for each candidate t, from the cells of S over `table.rows`.
+
+    Every candidate's (cell, token value) pairs are keyed j*2n + 2*cell +
+    row[t], for the j-th candidate and n cells, and counted per label in
+    one bincount over all candidates. Each sum is the fsum of the same
+    nonzero terms that `_cond_term_sum(dataset, S + t)` adds, so the two
+    agree to the bit. Memory is O(candidates * rows).
+    """
+    candidates = list(candidates)
+    m, width = len(candidates), 2 * n_cells
+    keys = table.rows[:, candidates].T.astype(np.int64)
+    keys += 2 * cells
+    keys += width * np.arange(m)[:, None]
+    keys = keys.ravel()
+    n0, n1 = (
+        np.bincount(keys, np.tile(table.counts[:, c], m), minlength=m * width).reshape(m, width)
+        for c in (0, 1)
+    )
+    terms = _cell_terms(n0, n1)
+    nonzero = terms != 0.0
+    values = terms[nonzero].tolist()
+    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
+    return [math.fsum(values[start:end]) for start, end in zip([0, *ends], ends)]
+
+
 def pc_entropy(dataset: Dataset) -> float:
     """Entropy of the poor-call label over rated records, in bits."""
     return _cond_term_sum(dataset, ()) / dataset.patterns.total
@@ -96,7 +142,8 @@ class IgEvaluator:
         self._dataset = dataset
         self._memo: dict[tuple[int, ...], float] = {}
         self.base_term = self.cond(())
-        self.total = dataset.patterns.total
+        self.patterns = dataset.patterns
+        self.total = self.patterns.total
 
     def cond(self, subset: Sequence[int]) -> float:
         key = tuple(sorted(int(t) for t in subset))
@@ -108,7 +155,11 @@ class IgEvaluator:
         return value
 
     def ig(self, subset: Sequence[int]) -> float:
-        return max(0.0, (self.base_term - self.cond(subset)) / self.total)
+        return self.gain(self.cond(subset))
+
+    def gain(self, term_sum: float) -> float:
+        """The information gain of a subset whose conditional term sum is `term_sum`."""
+        return max(0.0, (self.base_term - term_sum) / self.total)
 
 
 def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0) -> float:

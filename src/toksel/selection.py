@@ -3,21 +3,25 @@
 The flagship strategy greedily adds the token with the largest marginal
 information gain about the poor-call label. Baselines: univariate-AUC
 ranking, uniform random, and an exhaustive oracle for small catalogs.
+
+The greedy and exhaustive searches hold the cells of the subset they
+extend and score all of its one-token extensions in one batch
+(`infotheory.extension_term_sums`), to the same bits as scoring each
+extension on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, TokenCatalog
+from .dataset import Dataset, PatternTable, TokenCatalog
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, univariate_aucs
-from .infotheory import IgEvaluator
+from .infotheory import IgEvaluator, extension_term_sums, refine_cells
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
 
@@ -79,22 +83,27 @@ def _check_k(k: int, n_tokens: int) -> None:
 
 
 def _greedy(ev: IgEvaluator, candidates: Sequence[int], k: int) -> tuple[SelectionStep, ...]:
-    """k greedy steps over `candidates`; ties go to the earliest candidate."""
-    chosen: list[int] = []
+    """k greedy steps over `candidates`; ties go to the earliest candidate.
+
+    The chosen tokens' cells are kept from step to step, and each step
+    scores every remaining candidate from them in one batch.
+    """
+    table = ev.patterns
+    cells, n_cells = np.zeros(len(table.rows), dtype=np.int64), 1
     remaining = list(candidates)
     steps = []
     cur_ig = 0.0
     while len(steps) < k:
         best_id = -1
         best_cum = -1.0
-        for t in remaining:
-            cum = ev.ig(chosen + [t])
+        for t, term_sum in zip(remaining, extension_term_sums(table, cells, n_cells, remaining)):
+            cum = ev.gain(term_sum)
             if cum > best_cum:
                 best_cum = cum
                 best_id = t
         steps.append(SelectionStep(best_id, best_cum - cur_ig, best_cum))
-        chosen.append(best_id)
         remaining.remove(best_id)
+        cells, n_cells = refine_cells(cells, table.rows[:, best_id], n_cells)
         cur_ig = best_cum
     return tuple(steps)
 
@@ -177,12 +186,39 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
     ev = IgEvaluator(dataset)
     best_subset = None
     best_ig = -1.0
-    for combo in combinations(range(n_tokens), k):
-        ig = ev.ig(combo)
-        if ig > best_ig:
-            best_ig = ig
-            best_subset = combo
+    for prefix, cells, n_cells in _prefixes(ev.patterns, n_tokens, k - 1):
+        last = range(prefix[-1] + 1 if prefix else 0, n_tokens)
+        for t, term_sum in zip(last, extension_term_sums(ev.patterns, cells, n_cells, last)):
+            ig = ev.gain(term_sum)
+            if ig > best_ig:
+                best_ig = ig
+                best_subset = (*prefix, t)
     return SelectionTrace("exhaustive", _greedy(ev, best_subset, k), budget_k=k)
+
+
+def _prefixes(
+    table: PatternTable, n_tokens: int, depth: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
+    """Each increasing `depth`-token prefix that leaves room for one more token, with its cells.
+
+    Prefixes come in lexicographic order, so extending each by every
+    larger token in turn visits the subsets in `combinations` order. The
+    search is depth-first and refines one prefix at a time: it holds the
+    cells of at most depth + 1 prefixes.
+    """
+    # each frame: a prefix, its cells and cell count, and the next token to extend it by
+    stack = [[(), np.zeros(len(table.rows), dtype=np.int64), 1, 0]]
+    while stack:
+        frame = stack[-1]
+        prefix, cells, n_cells, t = frame
+        if len(prefix) == depth:
+            yield prefix, cells, n_cells
+            stack.pop()
+        elif t < n_tokens - depth + len(prefix):
+            frame[3] = t + 1
+            stack.append([(*prefix, t), *refine_cells(cells, table.rows[:, t], n_cells), t + 1])
+        else:
+            stack.pop()
 
 
 # Strategy name -> fn(dataset, k, seed, splits, train_fraction). The select_*

@@ -40,8 +40,13 @@ BAD_ARMS = ["groupB", "", "Control", " none", "none "]
 JSON_ODD_RATINGS = [True, False, 1.0, 3.0, "3", " 3", "x", 0, 6, -1, [3], {}]
 # the first four equal 0 or 1, but are not JSON integers
 JSON_BAD_CELLS = [True, False, 1.0, 0.0, "1", 2, -1, None, [1]]
-JSON_VALUES = st.one_of(TEXT, st.integers(-5, 5), st.none(), st.booleans(), st.just([1, "a"]))
-BAD_LINES = ["{oops", '{"a": 1} x', "[1, 2]", "3", '"text"', "null", '{"selections": [1]}', "\ufeff{}"]
+# "[" in a text value keeps a chunk off the one-decode path
+JSON_VALUES = st.one_of(
+    TEXT, st.sampled_from(["[", "a[0]"]), st.integers(-5, 5), st.none(), st.booleans(), st.just([1, "a"])
+)
+BAD_LINES = [
+    "{oops", '{"a": 1} x', "[1, 2]", "3", '"text"', "null", '{"selections": [1]}', "\ufeff{}", "{}, {}", "{},",
+]
 BLANK_LINES = ["", "  ", "\t"]
 
 
@@ -150,11 +155,33 @@ def jsonl_file(draw):
             record["selections"]["static"] = 0
     ascii_only = draw(st.booleans())
     lines = [json.dumps(record, ensure_ascii=ascii_only) for record in records]
+    for _ in range(draw(st.sampled_from([0, 0, 1])) if len(lines) > 1 else 0):
+        i = draw(st.integers(0, len(lines) - 2))
+        kind = draw(st.sampled_from(["array", "member", "split"]))
+        if kind == "array":
+            lines[i:i + 2] = array_merged(lines[i], lines[i + 1])
+        elif kind == "member":
+            lines[i:i + 2] = member_merged(lines[i], lines[i + 1])
+        elif '"selections": ' in lines[i]:  # one record over two lines, the second starting with "{"
+            lines[i:i + 1] = lines[i].split('"selections": ', 1)
+            lines[i] += '"selections":'
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         bad = draw(st.sampled_from([*BAD_LINES, *BLANK_LINES]))
         lines.insert(draw(st.integers(0, len(lines))), bad)
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
     return text, drawn_catalog(draw, labels)
+
+
+# Two JSON records as two lines, neither of which is one JSON value, that read as an
+# array of the two records once joined by a comma and wrapped in brackets: a line
+# holds the first record and most of the second, whose array runs into the next
+# line; or the first record's members run on into the next line, before the second.
+def array_merged(first, second):
+    return [f'{first},{second[:-1]},"pad":[{{}}', "{}]}"]
+
+
+def member_merged(first, second):
+    return [first[:-1], f'"pad": 0}},{second}']
 
 
 class TestAgainstReference:
@@ -198,6 +225,10 @@ def jsonl_lines(n, start=0):
         }) + "\n"
         for i in range(start, start + n)
     )
+
+
+def record_line(call_id="x", arm="none"):
+    return json.dumps({"call_id": call_id, "arm": arm, "platform": "web", "selections": {"echo": 1, "noise": 0}})
 
 
 class TestCases:
@@ -283,8 +314,50 @@ class TestCases:
         text = (CSV_HEAD + csv_rows(n)).encode() + b"\xff\n" + b"x,none,web,7,1,0\n"
         assert assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv")[1].startswith(f"{tmp_path}")
 
+    def test_jsonl_bad_line_before_a_decoding_error_in_its_chunk_wins(self, tmp_path):
+        n = 3 * dataset_module._CHUNK_ROWS + 10
+        text = (jsonl_lines(n) + "{oops\n" + jsonl_lines(3000, start=n)).encode() + b"\xff\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, f"row {n + 1}: invalid JSON (Expecting property name enclosed in double quotes)")
+        # a bad record is not: the decoding error is reported
+        text = (jsonl_lines(n) + record_line(arm="groupB") + "\n" + jsonl_lines(3000, start=n)).encode() + b"\xff\n"
+        assert assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")[1].startswith(f"{tmp_path}")
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_valid_files_of_several_chunks(self, tmp_path, fmt):
         n = 3 * dataset_module._CHUNK_ROWS + 10
         text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
         assert len(assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt)[1]) == n
+
+    def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
+        # read as one array, the two lines are two records; each line alone is not one
+        first, second = jsonl_lines(2).splitlines()
+        text = jsonl_lines(3) + "\n".join(array_merged(first, second)) + "\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, "row 4: invalid JSON (Extra data)")
+
+    def test_jsonl_record_members_run_on_into_the_next_line(self, tmp_path):
+        # read as one array, the two lines are two records; the second line does not start with "{"
+        first, second = jsonl_lines(2).splitlines()
+        text = jsonl_lines(3) + "\n".join(member_merged(first, second)) + "\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, "row 4: invalid JSON (Expecting ',' delimiter)")
+
+    def test_jsonl_object_over_two_lines(self, tmp_path):
+        head, tail = record_line().split('"selections": ')
+        text = jsonl_lines(3) + head + '"selections":\n' + tail + "\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, "row 4: invalid JSON (Expecting value)")
+
+    def test_jsonl_bracket_in_a_call_id(self, tmp_path):
+        text = jsonl_lines(3) + record_line(call_id="a[0]") + "\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got[1] == ("c0", "c1", "c2", "a[0]")
+
+    def test_jsonl_blank_lines_count_in_row_numbers(self, tmp_path):
+        text = jsonl_lines(2) + "\n  \n" + jsonl_lines(1, start=2) + record_line(arm="groupB") + "\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, "row 6: unknown arm 'groupB'")
+        text = "\n" + jsonl_lines(2) + "\t\n" + jsonl_lines(2, start=2)
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got[1] == ("c0", "c1", "c2", "c3")

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -525,12 +526,41 @@ _NUMERIC_FLAGS = {
 # flags whose cost grows with their value draw no large values
 _COSTLY = {"--splits", "--trees", "--trials"}
 _VALUES = ["-1", "0", "1", "2", "0.5", "nan", "inf", "-inf"]
+_TINY_TOKENS = 3  # catalog size of tiny_data
+
+
+def _number(convert, ok):
+    """Whether a flag's text converts and the value passes `ok`."""
+
+    def valid(text):
+        try:
+            return ok(convert(text))
+        except ValueError:
+            return False
+
+    return valid
+
+
+# Whether a flag's value is valid. The rule is the same in every command that
+# takes the flag, whatever the strategy: `select --strategy rits` never reads
+# --splits or --train-frac, but checks them, since they enter the manifest.
+_VALID = {
+    "--k": _number(int, lambda v: 1 <= v <= _TINY_TOKENS),
+    "--k-max": _number(int, lambda v: 1 <= v <= _TINY_TOKENS),
+    "--seed": _number(int, lambda v: v >= 0),
+    "--splits": _number(int, lambda v: v >= 1),
+    "--train-frac": _number(float, lambda v: 0 < v < 1),
+    "--trees": _number(int, lambda v: v >= 1),
+    "--trials": _number(int, lambda v: v >= 1),
+    "--tolerance": _number(float, lambda v: 0 <= v < math.inf),
+    "--alpha": _number(float, lambda v: 0 < v < 1),
+}
 
 
 @pytest.fixture(scope="module")
 def tiny_data(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("tiny")
-    return tmp, write_selection_data(tmp, n_tokens=3, n_calls=120)
+    return tmp, write_selection_data(tmp, n_tokens=_TINY_TOKENS, n_calls=120)
 
 
 @st.composite
@@ -543,10 +573,12 @@ def numeric_flag_runs(draw):
     return flag, command, draw(st.sampled_from(values)), strategy
 
 
+# more examples than the 160 distinct runs: hypothesis runs every one, then stops
 @given(numeric_flag_runs())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_numeric_flags_exit_by_contract(tiny_data, run):
-    """Any one numeric flag at an edge value: a documented exit code, and on failure one error line."""
+    """Any one numeric flag at an edge value: exit 0 exactly when the value is valid, else a
+    documented exit code and one error line."""
     tmp, data = tiny_data
     flag, command, value, strategy = run
     args = list(_NUMERIC_BASE[command])
@@ -565,6 +597,7 @@ def test_numeric_flags_exit_by_contract(tiny_data, run):
     err = err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    assert (code == 0) == _VALID[flag](value), (code, err)
     if code == 0:
         assert err == ""
     else:

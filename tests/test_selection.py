@@ -3,12 +3,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toksel import selection
 from toksel.dataset import TokenCatalog
 from toksel.errors import CapacityError, ParameterError
 from toksel.evaluation import SplitPlan, TableScorer, auc
-from toksel.infotheory import information_gain
+from toksel.infotheory import (
+    IgEvaluator,
+    _cond_term_sum,
+    extension_term_sums,
+    information_gain,
+    refine_cells,
+)
 from toksel.selection import (
     select_auc_greedy,
     select_exhaustive,
@@ -19,6 +27,7 @@ from toksel.selection import (
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
 from conftest import make_dataset, pc_to_rating
+from reference_selection import exhaustive_reference, greedy_reference
 
 
 def synthetic(seed, n_tokens=8, n_calls=1500, prevalence=0.3):
@@ -292,6 +301,66 @@ class TestBundledDemo:
         lazy = select_rits_lazy(demo, 15)
         assert lazy.strategy == "rits_lazy"
         assert lazy.steps == select_rits(demo, 15).steps
+
+
+@st.composite
+def tied_dataset(draw):
+    """A small dataset whose columns are random, copies of earlier columns or constant,
+    so that many subsets tie on gain; at least one record is rated."""
+    n_records = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "random", "copy", "constant"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "constant":
+            columns.append([draw(st.integers(0, 1))] * n_records)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=n_records, max_size=n_records)))
+    ratings = [draw(st.integers(1, 5))] + draw(
+        st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=n_records - 1, max_size=n_records - 1)
+    )
+    return make_dataset(np.array(columns, dtype=np.uint8).T.reshape(n_records, -1), ratings)
+
+
+def bits(steps):
+    return [(s.token_id, s.marginal_gain_bits.hex(), s.cumulative_ig_bits.hex()) for s in steps]
+
+
+class TestBatchedAgainstReference:
+    """The batched greedy and exhaustive searches against the per-subset ones of reference_selection."""
+
+    @given(dataset=tied_dataset(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_trace(self, dataset, data):
+        n_tokens = len(dataset.catalog)
+        k = data.draw(st.integers(1, n_tokens))
+        got = select_rits(dataset, k).steps
+        assert bits(got) == bits(greedy_reference(IgEvaluator(dataset), range(n_tokens), k))
+
+    @given(dataset=tied_dataset(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exhaustive_winner_and_trace(self, dataset, data):
+        k = data.draw(st.integers(1, len(dataset.catalog)))
+        subset, steps = exhaustive_reference(dataset, k)
+        got = select_exhaustive(dataset, k)
+        assert got.token_ids == [s.token_id for s in steps]
+        assert sorted(got.token_ids) == list(subset)
+        assert bits(got.steps) == bits(steps)
+
+    @given(dataset=tied_dataset(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_term_sums_of_every_extension(self, dataset, data):
+        n_tokens = len(dataset.catalog)
+        subset = data.draw(st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens))
+        table = dataset.patterns
+        cells, n_cells = np.zeros(len(table.rows), dtype=np.int64), 1
+        for t in subset:
+            cells, n_cells = refine_cells(cells, table.rows[:, t], n_cells)
+        assert n_cells == len({tuple(row) for row in table.rows[:, subset]})
+        candidates = data.draw(st.permutations([t for t in range(n_tokens) if t not in subset]))
+        got = extension_term_sums(table, cells, n_cells, candidates)
+        assert [v.hex() for v in got] == [_cond_term_sum(dataset, [*subset, t]).hex() for t in candidates]
 
 
 class TestTraceSerialization:

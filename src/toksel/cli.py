@@ -58,6 +58,18 @@ positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 open_fraction = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
+# files are hashed a block at a time, so that no input or output is held whole
+_DIGEST_BLOCK = 1 << 20
+
+
+def _hash_file(digest, path):
+    """`digest` updated with the bytes of the file at `path`."""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_DIGEST_BLOCK), b""):
+            digest.update(block)
+    return digest
+
+
 def _run(args) -> None:
     """Run one command, then write its outputs and, if there are any, their manifest.
 
@@ -82,7 +94,7 @@ def _run(args) -> None:
     catalog = [Path(args.catalog)] if getattr(args, "catalog", None) else []
     digest = hashlib.sha256()
     for p in [*inputs, *catalog]:
-        digest.update(p.read_bytes())
+        _hash_file(digest, p)
     digest.update(json.dumps(flags, sort_keys=True).encode())
     manifest = {
         "command": args.command,
@@ -90,7 +102,7 @@ def _run(args) -> None:
         "master_seed": seed,
         "tool_version": __version__,
         "outputs": [
-            {"path": out.name, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+            {"path": out.name, "sha256": _hash_file(hashlib.sha256(), out).hexdigest()}
             for out in sorted(outputs)
         ],
     }

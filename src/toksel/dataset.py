@@ -304,13 +304,9 @@ class Dataset:
     def patterns(self) -> "PatternTable":
         """The rated records compressed to their distinct token rows, with label counts."""
         sel = self._selections[self.rated_mask]
-        # one byte string per row: a void-view unique is far faster than unique(axis=0)
-        packed = np.ascontiguousarray(np.packbits(sel, axis=1))
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1).astype(np.int64)
-        counts = np.bincount(inverse * 2 + self.rated_pc, minlength=2 * first.size)
-        return PatternTable(sel[first], counts.reshape(-1, 2), inverse)
+        inverse, rows = distinct_rows(sel, range(sel.shape[1]))
+        counts = np.bincount(inverse * 2 + self.rated_pc, minlength=2 * len(rows))
+        return PatternTable(rows, counts.reshape(-1, 2), inverse)
 
     def __len__(self) -> int:
         return len(self._call_ids)
@@ -337,7 +333,9 @@ class PatternTable:
     """Distinct token rows of a dataset's rated records, with poor-call counts.
 
     Every plug-in statistic conditioned on the poor-call label depends on
-    the records only through these counts.
+    the records only through these counts. Rows come in the order
+    `cell_ids` numbers the cells of the whole catalog: increasing as
+    binary numbers with token 0 least significant.
     """
 
     rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
@@ -353,11 +351,6 @@ class PatternTable:
         return int(self.counts.sum())
 
 
-# Cells are keyed chunk by chunk so that the previous chunks' cell id,
-# shifted left by the chunk width, and the chunk's packed bits fit in int64.
-_KEY_CHUNK = 32
-
-
 def check_subset(subset: Sequence[int], n_tokens: int) -> tuple[int, ...]:
     """A token subset's ids as ints, in the given order. A subset is distinct
     ids in 0..n_tokens-1; anything else raises ParameterError."""
@@ -370,25 +363,44 @@ def check_subset(subset: Sequence[int], n_tokens: int) -> tuple[int, ...]:
     return ids
 
 
+def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
+    """Keys in 0..n_keys-1 renumbered 0..n-1 in increasing order over the n
+    keys that occur: one bincount and a cumsum, no sort."""
+    occupied = np.bincount(keys, minlength=n_keys) > 0
+    ranks = np.cumsum(occupied) - 1
+    return ranks[keys], int(np.count_nonzero(occupied))
+
+
 def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
     """Cell of each row under a token subset, and the number of cells.
 
     Rows share a cell exactly when they agree on every column in
     `subset`. Ids run 0..n_cells-1 in increasing order of the rows'
-    subset values read as a binary number, with subset[j] as bit j of
-    its 32-token chunk and earlier chunks more significant. Any subset
-    width works: each chunk re-keys the cells found so far.
+    subset values read as a binary number, Σ row[subset[j]] * 2^j, so
+    subset[0] is the least significant bit. Any subset width works: the
+    columns are folded in from the last, and the keys are renumbered
+    whenever their range passes twice the row count, so no bincount
+    takes more than four bins per row.
     """
-    subset = list(subset)
-    ids = np.zeros(rows.shape[0], dtype=np.int64)
-    for start in range(0, len(subset), _KEY_CHUNK):
-        chunk = subset[start:start + _KEY_CHUNK]
-        weights = np.left_shift(1, np.arange(len(chunk), dtype=np.int64))
-        code = rows[:, chunk].astype(np.int64) @ weights
-        _, ids = np.unique((ids << _KEY_CHUNK) | code, return_inverse=True)
-        ids = ids.reshape(-1)
-    n_cells = int(ids.max()) + 1 if ids.size else 0
-    return ids, n_cells
+    keys, n_keys = np.zeros(rows.shape[0], dtype=np.int64), 1
+    for t in reversed(list(subset)):
+        keys *= 2
+        keys += rows[:, t]
+        n_keys *= 2
+        if n_keys > 2 * rows.shape[0]:
+            keys, n_keys = _compact(keys, n_keys)
+    return _compact(keys, n_keys)
+
+
+def refine_cells(cells: np.ndarray, column: np.ndarray, n_cells: int) -> tuple[np.ndarray, int]:
+    """Cells of S + t from the cells of S (ids 0..n_cells-1) and t's 0/1 column.
+
+    A row's new cell is its pair (old cell, column value), numbered in
+    increasing order over the occupied pairs, column value least
+    significant. Started from `cell_ids(rows, ())` and refined by
+    t_1, ..., t_m, the ids are `cell_ids(rows, (t_m, ..., t_1))`'s.
+    """
+    return _compact(2 * cells + column, 2 * n_cells)
 
 
 def distinct_rows(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -7,11 +7,6 @@ costs time in distinct token rows, not in records, with optional
 add-alpha smoothing (off by default: smoothing trades the exact
 monotonicity of the plug-in estimate for variance reduction).
 
-A single subset's cells are keyed by `toksel.dataset.cell_ids`, which
-sorts. Searches that grow subsets one token at a time instead refine
-the cells they hold (`refine_cells`) and score every one-token extension
-of a subset in one batch (`extension_term_sums`).
-
 Numerical note: conditional entropies are assembled from one term per
 occupied cell, n*log2(n) - n1*log2(n1) - n0*log2(n0), combined with
 math.fsum. fsum returns the correctly rounded sum of the term multiset,
@@ -81,19 +76,6 @@ def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
     counts = cell_counts(dataset, subset)
     terms = _cell_terms(counts[:, 0], counts[:, 1])
     return math.fsum(terms[terms != 0.0])
-
-
-def refine_cells(cells: np.ndarray, column: np.ndarray, n_cells: int) -> tuple[np.ndarray, int]:
-    """Cells of S + t from the cells of S (ids 0..n_cells-1) and t's 0/1 column.
-
-    A row's new cell is its pair (old cell, column value), numbered in
-    increasing order over the occupied pairs: one bincount and a cumsum,
-    no sort. The ids differ from `cell_ids`' for the same subset, but the
-    cell populations, and so every term sum, are the same.
-    """
-    keys = 2 * cells + column
-    ids = np.cumsum(np.bincount(keys, minlength=2 * n_cells) > 0) - 1
-    return ids[keys], int(ids[-1]) + 1
 
 
 def extension_term_sums(
@@ -170,8 +152,8 @@ def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0
     pseudocount (which breaks exact monotonicity).
     """
     subset = check_subset(subset, len(dataset.catalog))
-    if alpha < 0:
-        raise ParameterError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ParameterError(f"alpha must be a finite number >= 0, got {alpha}")
     if alpha > 0:
         return _smoothed_ig(dataset, subset, alpha)
     return IgEvaluator(dataset).ig(subset)

@@ -18,10 +18,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PatternTable, TokenCatalog
+from .dataset import Dataset, PatternTable, TokenCatalog, cell_ids, refine_cells
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, univariate_aucs
-from .infotheory import IgEvaluator, extension_term_sums, refine_cells
+from .infotheory import IgEvaluator, extension_term_sums
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
 
@@ -89,7 +89,7 @@ def _greedy(ev: IgEvaluator, candidates: Sequence[int], k: int) -> tuple[Selecti
     scores every remaining candidate from them in one batch.
     """
     table = ev.patterns
-    cells, n_cells = np.zeros(len(table.rows), dtype=np.int64), 1
+    cells, n_cells = cell_ids(table.rows, ())
     remaining = list(candidates)
     steps = []
     cur_ig = 0.0
@@ -207,7 +207,7 @@ def _prefixes(
     cells of at most depth + 1 prefixes.
     """
     # each frame: a prefix, its cells and cell count, and the next token to extend it by
-    stack = [[(), np.zeros(len(table.rows), dtype=np.int64), 1, 0]]
+    stack = [[(), *cell_ids(table.rows, ()), 0]]
     while stack:
         frame = stack[-1]
         prefix, cells, n_cells, t = frame

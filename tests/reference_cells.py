@@ -1,0 +1,46 @@
+"""Sort-based cell keying, the reference for toksel.dataset's bincount compaction.
+
+These are the keyings toksel shipped before one compaction numbered
+every cell: `cell_ids` ran `np.unique` over int64 codes of 32 tokens at
+a time, and the pattern table was built by `np.unique` over each row
+packed into a byte string. `toksel.dataset.cell_ids` must give the same
+ids for every subset of at most 32 tokens, and `Dataset.patterns` the
+same rows and counts, in any row order.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+# The previous chunks' cell id, shifted left by the chunk width, and the
+# chunk's packed bits fit in int64.
+KEY_CHUNK = 32
+
+
+def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Cell of each row and the number of cells: ids in increasing order of
+    the subset values read as a binary number, subset[j] as bit j of its
+    32-token chunk and earlier chunks more significant."""
+    subset = list(subset)
+    ids = np.zeros(rows.shape[0], dtype=np.int64)
+    for start in range(0, len(subset), KEY_CHUNK):
+        chunk = subset[start:start + KEY_CHUNK]
+        weights = np.left_shift(1, np.arange(len(chunk), dtype=np.int64))
+        code = rows[:, chunk].astype(np.int64) @ weights
+        _, ids = np.unique((ids << KEY_CHUNK) | code, return_inverse=True)
+        ids = ids.reshape(-1)
+    n_cells = int(ids.max()) + 1 if ids.size else 0
+    return ids, n_cells
+
+
+def patterns(sel: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, counts, row_of_record) of rated selections `sel` with 0/1 labels `pc`:
+    distinct rows in byte order of the packed rows, token 0 most significant."""
+    packed = np.ascontiguousarray(np.packbits(sel, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1).astype(np.int64)
+    counts = np.bincount(inverse * 2 + pc, minlength=2 * first.size)
+    return sel[first], counts.reshape(-1, 2), inverse

@@ -279,6 +279,32 @@ class TestAbtest:
         assert all(t["p_value"] == 1.0 for t in payload["per_token"])
         assert "0 of 6 tokens significant" in capsys.readouterr().out
 
+    def test_manifest_digests_whole_files(self, tmp_path):
+        """Digests cover every byte of an input that spans several 1 MiB blocks."""
+        control = write_selection_data(tmp_path, seed=1, n_calls=300, name="control.csv")
+        treatment = write_selection_data(tmp_path, seed=2, n_calls=70_000, name="treatment.csv")
+        size = treatment.stat().st_size
+        assert size > 2 * 2**20 and size % 2**20  # ends in a partial block
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text(
+            "id,label,panel\n" + "".join(f"{i},token_{i:02d},audio\n" for i in range(6)),
+            encoding="utf-8",
+        )
+        report, table = tmp_path / "ab.json", tmp_path / "ab.csv"
+        code = main([
+            "abtest", "--control", str(control), "--treatment", str(treatment),
+            "--catalog", str(catalog), "--output", str(report), "--csv", str(table),
+        ])
+        assert code == 0
+        manifest = json.loads(Path(f"{report}.manifest.json").read_text())
+        flags = json.dumps({"denominator": "displays", "alpha": 0.01}, sort_keys=True).encode()
+        inputs = b"".join(p.read_bytes() for p in (control, treatment, catalog))
+        assert manifest["config_digest"] == hashlib.sha256(inputs + flags).hexdigest()
+        assert manifest["outputs"] == [
+            {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+            for p in (table, report)
+        ]
+
     def test_missing_file_nonzero_exit_names_path(self, tmp_path, capsys):
         data = write_selection_data(tmp_path, n_calls=100)
         code = main(["abtest", "--control", str(data), "--treatment", str(tmp_path / "gone.csv")])

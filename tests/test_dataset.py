@@ -10,16 +10,19 @@ from toksel.dataset import (
     ResponseRecord,
     TokenCatalog,
     Token,
+    cell_ids,
     check_subset,
     distinct_rows,
     filter_dataset,
     label_pc,
     load_dataset,
+    refine_cells,
     save_dataset,
 )
 from toksel.errors import DataError, ParameterError, SchemaError
 from toksel.synthgen import demo_generator_config, generate_truth
 
+import reference_cells
 from conftest import make_dataset
 
 
@@ -287,6 +290,24 @@ class TestDatasetInvariants:
             Dataset.from_records(TokenCatalog.numbered(2), recs)
 
 
+@st.composite
+def bit_matrices(draw, min_cols=0):
+    """0/1 matrices of 0-60 rows and min_cols-70 columns, with copied and constant columns."""
+    n_rows, n_cols = draw(st.integers(0, 60)), draw(st.integers(min_cols, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 0.5]))
+    cols = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["random", "copy", "zeros", "ones"]))
+        if kind == "copy" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+        elif kind in ("zeros", "ones"):
+            cols.append(np.full(n_rows, kind == "ones", dtype=np.uint8))
+        else:
+            cols.append((rng.random(n_rows) < density).astype(np.uint8))
+    return np.array(cols, dtype=np.uint8).T.reshape(n_rows, n_cols)
+
+
 class TestSubsetsAndCells:
     def test_check_subset_keeps_order(self):
         assert check_subset([2, 0, 1], 3) == (2, 0, 1)
@@ -302,6 +323,66 @@ class TestSubsetsAndCells:
         cells, distinct = distinct_rows(rows, [2, 0])
         assert distinct.dtype == np.uint8 and distinct.shape == (3, 2)
         assert np.array_equal(distinct[cells], rows[:, [2, 0]])
+
+    @given(rows=bit_matrices(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cell_ids_match_the_sort_keying(self, rows, data):
+        n_cols = rows.shape[1]
+        subset = data.draw(st.permutations(range(n_cols)))[: data.draw(st.integers(0, n_cols))]
+        ids, n_cells = cell_ids(rows, subset)
+        assert ids.dtype == np.int64
+        if len(subset) <= reference_cells.KEY_CHUNK:
+            ref_ids, ref_n_cells = reference_cells.cell_ids(rows, subset)
+            assert n_cells == ref_n_cells and ids.tolist() == ref_ids.tolist()
+        # any width: one cell per distinct value of the row read as a binary number, in order
+        codes = [sum(int(row[t]) << j for j, t in enumerate(subset)) for row in rows]
+        rank = {code: i for i, code in enumerate(sorted(set(codes)))}
+        assert n_cells == len(rank)
+        assert ids.tolist() == [rank[code] for code in codes]
+        cells, n_refined = cell_ids(rows, ())
+        for t in subset:
+            cells, n_refined = refine_cells(cells, rows[:, t], n_refined)
+        assert n_refined == n_cells and cells.tolist() == cell_ids(rows, subset[::-1])[0].tolist()
+
+    @given(rows=bit_matrices(min_cols=1), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pattern_table_matches_the_sort_build(self, rows, data):
+        ratings = data.draw(
+            st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=len(rows), max_size=len(rows))
+        )
+        ds = make_dataset(rows, ratings)
+        table = ds.patterns
+        ref_rows, ref_counts, _ = reference_cells.patterns(ds.rated_selections, ds.rated_pc)
+        assert table.rows.dtype == np.uint8 and table.rows.shape == (len(ref_rows), rows.shape[1])
+        assert table.counts.dtype == ref_counts.dtype and table.row_of_record.dtype == np.int64
+        # the same rows with the same counts; the row order is not part of the contract
+        got = {tuple(r): tuple(c) for r, c in zip(table.rows.tolist(), table.counts.tolist())}
+        want = {tuple(r): tuple(c) for r, c in zip(ref_rows.tolist(), ref_counts.tolist())}
+        assert got == want and len(got) == len(table.rows)
+        assert np.array_equal(table.rows[table.row_of_record], ds.rated_selections)
+
+    def test_no_rows_no_cells_and_empty_subset_one_cell(self):
+        for rows in (np.zeros((0, 5), dtype=np.uint8), np.zeros((0, 0), dtype=np.uint8)):
+            for subset in ([], [0], [4, 1, 2]):
+                ids, n_cells = cell_ids(rows, subset[: rows.shape[1]])
+                assert ids.shape == (0,) and n_cells == 0
+        ids, n_cells = refine_cells(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8), 0)
+        assert ids.shape == (0,) and n_cells == 0
+        ids, n_cells = cell_ids(np.eye(3, dtype=np.uint8), [])
+        assert ids.tolist() == [0, 0, 0] and n_cells == 1
+
+    def test_wide_subsets_bincount_at_most_four_bins_per_row(self, monkeypatch):
+        bins = []
+        bincount = np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            bins.append(max(minlength, int(x.max()) + 1 if x.size else 0))
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        rows = np.random.default_rng(0).integers(0, 2, (3, 200), dtype=np.uint8)
+        ids, n_cells = cell_ids(rows, range(200))
+        assert n_cells == 3 and len(bins) > 1 and max(bins) <= 12
 
     def test_rated_selections_are_uint8_rows_of_rated_records(self):
         ds = make_dataset([[1, 0], [0, 1], [1, 1]], [2, None, 5])

@@ -234,9 +234,10 @@ class TestInformationGain:
         expected = float(np.sum(p * np.log2(p / (px * py))))
         assert information_gain(hand_dataset, subset, alpha=alpha) == pytest.approx(expected, abs=1e-12)
 
-    def test_negative_alpha_rejected(self, hand_dataset):
+    @pytest.mark.parametrize("alpha", [-1, math.nan, math.inf])
+    def test_negative_alpha_rejected(self, hand_dataset, alpha):
         with pytest.raises(ParameterError):
-            information_gain(hand_dataset, [0], alpha=-1)
+            information_gain(hand_dataset, [0], alpha=alpha)
 
 
 def _synthetic(seed=0, n_tokens=8, n_calls=1500):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toksel import selection
-from toksel.dataset import TokenCatalog
+from toksel.dataset import TokenCatalog, refine_cells
 from toksel.errors import CapacityError, ParameterError
 from toksel.evaluation import SplitPlan, TableScorer, auc
 from toksel.infotheory import (
@@ -15,7 +15,6 @@ from toksel.infotheory import (
     _cond_term_sum,
     extension_term_sums,
     information_gain,
-    refine_cells,
 )
 from toksel.selection import (
     select_auc_greedy,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,10 +53,12 @@ def _bounded(convert, ok, rule):
     return parse
 
 
-# numpy's generators take only seeds >= 0; a split plan needs one split; NaN is no fraction
+# Numeric flags are checked here, before any input is read. numpy's generators
+# take only seeds >= 0; a split plan needs one split; NaN is no fraction and no tolerance.
 non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 open_fraction = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
+finite_non_negative = _bounded(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
 # files are hashed a block at a time, so that no input or output is held whole
@@ -178,8 +181,6 @@ def cmd_select(args):
 def cmd_evaluate(args):
     dataset = _load(args, args.input)
     n_tokens = len(dataset.catalog)
-    if args.k_max < 1:
-        raise ParameterError(f"--k-max must be >= 1, got {args.k_max}")
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
@@ -300,7 +301,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="select a token subset from a dataset")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES), default="rits")
     p.add_argument("--seed", type=non_negative_int)
     p.add_argument("--splits", type=positive_int, default=100)
@@ -312,12 +313,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score strategies with repeated-split AUC and Jaccard")
     p.add_argument("--input", required=True)
     p.add_argument("--strategies", default="rits,auc_greedy,random")
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=positive_int, required=True)
     p.add_argument("--splits", type=positive_int, default=100)
     p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--train-frac", type=open_fraction, default=0.7)
     p.add_argument("--scorer", choices=["table", "forest"], default="table")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=positive_int, default=100)
     p.add_argument("--output", required=True, help="report directory")
     _add_io_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -328,15 +329,15 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="report JSON path")
     p.add_argument("--csv", help="per-token CSV path")
     p.add_argument("--denominator", choices=["displays", "responders"], default="displays")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=open_fraction, default=0.01)
     _add_io_flags(p)
     p.set_defaults(func=cmd_abtest)
 
     p = sub.add_parser("audit", help="audit monotonicity and diminishing returns")
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
     p.add_argument("--seed", type=non_negative_int, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=finite_non_negative, default=1e-9)
     p.add_argument("--output", help="audit report JSON path")
     _add_io_flags(p)
     p.set_defaults(func=cmd_audit)

@@ -5,6 +5,20 @@ per-call response records. Calls rated 1 or 2 stars are labeled "poor";
 that binary label is what every downstream statistic conditions on.
 Records without a star rating are kept for response-rate analysis but
 carry no poor-call label.
+
+Files are read in chunks of lines. A line as `save_dataset` writes it
+ends in a tail whose text depends only on the catalog: ",c,c,...,c" and
+the line end in CSV, ', "selections": {"<label>": c, ...}}' in JSONL
+(labels in the first record's order). When every line of a chunk ends
+in the tail with 0 or 1 in each cell (`_Tail`), the cells are read by
+array compares and only each line's head is parsed: one split at its
+three commas (CSV, when no head holds a quote or a NUL), or one batched
+`json.loads` of head + "}" (JSONL). A chunk that
+fails a guard is read as before, so every error is the same: a CSV
+chunk holding a quote hands itself and the rest of the file to
+csv.reader, since a quoted field may hold a line break; any other CSV
+chunk goes alone through csv.reader; a JSONL chunk goes through
+`_jsonl_objects`.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -539,25 +553,39 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
             raise SchemaError("duplicate token columns in header")
         cat = _catalog_for_labels(labels, catalog)
         col_order = [labels.index(lab) for lab in cat.labels]
+        tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
 
         columns, row_no = _Columns(), 2
-        for chunk in _csv_chunks(reader):
-            columns.add(*_csv_chunk(chunk, row_no, labels, col_order))
-            row_no += len(chunk)
+        chunks = _chunks(fh)  # the lines after the header
+        for lines in chunks:
+            got = _csv_tail_chunk(lines, tails["\r\n" if lines[0].endswith("\r\n") else "\n"])
+            if got is not None:
+                columns.add(*got)
+                row_no += len(lines)
+                continue
+            # a quoted field may hold a line break and run on into the next chunk:
+            # from the first chunk with a quote on, csv reads the rest of the file
+            quoted = '"' in "".join(lines)
+            rows = csv.reader(chain(lines, chain.from_iterable(chunks)) if quoted else lines)
+            for chunk in _chunks(rows):
+                columns.add(*_csv_chunk(chunk, row_no, labels, col_order))
+                row_no += len(chunk)
+            if quoted:
+                break
     return columns.dataset(cat)
 
 
-def _csv_chunks(reader) -> Iterator[list[list[str]]]:
-    """The reader's rows, _CHUNK_ROWS at a time.
+def _chunks(items) -> Iterator[list]:
+    """The lines of a file, or the rows of a csv reader, _CHUNK_ROWS at a time.
 
-    A CSV or decoding error is raised after the rows read before it are
+    A CSV or decoding error is raised after the items read before it are
     yielded, so that a bad row among them is the error reported.
     """
     while True:
-        chunk: list[list[str]] = []
+        chunk: list = []
         try:
-            for row in islice(reader, _CHUNK_ROWS):
-                chunk.append(row)
+            for item in islice(items, _CHUNK_ROWS):
+                chunk.append(item)
         except (csv.Error, UnicodeDecodeError):
             if chunk:
                 yield chunk
@@ -565,6 +593,77 @@ def _csv_chunks(reader) -> Iterator[list[list[str]]]:
         if not chunk:
             return
         yield chunk
+
+
+class _Tail:
+    """The end of a canonical line, whose text depends only on the catalog:
+    `parts` with a 0/1 cell between each two, the cells in file order.
+
+    `split` reads the cells of a chunk of lines with vector compares, as
+    simdjson finds a JSON text's structure (Langdale & Lemire, "Parsing
+    Gigabytes of JSON per Second", VLDB J. 2019), and leaves each line's
+    head to the loader. A tail with text other than ASCII never matches.
+    """
+
+    def __init__(self, parts: list[str], col_order: list[int]):
+        text = "0".join(parts)
+        self.width = len(text)
+        slots = np.cumsum([len(part) + 1 for part in parts[:-1]]) - 1
+        self.slots = slots[col_order]  # the cells' positions, in catalog order
+        self.fixed = np.ones(self.width, bool)
+        self.fixed[slots] = False
+        self.text = np.frombuffer(text.encode(), np.uint8)[self.fixed] if text.isascii() else None
+
+    def split(self, lines: list[str]) -> Optional[tuple[list[str], np.ndarray]]:
+        """Each line's head, the line without its last `width` characters, and the
+        (n, k) catalog-ordered cells in its tail; None unless every line ends
+        in the tail with "0" or "1" in each cell."""
+        if self.text is None:
+            return None
+        n, w = len(lines), self.width
+        tails = "".join(map(getitem, lines, repeat(slice(-w, None))))
+        data = tails.encode()
+        # n * w characters: no line is shorter than the tail; as many bytes: all are ASCII
+        if len(tails) != n * w or len(data) != n * w:
+            return None
+        grid = np.frombuffer(data, np.uint8).reshape(n, w)
+        cells = grid[:, self.slots] - np.uint8(ord("0"))
+        if (cells > 1).any() or not (grid[:, self.fixed] == self.text).all():
+            return None
+        return list(map(getitem, lines, repeat(slice(None, -w)))), cells
+
+
+def _csv_tail_chunk(lines: list[str], tail: _Tail):
+    """call_id, arm, platform, rating and catalog-ordered cell columns of CSV
+    lines that each end in `tail`, or None when a guard fails.
+
+    The guards leave csv.reader nothing to do but split each head at its
+    three commas: no head holds a quote or a NUL (which csv refuses before
+    Python 3.11), and none is longer than csv's field size limit. No head
+    holds a carriage return or a line feed, since a file read with
+    newline="" ends a line at either. The arm and rating checks are
+    `_csv_chunk`'s.
+    """
+    split = tail.split(lines)
+    if split is None:
+        return None
+    heads, cells = split
+    text = "\n".join(heads)
+    if '"' in text or "\0" in text:
+        return None
+    # commas counted per head, as the commas before each line end: 3 per line in
+    # total can hide a head of 2 commas beside one of 4
+    data = np.frombuffer(f"{text}\n".encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    if (np.diff(commas, prepend=0) != 3).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None
+    fields = text.replace("\n", ",").split(",")
+    arms, ratings = fields[1::4], fields[3::4]
+    if not (set(arms) <= set(ARMS) and set(ratings) <= _CSV_RATINGS.keys()):
+        return None
+    ratings = np.fromiter(map(_CSV_RATINGS.__getitem__, ratings), np.int16, len(ratings))
+    return fields[0::4], arms, fields[2::4], ratings, cells
 
 
 def _csv_chunk(chunk: list[list[str]], first_row: int, labels: list[str], col_order: list[int]):
@@ -605,17 +704,28 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
-    cat, error, columns = None, None, _Columns()
+    cat, tail, error, columns, first_row = None, None, None, _Columns(), 1
     with open(path, encoding="utf-8") as fh:
-        for rows, objs in _jsonl_chunks(fh):
+        for lines in _chunks(fh):
+            if cat is None and error is None:
+                labels = _first_labels(lines, first_row)
+                if labels is not None:
+                    try:
+                        cat = _catalog_for_labels(labels, catalog)
+                    except DataError as exc:
+                        error = exc
+                    else:
+                        tail = _jsonl_tail(labels, cat)
+            got = _jsonl_tail_chunk(lines, tail) if tail is not None else None
+            if got is None:
+                rows, objs = _jsonl_objects(lines, first_row)
+            first_row += len(lines)
             # a line that is not a JSON object is reported before any record
             # error, so after one the rest of the file is only parsed
-            if error is not None:
+            if error is not None or (got is None and not objs):
                 continue
             try:
-                if cat is None:
-                    cat = _catalog_for_labels(list(objs[0].get("selections", {})), catalog)
-                columns.add(*_jsonl_chunk(rows, objs, cat))
+                columns.add(*(got or _jsonl_chunk(rows, objs, cat)))
             except DataError as exc:
                 error = exc
     if error is not None:
@@ -625,63 +735,85 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
     return columns.dataset(cat)
 
 
-def _jsonl_chunks(fh) -> Iterator[tuple[list[int], list[dict]]]:
-    """Line numbers and objects of the non-blank lines, _CHUNK_ROWS lines at a time.
+def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:
+    """The selections keys of the first record in `lines`, None if every line is blank.
 
-    A line that is not a JSON object raises. A decoding error is raised
-    after the lines read before it are parsed, so that a bad line among
-    them is the error reported.
+    A first non-blank line that is not a JSON object raises its error,
+    which is the first error `_jsonl_objects` would raise on the lines.
     """
-    first_row = 1
-    while True:
-        lines: list[str] = []
-        try:
-            for line in islice(fh, _CHUNK_ROWS):
-                lines.append(line)
-        except UnicodeDecodeError:
-            _jsonl_objects(lines, first_row)
-            raise
-        if not lines:
-            return
-        rows, objs = _jsonl_objects(lines, first_row)
-        first_row += len(lines)
-        if objs:
-            yield rows, objs
+    for row_no, line in enumerate(lines, first_row):
+        if line.strip():
+            return list(_jsonl_object(line.strip(), row_no).get("selections", {}))
+    return None
+
+
+def _jsonl_tail(labels: list[str], cat: TokenCatalog) -> _Tail:
+    """The tail of a JSONL line whose selections hold `labels` in this order,
+    written as `dataset_to_jsonl_text` writes it."""
+    keys = [json.dumps(label, ensure_ascii=False) + ": " for label in labels]
+    parts = [', "selections": {' + keys[0], *[", " + key for key in keys[1:]], "}}\n"]
+    return _Tail(parts, [labels.index(label) for label in cat.labels])
+
+
+def _jsonl_tail_chunk(lines: list[str], tail: _Tail):
+    """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL
+    lines that each end in `tail`, or None when a guard fails.
+
+    The heads are decoded as head + "}" under `_decoded`'s guard, and the
+    objects must pass `_jsonl_chunk`'s column checks, so each has at least
+    one member. Then the parser stands after a member value of the line's
+    outermost object at the end of the head: so head + tail is that object
+    with the tail's selections as one more member, which wins over a
+    selections member of the head, as `json.loads` keeps the last value of
+    a repeated key.
+    """
+    split = tail.split(lines)
+    if split is None:
+        return None
+    heads, cells = split
+    objs = _decoded([head + "}" for head in heads])
+    base = None if objs is None else _jsonl_base(objs)
+    return None if base is None else (*base, cells)
 
 
 def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[dict]]:
     """Line numbers and objects of the non-blank lines of `lines`, numbered from `first_row`.
 
-    The lines are decoded in one `json.loads` of "[" + ",\n".join(lines)
-    + "]" when every line starts with "{", the joined text holds no "[",
-    and the result is one object per line whose selections, if present,
-    are an object. Then each line holds exactly that line's object: strict
-    JSON has no raw line break inside a string, so every joining comma is
-    a structural one; with no "[" the wrapper is the only array, and a
-    comma between members of an object must be followed by a string key,
-    not by the "{" that starts the next line; so every joining comma
-    separates two values of the wrapper, and N values from N lines put
-    one value on each line. Otherwise each line is decoded on its own,
-    which raises the first bad line's error.
+    The lines are decoded at once by `_decoded` when its guard holds and
+    each object's selections, if present, are an object. Otherwise each
+    line is decoded on its own, which raises the first bad line's error.
     """
     texts = list(map(str.strip, lines))
     rows = [row_no for row_no, text in enumerate(texts, first_row) if text]
     if len(rows) < len(texts):
         texts = list(filter(None, texts))
-    joined = ",\n".join(texts)
-    if "[" not in joined and all(map(str.startswith, texts, repeat("{"))):
-        try:
-            objs = json.loads(f"[{joined}]")
-        except (ValueError, RecursionError):
-            objs = None
-        if (
-            objs is not None
-            and len(objs) == len(texts)
-            and set(map(type, objs)) <= {dict}
-            and set(map(type, map(dict.get, objs, repeat("selections"), repeat({})))) <= {dict}
-        ):
-            return rows, objs
+    objs = _decoded(texts)
+    if objs is not None and set(map(type, map(dict.get, objs, repeat("selections"), repeat({})))) <= {dict}:
+        return rows, objs
     return rows, list(map(_jsonl_object, texts, rows))
+
+
+def _decoded(texts: list[str]) -> Optional[list[dict]]:
+    """The JSON object each of `texts` holds, from one `json.loads` of "[" +
+    ",\n".join(texts) + "]"; None unless that shows each text holds exactly
+    one object.
+
+    It does when every text starts with "{", the joined text holds no "[",
+    and the result is one object per text. Strict JSON has no raw line
+    break inside a string, so every joining comma is a structural one; with
+    no "[" the wrapper is the only array, and a comma between members of an
+    object must be followed by a string key, not by the "{" that starts the
+    next text; so every joining comma separates two values of the wrapper,
+    and N values from N texts put one value in each text.
+    """
+    joined = ",\n".join(texts)
+    if "[" in joined or not all(map(str.startswith, texts, repeat("{"))):
+        return None
+    try:
+        objs = json.loads(f"[{joined}]")
+    except (ValueError, RecursionError):
+        return None
+    return objs if len(objs) == len(texts) and set(map(type, objs)) <= {dict} else None
 
 
 def _jsonl_object(text: str, row_no: int) -> dict:
@@ -701,9 +833,9 @@ def _jsonl_chunk(rows: list[int], objs: list[dict], cat: TokenCatalog):
 
     Checked as `_csv_chunk` checks CSV rows, with `_check_jsonl_record` as the row check.
     """
-    ratings = list(map(dict.get, objs, repeat("rating")))
+    base = _jsonl_base(objs)
     try:
-        call_ids, arms, platforms, selections = zip(*map(itemgetter(*_JSONL_KEYS), objs))
+        selections = list(map(itemgetter("selections"), objs))
         cells = list(map(itemgetter(*cat.labels), selections))
     except KeyError:
         cells = None
@@ -712,18 +844,32 @@ def _jsonl_chunk(rows: list[int], objs: list[dict], cat: TokenCatalog):
         if len(cat) > 1:
             cells = list(chain.from_iterable(cells))
     if (
-        cells is not None
-        and all(map(ARMS.__contains__, arms))
-        and set(map(type, ratings)) <= {int, type(None)}
-        and set(ratings) <= _JSON_RATINGS.keys()
+        base is not None
+        and cells is not None
         and set(map(len, selections)) == {len(cat)}
         and set(map(type, cells)) == {int}
         and set(cells) <= {0, 1}
     ):
-        ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
         cells = np.fromiter(cells, np.uint8, len(cells)).reshape(len(objs), len(cat))
-        return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells
+        return (*base, cells)
     return zip(*(_check_jsonl_record(obj, row_no, cat) for row_no, obj in zip(rows, objs)))
+
+
+def _jsonl_base(objs: list[dict]):
+    """call_id, arm, platform and rating columns of JSONL records, or None when a column check fails."""
+    try:
+        call_ids, arms, platforms = zip(*map(itemgetter("call_id", "arm", "platform"), objs))
+    except KeyError:
+        return None
+    ratings = list(map(dict.get, objs, repeat("rating")))
+    if not (
+        all(map(ARMS.__contains__, arms))
+        and set(map(type, ratings)) <= {int, type(None)}
+        and set(ratings) <= _JSON_RATINGS.keys()
+    ):
+        return None
+    ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
+    return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings
 
 
 def _check_jsonl_record(obj: dict, row_no: int, cat: TokenCatalog):

@@ -184,6 +184,113 @@ def member_merged(first, second):
     return [first[:-1], f'"pad": 0}},{second}']
 
 
+# Call ids and platforms that a canonical CSV file writes unquoted, with a character of
+# two UTF-8 bytes and a NUL (which csv refuses before Python 3.11) among them, or an
+# arm's name: a head whose fields shift by one then still passes the arm check; ASCII
+# token labels, with the characters JSON escapes
+PLAIN = st.text(st.sampled_from("ab0 1:{}é\0"), max_size=4) | st.sampled_from(ARMS)
+ASCII_LABEL = st.text(st.sampled_from('ab01 ,:{}"\\'), min_size=1, max_size=3)
+ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+TAIL_FAULTS = {
+    "csv": ["cell", "empty and double", "commas", "quote", "crlf", "non-ascii", "no final end", "blank"],
+    "jsonl": ["cell", "empty and double", "order", "head selections", "crlf", "non-ascii", "no final end", "blank"],
+}
+
+
+def split_end(line):
+    body = line.rstrip("\r\n")
+    return body, line[len(body):]
+
+
+def record_of(body):
+    """The JSON record a line holds with its selections, or None when an earlier fault broke it."""
+    try:
+        record = json.loads(body)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) and isinstance(record.get("selections"), dict) else None
+
+
+def with_cell(line, fmt, j, raw):
+    """A record line with its j-th cell (in file order) written as `raw`."""
+    body, end = split_end(line)
+    if fmt == "csv":
+        fields = body.split(",")
+        fields[min(len(BASE_COLUMNS) + j, len(fields) - 1)] = raw
+        return ",".join(fields) + end
+    record = record_of(body)
+    if record is None or not record["selections"]:
+        return line
+    selections = record["selections"]
+    selections[list(selections)[j % len(selections)]] = "@"  # no drawn text holds "@"
+    return ENCODE(record).replace('"@"', raw) + end
+
+
+@st.composite
+def canonical_file(draw, fmt):
+    """A file as save_dataset writes it, with 0-2 faults put into it; a catalog; and a chunk size.
+
+    The files are mostly canonical, so that most of their chunks are read
+    from their lines' tails. A fault makes a chunk fail a guard, or the
+    file fail a check, or both.
+    """
+    dataset = draw(any_dataset(min_records=1, max_records=16, text=PLAIN, label=ASCII_LABEL))
+    text = dataset_to_csv_text(dataset) if fmt == "csv" else dataset_to_jsonl_text(dataset)
+    lines = text.splitlines(keepends=True)
+    first = 1 if fmt == "csv" else 0  # the line after the header
+    k = len(dataset.catalog)
+    chunk_rows = draw(st.integers(1, 5))
+
+    def record_line():
+        return draw(st.integers(first, len(lines) - 1))
+
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(TAIL_FAULTS[fmt]))
+        i, j = record_line(), draw(st.integers(0, k - 1))
+        if fault == "cell":
+            lines[i] = with_cell(lines[i], fmt, j, draw(st.sampled_from(["2", " 1", "é"])))
+        elif fault == "empty and double":  # two lines, or one, of the length of valid ones
+            lines[i] = with_cell(lines[i], fmt, j, '""' if fmt == "jsonl" else "")
+            i, j = record_line(), draw(st.integers(0, k - 1))
+            lines[i] = with_cell(lines[i], fmt, j, "11")
+        elif fault == "commas":  # heads of 2 and of 4 commas, 6 in all
+            lines[i] = lines[i].replace(",", "", 1)
+            i = i + 1 if i + 1 < len(lines) else max(first, i - 1)
+            lines[i] = "," + lines[i]
+        elif fault == "quote":  # in chunk 3, often on its last line: a line break there runs on into chunk 4
+            last = 3 * chunk_rows - 1
+            i = min(first + draw(st.integers(2 * chunk_rows, last) | st.just(last)), len(lines) - 1)
+            quoted = '"' + draw(st.sampled_from(["a\nb", "x,y", 'q""q', "a\r\nb"])) + '"'
+            lines[i] = quoted + lines[i][lines[i].find(","):]
+        elif fault == "crlf":  # every line, or one
+            targets = range(first, len(lines)) if draw(st.booleans()) else [i]
+            for t in targets:
+                lines[t] = split_end(lines[t])[0] + "\r\n"
+        elif fault == "non-ascii":
+            body, end = split_end(lines[i])
+            tail = len(body) - 2 * k if fmt == "csv" else body.rfind('"selections"')
+            at = draw(st.integers(max(tail, 0), max(len(body) - 1, 0)))
+            lines[i] = body[:at] + "é" + body[at + 1:] + end
+        elif fault == "no final end":
+            lines[-1] = split_end(lines[-1])[0]
+        elif fault == "blank":
+            lines.insert(draw(st.integers(first, len(lines))), draw(st.sampled_from(["\n", "  \n"])))
+        elif fault == "order":  # the selections' keys reversed, or the selections first
+            body, end = split_end(lines[i])
+            record = record_of(body)
+            if record is None:
+                continue
+            if draw(st.booleans()):
+                record["selections"] = dict(reversed(record["selections"].items()))
+            else:
+                record = {"selections": record.pop("selections"), **record}
+            lines[i] = ENCODE(record) + end
+        else:  # a selections member in the head, before the tail's: the last one counts
+            head = draw(st.sampled_from(["5", "{}", "[1]", '{"x": 1}', "null"]))
+            lines[i] = '{"selections": ' + head + ", " + lines[i][1:]
+    return "".join(lines), drawn_catalog(draw, dataset.catalog.labels), chunk_rows
+
+
 class TestAgainstReference:
     @given(drawn=csv_file(), chunk_rows=st.sampled_from([1, 2, 3, 5, None]))
     @settings(max_examples=250, deadline=None)
@@ -200,6 +307,15 @@ class TestAgainstReference:
         path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, "jsonl", catalog, chunk_rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_files_with_faults(self, tmp_path_factory, fmt, data):
+        text, catalog, chunk_rows = data.draw(canonical_file(fmt))
+        path = tmp_path_factory.mktemp(fmt) / f"d.{fmt}"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_same_outcome(path, fmt, catalog, chunk_rows)
 
     @given(dataset=any_dataset())
     @settings(max_examples=150, deadline=None)
@@ -242,6 +358,12 @@ class TestCases:
         path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(3) + "x,none,web,4,,11\n")
         got = assert_same_outcome(path, "csv")
         assert got == (DataError, "row 5: token cell for 'echo' must be 0 or 1, got ''")
+
+    def test_csv_heads_of_two_and_four_commas(self, tmp_path):
+        # 6 commas in two heads; split together, the fields pass the arm and rating checks
+        text = CSV_HEAD + csv_rows(3) + "xcontrol,none,3,1,0\n" + ",y,none,web,4,1,0\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv")
+        assert got == (DataError, "row 5: expected 6 columns, got 5")
 
     @pytest.mark.parametrize("rating", [" 3", "+3", "03"])
     def test_csv_ratings_int_reads_load_as_3(self, tmp_path, rating):
@@ -328,6 +450,37 @@ class TestCases:
         n = 3 * dataset_module._CHUNK_ROWS + 10
         text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
         assert len(assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt)[1]) == n
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_canonical_file_is_read_from_its_tails_alone(self, tmp_path, fmt):
+        n = 3 * dataset_module._CHUNK_ROWS + 10
+        text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
+        path = self.write(tmp_path, f"d.{fmt}", text)
+        expected = outcome(load_reference, path, fmt, None)
+        row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row-wise columns"))
+        with mock.patch.object(dataset_module, "_csv_chunk", row_path), \
+                mock.patch.object(dataset_module, "_jsonl_chunk", row_path):
+            got = load_dataset(path, format=fmt)
+        assert (got.catalog, got.call_ids, got.arms, got.platforms) == expected[:4]
+        assert (got.ratings.tolist(), got.selections.tolist()) == expected[4:]
+
+    def test_csv_quote_in_chunk_3_hands_the_rest_of_the_file_to_csv(self, tmp_path):
+        size = 4
+        lines = csv_rows(6 * size).splitlines(keepends=True)
+        # a quoted line break on the last line of chunk 3: the record runs on into chunk 4
+        lines[3 * size - 1] = '"call\nid"' + lines[3 * size - 1][lines[3 * size - 1].index(","):]
+        path = self.write(tmp_path, "d.csv", CSV_HEAD + "".join(lines))
+        tail = mock.Mock(wraps=dataset_module._csv_tail_chunk)
+        rows = mock.Mock(wraps=dataset_module._csv_chunk)
+        with mock.patch.object(dataset_module, "_csv_tail_chunk", tail), \
+                mock.patch.object(dataset_module, "_csv_chunk", rows):
+            got = assert_same_outcome(path, "csv", chunk_rows=size)
+        assert got[1][3 * size - 1] == "call\nid" and len(got[1]) == 6 * size
+        # chunks 1 and 2 are read from their tails, chunk 3 tries and fails
+        assert tail.call_count == 3
+        # from chunk 3 on, every record goes through csv.reader and the column checks
+        assert [call.args[1] for call in rows.call_args_list] == [2 + c * size for c in range(2, 6)]
+        assert sum(len(call.args[0]) for call in rows.call_args_list) == 4 * size
 
     def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
         # read as one array, the two lines are two records; each line alone is not one

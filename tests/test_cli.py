@@ -240,7 +240,7 @@ class TestEvaluate:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("toksel: error: --k-max") and err.count("\n") == 1
+        assert err.splitlines()[-1] == f"toksel evaluate: error: argument --k-max: must be >= 1, got {k_max}"
         assert not (tmp_path / "r").exists()
 
     def test_trees_checked_with_the_table_scorer(self, tmp_path, capsys):
@@ -251,7 +251,7 @@ class TestEvaluate:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "toksel: error: trees must be >= 1\n"
+        assert err.splitlines()[-1] == "toksel evaluate: error: argument --trees: must be >= 1, got 0"
         assert not (tmp_path / "r").exists()
 
     def test_forest_scorer_accepted(self, tmp_path):
@@ -370,7 +370,7 @@ class TestAudit:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("toksel: error: tolerance") and err.count("\n") == 1
+        assert err.splitlines()[-1] == f"toksel audit: error: argument --tolerance: must be finite and >= 0, got {tolerance}"
         assert not (tmp_path / "audit.json").exists()
 
     def test_rerun_identical_output(self, tmp_path):
@@ -395,6 +395,21 @@ def test_negative_seed_is_usage_error(command, tmp_path, capsys):
     assert code == 1
     assert "Traceback" not in err
     assert err.splitlines()[-1].endswith(": error: argument --seed: must be >= 0, got " + command[command.index("--seed") + 1])
+
+
+@pytest.mark.parametrize("command", [
+    ["abtest", "--control", "MISSING", "--treatment", "MISSING", "--alpha", "0"],
+    ["select", "--input", "MISSING", "--k", "0"],
+    ["evaluate", "--input", "MISSING", "--k-max", "0", "--seed", "1", "--output", "r"],
+    ["evaluate", "--input", "MISSING", "--k-max", "2", "--seed", "1", "--trees", "0", "--output", "r"],
+    ["audit", "--input", "MISSING", "--trials", "0", "--seed", "1"],
+    ["audit", "--input", "MISSING", "--trials", "5", "--seed", "1", "--tolerance", "nan"],
+])
+def test_bad_numeric_flag_is_refused_before_any_input_is_read(command, tmp_path, capsys):
+    # the input does not exist: reading it would exit 2
+    code = main([str(tmp_path / "missing.csv") if arg == "MISSING" else arg for arg in command])
+    assert code == 1
+    assert ": error: argument --" in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestTopLevel:

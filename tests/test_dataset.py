@@ -184,11 +184,12 @@ TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\r\n'))
 
 
 @st.composite
-def any_dataset(draw, min_records=0):
-    """Arbitrary text in call ids, platforms and token labels; unrated rows included."""
-    labels = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(min_records, 5))
-    texts = st.lists(TEXT, min_size=n, max_size=n)
+def any_dataset(draw, min_records=0, max_records=5, text=TEXT, label=TEXT):
+    """Text drawn from `text` in call ids and platforms and from `label` in token
+    labels, arbitrary by default; unrated rows included."""
+    labels = draw(st.lists(label, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_records, max_records))
+    texts = st.lists(text, min_size=n, max_size=n)
     cells = draw(st.lists(st.integers(0, 1), min_size=n * len(labels), max_size=n * len(labels)))
     return Dataset(
         TokenCatalog.from_labels(labels),

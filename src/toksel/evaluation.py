@@ -150,7 +150,9 @@ class TableScorer:
     def predict(self, selections: np.ndarray) -> np.ndarray:
         if self._scores is None:
             raise ParameterError("scorer is not fitted")
-        X = np.asarray(selections)[:, list(self.subset)]
+        X = np.asarray(selections)
+        check_subset(self.subset, X.shape[1])
+        X = X[:, list(self.subset)]
         cells, n_cells = cell_ids(np.vstack([self._cells, X]), range(len(self.subset)))
         fitted = self._cells.shape[0]
         scores = np.full(n_cells, self.prior_)
@@ -168,7 +170,10 @@ class ForestScorer:
 
     A tree grows on the distinct training rows, each weighted by how
     often the tree's bootstrap drew it with each label: the same tree,
-    bit for bit, as one grown on the drawn records themselves.
+    bit for bit, as one grown on the drawn records themselves. Every
+    count a node needs is one integer sum over its rows of a per-tree
+    count row, and the candidates are drawn node by node in depth-first
+    order, as the record-by-record forest draws them.
     """
 
     def __init__(self, subset: Sequence[int], trees: int = 100, seed=None):
@@ -181,45 +186,61 @@ class ForestScorer:
 
     # tree nodes are (feature, left, right) tuples; leaves are floats
 
-    def _grow(self, rows: np.ndarray, w: np.ndarray, idx: np.ndarray, remaining: list[int], rng) -> object:
-        """Tree over the distinct rows `idx`, row i drawn w[i, 0] times not poor and w[i, 1] times poor."""
-        n0, n1 = (int(c) for c in w[idx].sum(axis=0))
-        n = n0 + n1
+    def _grow(
+        self, columns: np.ndarray, counts: np.ndarray, idx: np.ndarray, n: int, n1: int, remaining: list[int], rng
+    ) -> object:
+        """Tree over the distinct rows `idx`, drawn n times in all, n1 of them poor.
+
+        Row i's count row `counts[i]` is [n_i·x_i0 … n_i·x_i(k-1), n1_i·x_i0 …
+        n1_i·x_i(k-1)]: row i was drawn n_i times, n1_i of them poor, and x_if is
+        its feature f, also held as the bool column `columns[f]`. Summed over a
+        node's rows, the count rows give, for every feature, how many draws and
+        poor draws a split on it sends right: one integer gather and sum per node.
+        """
         if n1 == 0 or n1 == n or not remaining:
             return n1 / n
-        m = max(1, int(round(math.sqrt(len(self.subset)))))
+        k = len(self.subset)
+        m = max(1, int(round(math.sqrt(k))))
         if len(remaining) <= m:
-            cand = list(remaining)
+            cand = remaining
         else:
-            cand = sorted(rng.choice(remaining, size=m, replace=False).tolist())
-
-        feat = self._best_split(rows, w, idx, cand, n, n1)
+            cand = sorted([remaining[i] for i in rng.choice(len(remaining), size=m, replace=False).tolist()])
+        sums = np.add.reduce(counts[idx]).tolist()
+        right_n, right_n1 = sums[:k], sums[k:]
+        feat = self._best_split(right_n, right_n1, cand, n, n1)
         if feat is None:
             # sampled candidates were constant here; fall back to all remaining
-            feat = self._best_split(rows, w, idx, remaining, n, n1)
+            feat = self._best_split(right_n, right_n1, remaining, n, n1)
         if feat is None:
             return n1 / n
-        right = rows[idx, feat] == 1
+        right = columns[feat][idx]
         rest = [f for f in remaining if f != feat]
+        nr, r1 = right_n[feat], right_n1[feat]
         return (
             feat,
-            self._grow(rows, w, idx[~right], rest, rng),
-            self._grow(rows, w, idx[right], rest, rng),
+            self._grow(columns, counts, idx[~right], n - nr, n1 - r1, rest, rng),
+            self._grow(columns, counts, idx[right], nr, r1, rest, rng),
         )
 
     @staticmethod
-    def _best_split(rows, w, idx, candidates, n, n1):
-        """The candidate of largest Gini gain (the first of equal gains), or None if all are constant."""
-        r0, r1 = w[idx].T @ (rows[np.ix_(idx, candidates)] == 1)
-        nr = r0 + r1
-        ok = np.flatnonzero((nr > 0) & (nr < n))
-        if ok.size == 0:
-            return None
-        nr, r1 = nr[ok], r1[ok]
-        nl, l1 = n - nr, n1 - r1
-        gini = (nl * 2.0 * (l1 / nl) * (1.0 - l1 / nl) + nr * 2.0 * (r1 / nr) * (1.0 - r1 / nr)) / n
+    def _best_split(right_n, right_n1, candidates, n, n1):
+        """The candidate of largest Gini gain (the first of equal gains), or None if all
+        are constant. Feature f sends right_n[f] draws, right_n1[f] of them poor, right.
+
+        The counts are exact Python ints, so each float operation, taken in the
+        record-by-record forest's order, rounds to the same bits as there.
+        """
+        best, best_gain = None, -math.inf
         parent = 2.0 * (n1 / n) * (1.0 - n1 / n)
-        return candidates[ok[np.argmax(parent - gini)]]
+        for f in candidates:
+            nr, r1 = right_n[f], right_n1[f]
+            if nr == 0 or nr == n:
+                continue
+            nl, l1 = n - nr, n1 - r1
+            gini = (nl * 2.0 * (l1 / nl) * (1.0 - l1 / nl) + nr * 2.0 * (r1 / nr) * (1.0 - r1 / nr)) / n
+            if parent - gini > best_gain:
+                best, best_gain = f, parent - gini
+        return best
 
     def fit(self, selections: np.ndarray, labels: np.ndarray) -> "ForestScorer":
         X = np.asarray(selections)
@@ -228,38 +249,54 @@ class ForestScorer:
         n1 = int(y.sum())
         if n1 == 0 or n1 == y.size:
             raise DataError("training data must contain both poor and non-poor calls")
-        cells, rows = distinct_rows(X, self.subset)
+        cells, columns = self._distinct_columns(X)
+        bits = columns.T
         keys = cells * 2 + y
         rng = np.random.default_rng(self.seed)
         n = y.size
-        features = list(range(len(self.subset)))
+        k = len(self.subset)
+        features = list(range(k))
+        counts = np.empty((bits.shape[0], 2 * k), dtype=np.int64)
         self._roots = []
         for _ in range(self.trees):
             boot = rng.integers(0, n, size=n)
-            w = np.bincount(keys[boot], minlength=2 * rows.shape[0]).reshape(-1, 2)
-            self._roots.append(self._grow(rows, w, np.flatnonzero(w.any(axis=1)), features, rng))
+            w = np.bincount(keys[boot], minlength=2 * bits.shape[0]).reshape(-1, 2)
+            drawn = w.sum(axis=1)
+            np.multiply(drawn[:, None], bits, out=counts[:, :k])
+            np.multiply(w[:, 1:], bits, out=counts[:, k:])
+            root = self._grow(columns, counts, np.flatnonzero(drawn), n, int(w[:, 1].sum()), features, rng)
+            self._roots.append(root)
         return self
 
+    def _distinct_columns(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's distinct row under the subset, and the distinct rows'
+        features as bools, one contiguous row per feature."""
+        cells, rows = distinct_rows(X, self.subset)
+        return cells, np.ascontiguousarray((rows == 1).T)
+
     @staticmethod
-    def _predict_tree(node, rows, idx, out):
+    def _predict_tree(node, columns, idx, out):
         if isinstance(node, float):
             out[idx] = node
             return
         feat, left, right = node
-        mask = rows[idx, feat] == 1
-        ForestScorer._predict_tree(left, rows, idx[~mask], out)
-        ForestScorer._predict_tree(right, rows, idx[mask], out)
+        mask = columns[feat][idx]
+        ForestScorer._predict_tree(left, columns, idx[~mask], out)
+        ForestScorer._predict_tree(right, columns, idx[mask], out)
 
     def predict(self, selections: np.ndarray) -> np.ndarray:
         if self._roots is None:
             raise ParameterError("scorer is not fitted")
+        X = np.asarray(selections)
+        check_subset(self.subset, X.shape[1])
         # each distinct row walks each tree once; its records share the result
-        cells, rows = distinct_rows(np.asarray(selections), self.subset)
-        total = np.zeros(rows.shape[0], dtype=np.float64)
-        scratch = np.empty(rows.shape[0], dtype=np.float64)
-        idx = np.arange(rows.shape[0])
+        cells, columns = self._distinct_columns(X)
+        n_rows = columns.shape[1]
+        total = np.zeros(n_rows, dtype=np.float64)
+        scratch = np.empty(n_rows, dtype=np.float64)
+        idx = np.arange(n_rows)
         for root in self._roots:
-            self._predict_tree(root, rows, idx, scratch)
+            self._predict_tree(root, columns, idx, scratch)
             total += scratch
         return (total / len(self._roots))[cells]
 
@@ -327,7 +364,8 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     Each split is drawn, scored for every subset and dropped before the
     next, so memory does not grow with the number of splits. The table
     scorer keys each subset's cells once and scores them from the split's
-    pattern counts; the forest scorer fits on the split's records.
+    pattern counts. The forest scorer slices the split's training and
+    test records once, then fits and predicts every subset on them.
     """
     y = dataset.rated_pc
     splits = plan.partitions(y.size)
@@ -345,9 +383,10 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
             for i, (c, n_cells) in enumerate(cells):
                 out[i, j] = _table_auc(c, n_cells, train, test)
         else:
+            X_train, y_train, X_test, y_test = X[train_idx], y[train_idx], X[test_idx], y[test_idx]
             for i, s in enumerate(subsets):
-                scorer = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X[train_idx], y[train_idx])
-                out[i, j] = auc(scorer.predict(X[test_idx]), y[test_idx])
+                scorer = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X_train, y_train)
+                out[i, j] = auc(scorer.predict(X_test), y_test)
     return out
 
 

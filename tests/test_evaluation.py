@@ -20,7 +20,13 @@ from toksel.evaluation import (
 )
 from toksel.infotheory import cell_counts, information_gain
 from toksel.selection import select_auc_greedy, select_rits
-from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
+from toksel.synthgen import (
+    GeneratorConfig,
+    LatentCause,
+    demo_experiment_config,
+    generate_truth,
+    generator_from_config,
+)
 from toksel.dataset import TokenCatalog
 
 from conftest import make_dataset, pc_to_rating
@@ -318,12 +324,46 @@ def test_forest_equals_record_forest(data, trees, seed):
         assert _split_aucs(ds, [tuple(sorted(subset))], plan, "forest", trees=trees)[0].tolist() == expected
 
 
+def _depth(node):
+    return 0 if isinstance(node, float) else 1 + max(_depth(node[1]), _depth(node[2]))
+
+
+@pytest.mark.parametrize("subset", [tuple(range(15)), (0, 2, 3, 5, 8, 9, 12, 14)], ids=["k15", "k8"])
+def test_forest_equals_record_forest_at_catalog_width(subset):
+    """Demo calls at full catalog width: sqrt(15) rounds to 4 candidates per node and
+    the trees grow deeper than 7, which the small property cases never reach."""
+    cfg = demo_experiment_config()
+    cfg["n_calls"] = 4000
+    ds = generate_truth(generator_from_config(cfg))
+    X, y = ds.rated_selections, ds.rated_pc
+    train, test, scorer_seed = next(SplitPlan(splits=1, master_seed=5).partitions(y.size))
+    new = ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
+    ref = reference_forest.ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
+    assert new._roots == ref._roots
+    assert max(_depth(root) for root in new._roots) > 7
+    probe = np.random.default_rng(5).integers(0, 2, size=(2000, X.shape[1]), dtype=np.uint8)
+    for rows in (X[test], probe):
+        assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
+
+
+def _predict_on_fewer_columns(scorer):
+    """Fit on the dataset plus one column, so that the `n_tokens` subset fits, then predict on the dataset."""
+
+    def use(ds, subset):
+        X = ds.rated_selections
+        return scorer(subset).fit(np.hstack([X, X[:, :1]]), ds.rated_pc).predict(X)
+
+    return use
+
+
 SUBSET_USERS = {
     "information_gain": information_gain,
     "cell_counts": cell_counts,
     "jaccard_set": jaccard_set,
     "TableScorer.fit": lambda ds, s: TableScorer(s).fit(ds.rated_selections, ds.rated_pc),
     "ForestScorer.fit": lambda ds, s: ForestScorer(s, trees=2, seed=0).fit(ds.rated_selections, ds.rated_pc),
+    "TableScorer.predict": _predict_on_fewer_columns(TableScorer),
+    "ForestScorer.predict": _predict_on_fewer_columns(lambda s: ForestScorer(s, trees=2, seed=0)),
 }
 
 

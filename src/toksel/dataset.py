@@ -6,19 +6,20 @@ that binary label is what every downstream statistic conditions on.
 Records without a star rating are kept for response-rate analysis but
 carry no poor-call label.
 
-Files are read in chunks of lines. A line as `save_dataset` writes it
-ends in a tail whose text depends only on the catalog: ",c,c,...,c" and
-the line end in CSV, ', "selections": {"<label>": c, ...}}' in JSONL
-(labels in the first record's order). When every line of a chunk ends
-in the tail with 0 or 1 in each cell (`_Tail`), the cells are read by
-array compares and only each line's head is parsed: one split at its
-three commas (CSV, when no head holds a quote or a NUL), or one batched
-`json.loads` of head + "}" (JSONL). A chunk that
-fails a guard is read as before, so every error is the same: a CSV
-chunk holding a quote hands itself and the rest of the file to
-csv.reader, since a quoted field may hold a line break; any other CSV
-chunk goes alone through csv.reader; a JSONL chunk goes through
-`_jsonl_objects`.
+Files are read in chunks of lines, each in one of two ways. A line as
+`save_dataset` writes it ends in a tail whose text depends only on the
+catalog: ",c,c,...,c" and the line end in CSV, ', "selections":
+{"<label>": c, ...}}' in JSONL (labels in the first record's order).
+When every line of a chunk ends in the tail with 0 or 1 in each cell
+(`_Tail`), the cells are read by array compares and only each line's
+head is parsed: one split at its three commas (CSV, when no head holds
+a quote or a NUL), or one batched `json.loads` of head + "}" (JSONL).
+Any other chunk is read row by row, and each row goes through the row
+check that names its first error (`_check_csv_row`,
+`_check_jsonl_record`): a CSV chunk holding a quote hands itself and
+the rest of the file to csv.reader, since a quoted field may hold a
+line break; any other CSV chunk goes alone through csv.reader; a JSONL
+chunk is decoded line by line by `_jsonl_objects`.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def filter_dataset(
         raise ParameterError(f"unknown arm {arm!r}")
     keep = np.ones(len(dataset), dtype=bool)
     if arm is not None:
-        keep &= np.array([a == arm for a in dataset.arms])
+        keep &= np.fromiter(map(arm.__eq__, dataset.arms), bool, len(dataset))
     if rated_only:
         keep &= dataset.rated_mask
     if responded_only:
@@ -506,12 +507,12 @@ def _text_errors(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-# Rows read, checked and converted at a time: one chunk's parsed rows are
-# alive at once, and each check runs over a whole column of the chunk.
+# Lines or rows read, checked and converted at a time: one chunk's parsed
+# rows are alive at once.
 _CHUNK_ROWS = 4096
 
 # Rating cells as written. Other text that int() reads (" 3", "+3") is valid
-# too: its chunk goes through the row checks.
+# too: its chunk goes through the row check.
 _CSV_RATINGS = {"": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}
 # Looked up after a type check: True == 1 and 1.0 == 1, but neither is a rating.
 _JSON_RATINGS = {None: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
@@ -568,7 +569,8 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
             quoted = '"' in "".join(lines)
             rows = csv.reader(chain(lines, chain.from_iterable(chunks)) if quoted else lines)
             for chunk in _chunks(rows):
-                columns.add(*_csv_chunk(chunk, row_no, labels, col_order))
+                numbered = enumerate(chunk, row_no)
+                columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
                 row_no += len(chunk)
             if quoted:
                 break
@@ -641,8 +643,8 @@ def _csv_tail_chunk(lines: list[str], tail: _Tail):
     three commas: no head holds a quote or a NUL (which csv refuses before
     Python 3.11), and none is longer than csv's field size limit. No head
     holds a carriage return or a line feed, since a file read with
-    newline="" ends a line at either. The arm and rating checks are
-    `_csv_chunk`'s.
+    newline="" ends a line at either. The arms and ratings must be ones
+    `_check_csv_row` accepts unchanged.
     """
     split = tail.split(lines)
     if split is None:
@@ -666,41 +668,18 @@ def _csv_tail_chunk(lines: list[str], tail: _Tail):
     return fields[0::4], arms, fields[2::4], ratings, cells
 
 
-def _csv_chunk(chunk: list[list[str]], first_row: int, labels: list[str], col_order: list[int]):
-    """call_id, arm, platform, rating and catalog-ordered cell columns of CSV rows.
-
-    Each check runs on whole columns. A chunk that fails one goes through
-    `_check_csv_row` row by row, which raises the first bad row's error.
-    """
-    base = len(BASE_COLUMNS)
-    if set(map(len, chunk)) == {base + len(labels)}:
-        fields = list(zip(*chunk))
-        tokens = [fields[base + j] for j in col_order]
-        if (
-            set(fields[1]) <= set(ARMS)
-            and set(fields[3]) <= _CSV_RATINGS.keys()
-            and all(map({"0", "1"}.issuperset, tokens))  # per cell: "" next to "11" fails
-        ):
-            ratings = np.fromiter(map(_CSV_RATINGS.__getitem__, fields[3]), np.int16, len(chunk))
-            text = "".join(chain.from_iterable(tokens)).encode()
-            cells = np.frombuffer(text, np.uint8).reshape(len(tokens), len(chunk)) - ord("0")
-            return (*fields[:3], ratings, cells.T)
-    numbered = enumerate(chunk, first_row)
-    return zip(*(_check_csv_row(row, row_no, labels, col_order) for row_no, row in numbered))
-
-
 def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: list[int]):
-    """A CSV row's call_id, arm, platform, rating and catalog-ordered cells, or its first error."""
+    """A CSV row's call_id, arm, platform, rating and catalog-ordered cells (True for "1"), or its first error."""
     if len(row) != len(BASE_COLUMNS) + len(labels):
         raise DataError(f"row {row_no}: expected {len(BASE_COLUMNS) + len(labels)} columns, got {len(row)}")
     if row[1] not in ARMS:
         raise DataError(f"row {row_no}: unknown arm {row[1]!r}")
     rating = _parse_rating(row[3], row_no)
-    cells = [row[len(BASE_COLUMNS) + j] for j in col_order]
-    for text, j in zip(cells, col_order):
-        if text not in ("0", "1"):
-            raise DataError(f"row {row_no}: token cell for {labels[j]!r} must be 0 or 1, got {text!r}")
-    return (*row[:3], rating, [int(text) for text in cells])
+    cells = row[len(BASE_COLUMNS):]
+    if not {"0", "1"}.issuperset(cells):
+        j = next(j for j in col_order if cells[j] not in ("0", "1"))
+        raise DataError(f"row {row_no}: token cell for {labels[j]!r} must be 0 or 1, got {cells[j]!r}")
+    return (*row[:3], rating, [cells[j] == "1" for j in col_order])
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
@@ -725,7 +704,7 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
             if error is not None or (got is None and not objs):
                 continue
             try:
-                columns.add(*(got or _jsonl_chunk(rows, objs, cat)))
+                columns.add(*(got or zip(*map(_check_jsonl_record, objs, rows, repeat(cat.labels)))))
             except DataError as exc:
                 error = exc
     if error is not None:
@@ -759,44 +738,49 @@ def _jsonl_tail_chunk(lines: list[str], tail: _Tail):
     """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL
     lines that each end in `tail`, or None when a guard fails.
 
-    The heads are decoded as head + "}" under `_decoded`'s guard, and the
-    objects must pass `_jsonl_chunk`'s column checks, so each has at least
-    one member. Then the parser stands after a member value of the line's
-    outermost object at the end of the head: so head + tail is that object
-    with the tail's selections as one more member, which wins over a
+    The heads are decoded as head + "}" under `_decoded`'s guard, and
+    each object must hold a call_id, an arm and a platform, so it has at
+    least one member. Then the parser stands after a member value of the
+    line's outermost object at the end of the head: so head + tail is that
+    object with the tail's selections as one more member, which wins over a
     selections member of the head, as `json.loads` keeps the last value of
-    a repeated key.
+    a repeated key. The arms and ratings must be ones `_check_jsonl_record`
+    accepts unchanged.
     """
     split = tail.split(lines)
     if split is None:
         return None
     heads, cells = split
     objs = _decoded([head + "}" for head in heads])
-    base = None if objs is None else _jsonl_base(objs)
-    return None if base is None else (*base, cells)
+    if objs is None:
+        return None
+    try:
+        call_ids, arms, platforms = zip(*map(itemgetter("call_id", "arm", "platform"), objs))
+    except KeyError:
+        return None
+    ratings = list(map(dict.get, objs, repeat("rating")))
+    if not (
+        all(map(ARMS.__contains__, arms))
+        and set(map(type, ratings)) <= {int, type(None)}
+        and set(ratings) <= _JSON_RATINGS.keys()
+    ):
+        return None
+    ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
+    return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells
 
 
 def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[dict]]:
-    """Line numbers and objects of the non-blank lines of `lines`, numbered from `first_row`.
-
-    The lines are decoded at once by `_decoded` when its guard holds and
-    each object's selections, if present, are an object. Otherwise each
-    line is decoded on its own, which raises the first bad line's error.
-    """
+    """Line numbers and objects of the non-blank lines of `lines`, numbered from
+    `first_row`; the first line that is not a JSON object raises its error."""
     texts = list(map(str.strip, lines))
     rows = [row_no for row_no, text in enumerate(texts, first_row) if text]
-    if len(rows) < len(texts):
-        texts = list(filter(None, texts))
-    objs = _decoded(texts)
-    if objs is not None and set(map(type, map(dict.get, objs, repeat("selections"), repeat({})))) <= {dict}:
-        return rows, objs
-    return rows, list(map(_jsonl_object, texts, rows))
+    return rows, list(map(_jsonl_object, filter(None, texts), rows))
 
 
 def _decoded(texts: list[str]) -> Optional[list[dict]]:
-    """The JSON object each of `texts` holds, from one `json.loads` of "[" +
-    ",\n".join(texts) + "]"; None unless that shows each text holds exactly
-    one object.
+    """The JSON object each of `texts` (the tail heads + "}") holds, from one
+    `json.loads` of "[" + ",\n".join(texts) + "]"; None unless that shows
+    each text holds exactly one object.
 
     It does when every text starts with "{", the joined text holds no "[",
     and the result is one object per text. Strict JSON has no raw line
@@ -828,52 +812,9 @@ def _jsonl_object(text: str, row_no: int) -> dict:
     return obj
 
 
-def _jsonl_chunk(rows: list[int], objs: list[dict], cat: TokenCatalog):
-    """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL records.
-
-    Checked as `_csv_chunk` checks CSV rows, with `_check_jsonl_record` as the row check.
-    """
-    base = _jsonl_base(objs)
-    try:
-        selections = list(map(itemgetter("selections"), objs))
-        cells = list(map(itemgetter(*cat.labels), selections))
-    except KeyError:
-        cells = None
-    else:
-        # itemgetter of one key returns the value itself, not a 1-tuple
-        if len(cat) > 1:
-            cells = list(chain.from_iterable(cells))
-    if (
-        base is not None
-        and cells is not None
-        and set(map(len, selections)) == {len(cat)}
-        and set(map(type, cells)) == {int}
-        and set(cells) <= {0, 1}
-    ):
-        cells = np.fromiter(cells, np.uint8, len(cells)).reshape(len(objs), len(cat))
-        return (*base, cells)
-    return zip(*(_check_jsonl_record(obj, row_no, cat) for row_no, obj in zip(rows, objs)))
-
-
-def _jsonl_base(objs: list[dict]):
-    """call_id, arm, platform and rating columns of JSONL records, or None when a column check fails."""
-    try:
-        call_ids, arms, platforms = zip(*map(itemgetter("call_id", "arm", "platform"), objs))
-    except KeyError:
-        return None
-    ratings = list(map(dict.get, objs, repeat("rating")))
-    if not (
-        all(map(ARMS.__contains__, arms))
-        and set(map(type, ratings)) <= {int, type(None)}
-        and set(ratings) <= _JSON_RATINGS.keys()
-    ):
-        return None
-    ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
-    return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings
-
-
-def _check_jsonl_record(obj: dict, row_no: int, cat: TokenCatalog):
-    """A JSONL record's call_id, arm, platform, rating and catalog-ordered cells, or its first error."""
+def _check_jsonl_record(obj: dict, row_no: int, labels: list[str]):
+    """A JSONL record's call_id, arm, platform, rating and cells in the order
+    of the catalog's `labels`, or its first error."""
     for key in _JSONL_KEYS:
         if key not in obj:
             raise SchemaError(f"row {row_no}: missing key {key!r}")
@@ -881,16 +822,18 @@ def _check_jsonl_record(obj: dict, row_no: int, cat: TokenCatalog):
         raise DataError(f"row {row_no}: unknown arm {obj['arm']!r}")
     rating = obj.get("rating")
     rating = 0 if rating is None else _parse_rating(str(rating), row_no)
-    selections, label_set = obj["selections"], set(cat.labels)
-    for lab, val in selections.items():
-        if lab not in label_set:
-            raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
-        # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
-        if type(val) is not int or val not in (0, 1):
-            raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
-    if len(selections) != len(cat):
+    selections = obj["selections"]
+    cells = list(map(selections.get, labels))
+    # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
+    if len(selections) != len(labels) or set(map(type, cells)) != {int} or not {0, 1}.issuperset(cells):
+        label_set = set(labels)
+        for lab, val in selections.items():
+            if lab not in label_set:
+                raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
+            if type(val) is not int or val not in (0, 1):
+                raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
+        # every key is a label with a 0/1 cell, so some label has no key
         raise SchemaError(f"row {row_no}: missing token keys {sorted(label_set - set(selections))}")
-    cells = [selections[label] for label in cat.labels]
     return str(obj["call_id"]), obj["arm"], str(obj["platform"]), rating, cells
 
 

@@ -1,4 +1,4 @@
-"""The chunked, column-wise loaders and writers against the row-by-row reference ones.
+"""The chunked loaders and the writers against the row-by-row reference ones.
 
 On every file both loaders must return an equal Dataset, or raise the
 same exception type with the same message: same row, same precedence.
@@ -40,7 +40,7 @@ BAD_ARMS = ["groupB", "", "Control", " none", "none "]
 JSON_ODD_RATINGS = [True, False, 1.0, 3.0, "3", " 3", "x", 0, 6, -1, [3], {}]
 # the first four equal 0 or 1, but are not JSON integers
 JSON_BAD_CELLS = [True, False, 1.0, 0.0, "1", 2, -1, None, [1]]
-# "[" in a text value keeps a chunk off the one-decode path
+# "[" in a text value keeps a chunk off the tail heads' one decode
 JSON_VALUES = st.one_of(
     TEXT, st.sampled_from(["[", "a[0]"]), st.integers(-5, 5), st.none(), st.booleans(), st.just([1, "a"])
 )
@@ -457,9 +457,9 @@ class TestCases:
         text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
         path = self.write(tmp_path, f"d.{fmt}", text)
         expected = outcome(load_reference, path, fmt, None)
-        row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row-wise columns"))
-        with mock.patch.object(dataset_module, "_csv_chunk", row_path), \
-                mock.patch.object(dataset_module, "_jsonl_chunk", row_path):
+        row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row checks"))
+        with mock.patch.object(dataset_module, "_check_csv_row", row_path), \
+                mock.patch.object(dataset_module, "_check_jsonl_record", row_path):
             got = load_dataset(path, format=fmt)
         assert (got.catalog, got.call_ids, got.arms, got.platforms) == expected[:4]
         assert (got.ratings.tolist(), got.selections.tolist()) == expected[4:]
@@ -471,16 +471,15 @@ class TestCases:
         lines[3 * size - 1] = '"call\nid"' + lines[3 * size - 1][lines[3 * size - 1].index(","):]
         path = self.write(tmp_path, "d.csv", CSV_HEAD + "".join(lines))
         tail = mock.Mock(wraps=dataset_module._csv_tail_chunk)
-        rows = mock.Mock(wraps=dataset_module._csv_chunk)
+        rows = mock.Mock(wraps=dataset_module._check_csv_row)
         with mock.patch.object(dataset_module, "_csv_tail_chunk", tail), \
-                mock.patch.object(dataset_module, "_csv_chunk", rows):
+                mock.patch.object(dataset_module, "_check_csv_row", rows):
             got = assert_same_outcome(path, "csv", chunk_rows=size)
         assert got[1][3 * size - 1] == "call\nid" and len(got[1]) == 6 * size
         # chunks 1 and 2 are read from their tails, chunk 3 tries and fails
         assert tail.call_count == 3
-        # from chunk 3 on, every record goes through csv.reader and the column checks
-        assert [call.args[1] for call in rows.call_args_list] == [2 + c * size for c in range(2, 6)]
-        assert sum(len(call.args[0]) for call in rows.call_args_list) == 4 * size
+        # from chunk 3 on, every record goes through csv.reader and the row check
+        assert [call.args[1] for call in rows.call_args_list] == list(range(2 + 2 * size, 2 + 6 * size))
 
     def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
         # read as one array, the two lines are two records; each line alone is not one

@@ -4,7 +4,8 @@ Stages hand off through files. Every command is a pure function of its
 inputs, flags, and seed; each run that writes files also writes a
 manifest recording the input digest, the seed, and the digests of every
 output, so reruns can be checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
-3 capacity exceeded (only `select --strategy exhaustive`'s enumeration cap).
+3 capacity exceeded (`select --strategy exhaustive`'s enumeration cap, or a run that
+needs more memory than the machine can give or address, such as an impossible `n_calls`).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .abtest import run_abtest
+from .abtest import DENOMINATORS, run_abtest
 from .dataset import Dataset, TokenCatalog, load_dataset, save_dataset
 from .errors import CapacityError, DataError, ParameterError
-from .evaluation import SplitPlan, evaluate_subsets, report_to_json_text
+from .evaluation import SCORERS, SplitPlan, evaluate_subsets, report_to_json_text
 from .infotheory import audit_monotonicity, audit_submodularity
 from .selection import STRATEGIES
 from .synthgen import (
@@ -59,6 +60,11 @@ non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 open_fraction = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 finite_non_negative = _bounded(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+strategy_list = _bounded(
+    lambda text: [s.strip() for s in text.split(",") if s.strip()],
+    lambda v: v and set(v) <= STRATEGIES.keys(),
+    f"a comma-separated list of {', '.join(STRATEGIES)}",
+)
 
 
 # files are hashed a block at a time, so that no input or output is held whole
@@ -183,15 +189,11 @@ def cmd_evaluate(args):
     n_tokens = len(dataset.catalog)
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {s!r} (choose from {', '.join(STRATEGIES)})")
 
     # greedy traces are prefixes of the full-catalog trace, which also gives the 90%/94% lines
     traces = []
     full = None
-    for s in strategies:
+    for s in args.strategies:
         if s in ("rits", "rits_lazy"):
             trace = STRATEGIES[s](dataset, n_tokens, args.seed, args.splits, args.train_frac)
             if full is None:
@@ -223,7 +225,7 @@ def cmd_evaluate(args):
 
     flags = {
         "input": Path(args.input).name,
-        "strategies": strategies,
+        "strategies": args.strategies,
         "k_max": args.k_max,
         "splits": args.splits,
         "train_frac": args.train_frac,
@@ -312,12 +314,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="score strategies with repeated-split AUC and Jaccard")
     p.add_argument("--input", required=True)
-    p.add_argument("--strategies", default="rits,auc_greedy,random")
+    p.add_argument("--strategies", type=strategy_list, default="rits,auc_greedy,random")
     p.add_argument("--k-max", type=positive_int, required=True)
     p.add_argument("--splits", type=positive_int, default=100)
     p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--train-frac", type=open_fraction, default=0.7)
-    p.add_argument("--scorer", choices=["table", "forest"], default="table")
+    p.add_argument("--scorer", choices=SCORERS, default="table")
     p.add_argument("--trees", type=positive_int, default=100)
     p.add_argument("--output", required=True, help="report directory")
     _add_io_flags(p)
@@ -328,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--treatment", required=True)
     p.add_argument("--output", help="report JSON path")
     p.add_argument("--csv", help="per-token CSV path")
-    p.add_argument("--denominator", choices=["displays", "responders"], default="displays")
+    p.add_argument("--denominator", choices=DENOMINATORS, default="displays")
     p.add_argument("--alpha", type=open_fraction, default=0.01)
     _add_io_flags(p)
     p.set_defaults(func=cmd_abtest)
@@ -356,7 +358,8 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"toksel: error: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
+        # MemoryError: numpy could not allocate an array the run needs
         print(f"toksel: capacity error: {exc}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ParameterError -> 1 (usage),
-DataError and subclasses -> 2, CapacityError -> 3.
+DataError and subclasses -> 2, CapacityError and MemoryError -> 3.
 """
 
 
@@ -22,4 +22,4 @@ class UndefinedStatisticError(DataError):
 
 
 class CapacityError(RuntimeError):
-    """A configured capacity cap (the exhaustive search's subset count) was exceeded."""
+    """A capacity cap was exceeded: the exhaustive search's subset count, or calls numpy can address."""

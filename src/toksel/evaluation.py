@@ -23,6 +23,9 @@ from .errors import DataError, ParameterError, UndefinedStatisticError
 if TYPE_CHECKING:  # pragma: no cover
     from .selection import SelectionTrace
 
+# the repeated-split scorers: the pattern table (default) and the randomized-tree ensemble
+SCORERS = ("table", "forest")
+
 
 def auc(scores: Sequence[float], labels: Sequence[int], weights: Optional[Sequence[float]] = None) -> float:
     """Area under the ROC curve via the rank statistic, with midrank ties.
@@ -406,7 +409,7 @@ def evaluate_subsets(
     """
     if not traces:
         raise ParameterError("traces must be non-empty")
-    if scorer_kind not in ("table", "forest"):
+    if scorer_kind not in SCORERS:
         raise ParameterError(f"unknown scorer kind {scorer_kind!r}")
     if trees < 1:
         raise ParameterError("trees must be >= 1")

@@ -3,9 +3,7 @@
 All quantities are in bits. The estimator is the maximum-likelihood
 plug-in over empirical cell counts of rated records, taken from the
 dataset's pattern table (`Dataset.patterns`) so that one evaluation
-costs time in distinct token rows, not in records, with optional
-add-alpha smoothing (off by default: smoothing trades the exact
-monotonicity of the plug-in estimate for variance reduction).
+costs time in distinct token rows, not in records.
 
 Numerical note: conditional entropies are assembled from one term per
 occupied cell, n*log2(n) - n1*log2(n1) - n0*log2(n0), combined with
@@ -59,7 +57,7 @@ def cell_counts(dataset: Dataset, subset: Sequence[int]) -> np.ndarray:
 
 
 def _xlog2(n: np.ndarray) -> np.ndarray:
-    # n * log2(n) with n == 0 contributing 0; fractional n (add-alpha pseudocounts) included
+    # n * log2(n) with n == 0 contributing 0
     return n * np.log2(np.where(n > 0, n, 1.0))
 
 
@@ -144,32 +142,13 @@ class IgEvaluator:
         return max(0.0, (self.base_term - term_sum) / self.total)
 
 
-def information_gain(dataset: Dataset, subset: Sequence[int], alpha: float = 0.0) -> float:
+def information_gain(dataset: Dataset, subset: Sequence[int]) -> float:
     """Information gain of the poor-call label from a token subset, in bits.
 
-    Plug-in estimate H[pc] - H[pc | subset] over rated records. With
-    alpha > 0, every one of the 2^k * 2 cells receives an add-alpha
-    pseudocount (which breaks exact monotonicity).
+    Plug-in estimate H[pc] - H[pc | subset] over rated records.
     """
     subset = check_subset(subset, len(dataset.catalog))
-    if not 0 <= alpha < math.inf:
-        raise ParameterError(f"alpha must be a finite number >= 0, got {alpha}")
-    if alpha > 0:
-        return _smoothed_ig(dataset, subset, alpha)
     return IgEvaluator(dataset).ig(subset)
-
-
-def _smoothed_ig(dataset: Dataset, subset: Sequence[int], alpha: float) -> float:
-    counts = cell_counts(dataset, subset) + alpha
-    # the 2^k - n_cells empty cells each hold (alpha, alpha): summed in closed form
-    empty = 2.0 ** len(subset) - counts.shape[0]
-    pseudo = np.array([alpha])
-    n0 = counts[:, 0].sum() + empty * alpha
-    n1 = counts[:, 1].sum() + empty * alpha
-    cond = float(np.sum(_cell_terms(counts[:, 0], counts[:, 1])))
-    cond += empty * float(_cell_terms(pseudo, pseudo)[0])
-    base = float(_cell_terms(np.array([n0]), np.array([n1]))[0])
-    return (base - cond) / (n0 + n1)
 
 
 @dataclass(frozen=True)

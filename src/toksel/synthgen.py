@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, TokenCatalog
-from .errors import DataError, ParameterError
+from .dataset import ARMS, Dataset, TokenCatalog
+from .errors import CapacityError, DataError, ParameterError
 
 ORDER_POLICIES = ("fixed", "randomized")
 PANEL_POLICIES = ("fixed", "swapped_random")
@@ -85,6 +85,12 @@ class GeneratorConfig:
         for cause in self.latent_causes:
             if cause.token_weights.shape != (len(self.catalog),):
                 raise ParameterError("cause token_weights must match catalog size")
+        # generate_truth draws (n_calls, tokens) and (n_calls, causes) float64 arrays,
+        # whose byte counts numpy must be able to index
+        width = max(len(self.catalog), len(self.latent_causes))
+        limit = np.iinfo(np.intp).max // (width * np.dtype(np.float64).itemsize)
+        if self.n_calls > limit:
+            raise CapacityError(f"n_calls {self.n_calls} exceeds {limit}, the most calls numpy can address")
         if self.base_fire_rate.shape != (len(self.catalog),):
             raise ParameterError("base_fire_rate must have one entry per token")
         if ((self.base_fire_rate < 0) | (self.base_fire_rate > 1)).any():
@@ -234,7 +240,7 @@ def apply_presentation(
     """
     if not isinstance(truth, TruthDataset):
         raise ParameterError("truth must be a dataset produced by generate_truth")
-    if arm not in ("control", "treatment", "none"):
+    if arm not in ARMS:
         raise ParameterError(f"unknown arm {arm!r}")
     rng = np.random.default_rng(seed)
     n_tokens = len(truth.catalog)

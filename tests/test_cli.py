@@ -112,6 +112,17 @@ class TestGenerate:
     def test_missing_config_is_data_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "none.json"), "--output", str(tmp_path / "o")]) == 2
 
+    # 10**14 calls need a 728 TiB draw, past a 47-bit address space, so numpy refuses it
+    # without touching memory; 2**62 calls are past what numpy can index at all
+    @pytest.mark.parametrize("n_calls", [10**14, 2**62])
+    def test_impossible_n_calls_is_a_capacity_error(self, n_calls, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**MINIMAL_CONFIG, "n_calls": n_calls})
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("toksel: capacity error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_arms_tagged_in_files(self, tmp_path):
         cfg = write_config(tmp_path, TWO_ARM_CONFIG)
         out = tmp_path / "out"
@@ -410,6 +421,15 @@ def test_bad_numeric_flag_is_refused_before_any_input_is_read(command, tmp_path,
     code = main([str(tmp_path / "missing.csv") if arg == "MISSING" else arg for arg in command])
     assert code == 1
     assert ": error: argument --" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("strategies", ["bogus", "rits,bogus", ",,"])
+def test_strategies_are_refused_before_any_input_is_read(strategies, tmp_path, capsys):
+    # the input does not exist: reading it would exit 2
+    argv = ["evaluate", "--input", str(tmp_path / "missing.csv"), "--strategies", strategies,
+            "--k-max", "2", "--seed", "1", "--output", str(tmp_path / "r")]
+    assert main(argv) == 1
+    assert ": error: argument --strategies: must be " in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestTopLevel:

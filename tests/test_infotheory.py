@@ -215,20 +215,22 @@ class TestInformationGain:
         )
         assert information_gain(with_const, [0, 2]) == information_gain(with_const, [0])
 
-    def test_is_plug_in_mutual_information(self, hand_dataset):
-        # the mutual information of the empirical joint (cell, label) table, 0*log2(0) taken as 0
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 2.0])
+    def test_smoothing_is_add_alpha_mutual_information(self, hand_dataset, scale):
+        # the plug-in IG is the add-alpha mutual information at alpha = 0: the MI of the
+        # unsmoothed joint (cell, label) table of the rated records, 0*log2(0) taken as 0.
+        # It depends only on the table's proportions, so any positive scale of it agrees.
         rated = hand_dataset.rated_mask
         sel, pc = hand_dataset.selections[rated], hand_dataset.pc_labels[rated]
         for subset in ([0], [1], [0, 1]):
             joint = np.zeros((2 ** len(subset), 2))
             for row, label in zip(sel, pc):
-                joint[sum(row[t] << i for i, t in enumerate(subset)), label] += 1
+                joint[sum(row[t] << i for i, t in enumerate(subset)), label] += scale
             p = joint / joint.sum()
             px, py = p.sum(axis=1, keepdims=True), p.sum(axis=0, keepdims=True)
             ratio = np.where(p > 0, p / (px * py), 1.0)
             expected = float(np.sum(p * np.log2(ratio)))
             assert information_gain(hand_dataset, subset) == pytest.approx(expected, abs=1e-12)
-
 
 def _synthetic(seed=0, n_tokens=8, n_calls=1500):
     rng = np.random.default_rng(seed)

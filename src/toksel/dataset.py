@@ -6,20 +6,28 @@ that binary label is what every downstream statistic conditions on.
 Records without a star rating are kept for response-rate analysis but
 carry no poor-call label.
 
-Files are read in chunks of lines, each in one of two ways. A line as
-`save_dataset` writes it ends in a tail whose text depends only on the
-catalog: ",c,c,...,c" and the line end in CSV, ', "selections":
-{"<label>": c, ...}}' in JSONL (labels in the first record's order).
-When every line of a chunk ends in the tail with 0 or 1 in each cell
-(`_Tail`), the cells are read by array compares and only each line's
-head is parsed: one split at its three commas (CSV, when no head holds
-a quote or a NUL), or one batched `json.loads` of head + "}" (JSONL).
-Any other chunk is read row by row, and each row goes through the row
-check that names its first error (`_check_csv_row`,
-`_check_jsonl_record`): a CSV chunk holding a quote hands itself and
-the rest of the file to csv.reader, since a quoted field may hold a
-line break; any other CSV chunk goes alone through csv.reader; a JSONL
-chunk is decoded line by line by `_jsonl_objects`.
+A line as `save_dataset` writes it is a head (call_id, arm, platform
+and rating) and a tail whose text depends only on the catalog:
+",c,c,...,c" and the line end in CSV, ', "selections": {"<label>": c,
+...}}' and "\n" in JSONL (labels in the first record's order). One
+template, `_Tail`, both writes and checks the tails, a chunk of lines
+at a time.
+
+Files are written in chunks of records: each head by string formatting,
+and the chunk's tails by one fill of the template. A CSV chunk whose
+call ids or platforms need quoting goes through csv.writer instead.
+
+Files are read in chunks of lines, each in one of two ways. When every
+line of a chunk ends in the tail with 0 or 1 in each cell, the cells
+are read by array compares and only each line's head is parsed: one
+split at its three commas (CSV, when no head holds a quote or a NUL),
+or one batched `json.loads` of head + "}" (JSONL). Any other chunk is
+read row by row, and each row goes through the row check that names
+its first error (`_check_csv_row`, `_check_jsonl_record`): a CSV chunk
+holding a quote hands itself and the rest of the file to csv.reader,
+since a quoted field may hold a line break; any other CSV chunk goes
+alone through csv.reader; a JSONL chunk is decoded line by line by
+`_jsonl_objects`.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import getitem, itemgetter
+from json.encoder import encode_basestring
+from operator import getitem, index, itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -227,7 +236,7 @@ class Dataset:
         self._catalog = catalog
         self._call_ids = tuple(map(str, call_ids))
         self._arms = tuple(arms)
-        self._platforms = tuple(platforms)
+        self._platforms = tuple(map(str, platforms))
         self._ratings = ratings
         self._selections = selections
         pc = np.full(n, -1, dtype=np.int8)
@@ -366,16 +375,29 @@ class PatternTable:
         return int(self.counts.sum())
 
 
+def token_ids(subset: Sequence[int]) -> list[int]:
+    """Token ids as ints: Python or numpy integers; a float or a string
+    raises ParameterError rather than being truncated or parsed."""
+    ids = []
+    for t in subset:
+        try:
+            ids.append(index(t))
+        except TypeError:
+            raise ParameterError(f"token id {t!r} is not an integer") from None
+    return ids
+
+
 def check_subset(subset: Sequence[int], n_tokens: int) -> tuple[int, ...]:
     """A token subset's ids as ints, in the given order. A subset is distinct
-    ids in 0..n_tokens-1; anything else raises ParameterError."""
-    ids = tuple(int(t) for t in subset)
+    integer ids (`token_ids`) in 0..n_tokens-1; anything else raises
+    ParameterError."""
+    ids = token_ids(subset)
     if len(set(ids)) != len(ids):
-        raise ParameterError(f"subset ids must be distinct, got {list(ids)}")
+        raise ParameterError(f"subset ids must be distinct, got {ids}")
     for t in ids:
         if not 0 <= t < n_tokens:
             raise ParameterError(f"token id {t} outside catalog (size {n_tokens})")
-    return ids
+    return tuple(ids)
 
 
 def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
@@ -601,20 +623,34 @@ class _Tail:
     """The end of a canonical line, whose text depends only on the catalog:
     `parts` with a 0/1 cell between each two, the cells in file order.
 
-    `split` reads the cells of a chunk of lines with vector compares, as
-    simdjson finds a JSON text's structure (Langdale & Lemire, "Parsing
-    Gigabytes of JSON per Second", VLDB J. 2019), and leaves each line's
-    head to the loader. A tail with text other than ASCII never matches.
+    One template, the tail's UTF-8 bytes with "0" in each cell, serves
+    both ways. `lines` writes a chunk's tails by one fill of it, and
+    `split` reads the cells of a chunk of lines with vector compares
+    against it, as simdjson finds a JSON text's structure (Langdale &
+    Lemire, "Parsing Gigabytes of JSON per Second", VLDB J. 2019),
+    leaving each line's head to the loader. A tail with text other than
+    ASCII is written but never matches.
     """
 
     def __init__(self, parts: list[str], col_order: list[int]):
         text = "0".join(parts)
-        self.width = len(text)
-        slots = np.cumsum([len(part) + 1 for part in parts[:-1]]) - 1
-        self.slots = slots[col_order]  # the cells' positions, in catalog order
-        self.fixed = np.ones(self.width, bool)
+        self.width = len(text)  # in characters
+        self.template = np.frombuffer(text.encode(), np.uint8)
+        slots = np.cumsum([len(part.encode()) + 1 for part in parts[:-1]]) - 1
+        self.slots = slots[col_order]  # the cells' byte offsets, in catalog order
+        self.fixed = np.ones(self.template.size, bool)
         self.fixed[slots] = False
-        self.text = np.frombuffer(text.encode(), np.uint8)[self.fixed] if text.isascii() else None
+        self.text = self.template[self.fixed] if text.isascii() else None
+
+    def lines(self, heads: list[str], cells: np.ndarray) -> str:
+        """The text of the lines `heads[i]` + the tail holding the catalog-ordered
+        0/1 cells `cells[i]`: the tails filled as one array, decoded once and cut
+        at the tail's width, which is the same for every line."""
+        grid = np.empty((len(heads), self.template.size), np.uint8)
+        grid[:] = self.template
+        grid[:, self.slots] += cells
+        tails, w = grid.tobytes().decode(), self.width
+        return "".join([head + tails[i:i + w] for i, head in zip(range(0, len(tails), w), heads)])
 
     def split(self, lines: list[str]) -> Optional[tuple[list[str], np.ndarray]]:
         """Each line's head, the line without its last `width` characters, and the
@@ -728,8 +764,8 @@ def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:
 
 def _jsonl_tail(labels: list[str], cat: TokenCatalog) -> _Tail:
     """The tail of a JSONL line whose selections hold `labels` in this order,
-    written as `dataset_to_jsonl_text` writes it."""
-    keys = [json.dumps(label, ensure_ascii=False) + ": " for label in labels]
+    as `save_dataset` writes it."""
+    keys = [encode_basestring(label) + ": " for label in labels]
     parts = [', "selections": {' + keys[0], *[", " + key for key in keys[1:]], "}}\n"]
     return _Tail(parts, [labels.index(label) for label in cat.labels])
 
@@ -840,42 +876,78 @@ def _check_jsonl_record(obj: dict, row_no: int, labels: list[str]):
 # -- canonical writers ------------------------------------------------
 
 
-def _csv_line_end(fields) -> str:
+def _csv_line_end(*texts) -> str:
     # csv quotes a field only for the characters of its line terminator, and an
     # unquoted "\r" reads back as a line break: text holding one gets "\r\n" line ends
-    return "\r\n" if any("\r" in f for f in fields) else "\n"
+    return "\r\n" if any("\r" in "".join(t) for t in texts) else "\n"
+
+
+# A rating's cell text, indexed by the stored rating (0 for unrated).
+_CSV_RATING_TEXT = tuple(_CSV_RATINGS)
+_JSON_RATING_TEXT = tuple(map(json.dumps, _JSON_RATINGS))
+
+
+def _record_chunks(dataset: Dataset) -> Iterator[tuple]:
+    """call_ids, arms, platforms, ratings and selections of _CHUNK_ROWS records at a time."""
+    for lo in range(0, len(dataset), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        yield (
+            dataset.call_ids[lo:hi], dataset.arms[lo:hi], dataset.platforms[lo:hi],
+            dataset.ratings[lo:hi], dataset.selections[lo:hi],
+        )
+
+
+def _write_csv(dataset: Dataset, fh) -> None:
+    labels = dataset.catalog.labels
+    end = _csv_line_end(labels, dataset.call_ids, dataset.platforms)
+    writer = csv.writer(fh, lineterminator=end)
+    writer.writerow([*BASE_COLUMNS, *labels])
+    tail = _Tail([","] * len(labels) + [end], list(range(len(labels))))
+    for call_ids, arms, platforms, ratings, cells in _record_chunks(dataset):
+        ratings = list(map(_CSV_RATING_TEXT.__getitem__, ratings.tolist()))
+        heads = [f"{c},{a},{p},{r}" for c, a, p, r in zip(call_ids, arms, platforms, ratings)]
+        text = "".join(heads)
+        # a chunk where some call id or platform holds a comma, a quote, a line
+        # break or a NUL goes through csv.writer, which quotes such fields
+        if text.count(",") == 3 * len(heads) and not any(map(text.__contains__, '"\r\n\0')):
+            fh.write(tail.lines(heads, cells))
+        else:
+            writer.writerows(zip(call_ids, arms, platforms, ratings, *cells.T.tolist()))
+
+
+def _write_jsonl(dataset: Dataset, fh) -> None:
+    tail, enc = _jsonl_tail(dataset.catalog.labels, dataset.catalog), encode_basestring
+    for call_ids, arms, platforms, ratings, cells in _record_chunks(dataset):
+        ratings = map(_JSON_RATING_TEXT.__getitem__, ratings.tolist())
+        # the members as JSONEncoder(ensure_ascii=False) writes them, in this order
+        heads = [
+            f'{{"call_id": {enc(c)}, "arm": {enc(a)}, "platform": {enc(p)}, "rating": {r}'
+            for c, a, p, r in zip(call_ids, arms, platforms, ratings)
+        ]
+        fh.write(tail.lines(heads, cells))
+
+
+_WRITERS = {"csv": _write_csv, "jsonl": _write_jsonl}
 
 
 def dataset_to_csv_text(dataset: Dataset) -> str:
+    """The text `save_dataset` writes in CSV."""
     buf = io.StringIO()
-    labels = dataset.catalog.labels
-    text_fields = [*labels, *dataset.call_ids, *dataset.platforms]
-    writer = csv.writer(buf, lineterminator=_csv_line_end(text_fields))
-    writer.writerow(list(BASE_COLUMNS) + labels)
-    ratings = np.array(list(_CSV_RATINGS), dtype=object)[dataset.ratings].tolist()
-    cells = np.array(["0", "1"], dtype=object)[dataset.selections.T].tolist()
-    writer.writerows(zip(dataset.call_ids, dataset.arms, dataset.platforms, ratings, *cells))
+    _write_csv(dataset, buf)
     return buf.getvalue()
 
 
 def dataset_to_jsonl_text(dataset: Dataset) -> str:
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    labels = dataset.catalog.labels
-    ratings, selections = dataset.ratings.tolist(), dataset.selections.tolist()
-    lines = [
-        encode({"call_id": c, "arm": a, "platform": p, "rating": r or None, "selections": dict(zip(labels, s))})
-        for c, a, p, r, s in zip(dataset.call_ids, dataset.arms, dataset.platforms, ratings, selections)
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
+    """The text `save_dataset` writes in JSONL."""
+    buf = io.StringIO()
+    _write_jsonl(dataset, buf)
+    return buf.getvalue()
 
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
-    """Write a dataset in canonical form; loading the result reproduces it byte-for-byte."""
-    if format == "csv":
-        text = dataset_to_csv_text(dataset)
-    elif format == "jsonl":
-        text = dataset_to_jsonl_text(dataset)
-    else:
+    """Write a dataset in canonical form, a chunk of records at a time; loading
+    the result reproduces it byte-for-byte."""
+    if format not in _WRITERS:
         raise ParameterError(f"unknown format {format!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        _WRITERS[format](dataset, fh)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, cell_ids, check_subset, distinct_rows
+from .dataset import Dataset, cell_ids, check_subset, distinct_rows, token_ids
 from .errors import DataError, ParameterError, UndefinedStatisticError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,7 +130,7 @@ class TableScorer:
     """
 
     def __init__(self, subset: Sequence[int]):
-        self.subset = tuple(sorted(int(t) for t in subset))
+        self.subset = tuple(sorted(token_ids(subset)))
         self._scores: Optional[np.ndarray] = None
         self.prior_: Optional[float] = None
 
@@ -182,7 +182,7 @@ class ForestScorer:
     def __init__(self, subset: Sequence[int], trees: int = 100, seed=None):
         if trees < 1:
             raise ParameterError("trees must be >= 1")
-        self.subset = tuple(sorted(int(t) for t in subset))
+        self.subset = tuple(sorted(token_ids(subset)))
         self.trees = trees
         self.seed = seed
         self._roots: Optional[list] = None

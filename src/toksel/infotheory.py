@@ -120,13 +120,14 @@ class IgEvaluator:
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
+        self._n_tokens = len(dataset.catalog)
         self._memo: dict[tuple[int, ...], float] = {}
         self.base_term = self.cond(())
         self.patterns = dataset.patterns
         self.total = self.patterns.total
 
     def cond(self, subset: Sequence[int]) -> float:
-        key = tuple(sorted(int(t) for t in subset))
+        key = tuple(sorted(check_subset(subset, self._n_tokens)))
         value = self._memo.get(key)
         if value is None:
             # through the module global, so that a wrapped _cond_term_sum is the one called

@@ -18,6 +18,7 @@ from toksel import dataset as dataset_module
 from toksel.dataset import (
     ARMS,
     BASE_COLUMNS,
+    Dataset,
     TokenCatalog,
     dataset_to_csv_text,
     dataset_to_jsonl_text,
@@ -317,9 +318,38 @@ class TestAgainstReference:
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, fmt, catalog, chunk_rows)
 
-    @given(dataset=any_dataset())
+    @given(dataset=any_dataset(), chunk_rows=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=150, deadline=None)
-    def test_writers(self, dataset):
+    def test_writers(self, dataset, chunk_rows):
+        assert_same_text(dataset, chunk_rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", "nul\0"])
+    def test_writers_when_one_chunk_needs_quoting(self, chunk_rows, field):
+        # only the record in the middle chunk holds the field; a "\r" gives every line "\r\n"
+        call_ids = [f"c{i}" for i in range(3 * chunk_rows)]
+        platforms = ["web"] * len(call_ids)
+        platforms[chunk_rows] = field
+        dataset = Dataset(
+            TokenCatalog.from_labels(["echo", "noise"]), call_ids, ["control"] * len(call_ids), platforms,
+            [i % 6 for i in range(len(call_ids))], [[i % 2, i // 2 % 2] for i in range(len(call_ids))],
+        )
+        assert_same_text(dataset, chunk_rows)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_writers_with_labels_other_than_ascii(self, chunk_rows):
+        labels = ["ü", "écho \u2603", "two\nlines", "plain"]
+        n = 3 * chunk_rows + 1
+        dataset = Dataset(
+            TokenCatalog.from_labels(labels), [f"c{i}" for i in range(n)], ["treatment"] * n, ["ß"] * n,
+            [i % 6 for i in range(n)], [[(i >> j) & 1 for j in range(len(labels))] for i in range(n)],
+        )
+        assert_same_text(dataset, chunk_rows)
+
+
+def assert_same_text(dataset, chunk_rows):
+    """Both writers, `chunk_rows` records at a time, write the reference writers' text."""
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows or dataset_module._CHUNK_ROWS):
         assert dataset_to_csv_text(dataset) == csv_text_reference(dataset)
         assert dataset_to_jsonl_text(dataset) == jsonl_text_reference(dataset)
 

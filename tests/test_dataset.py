@@ -247,6 +247,15 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.records() == truth.records()
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_platforms_that_are_not_strings_are_stored_and_saved_as_strings(self, tmp_path, fmt):
+        dataset = make_dataset([[0, 1], [1, 0]], [1, None], platforms=[5, None])
+        assert dataset.platforms == ("5", "None")
+        first, second = tmp_path / f"one.{fmt}", tmp_path / f"two.{fmt}"
+        save_dataset(dataset, first, format=fmt)
+        save_dataset(load_dataset(first, format=fmt), second, format=fmt)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_pc_label_count_matches_rating_count(self, tmp_path):
         ds = load_dataset(write(tmp_path, "d.csv", CSV_4ROW))
         assert (ds.pc_labels >= 0).sum() == (ds.ratings > 0).sum()
@@ -318,6 +327,19 @@ class TestSubsetsAndCells:
     def test_check_subset_rejects(self, subset):
         with pytest.raises(ParameterError):
             check_subset(subset, 3)
+
+    @pytest.mark.parametrize(
+        "token",
+        [0.9, 1.0, np.float64(1.0), "1", b"1", None, [1], 1 + 0j],
+        ids=["float", "integral float", "numpy float", "str", "bytes", "None", "list", "complex"],
+    )
+    def test_check_subset_rejects_ids_that_are_not_integers(self, token):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            check_subset([token], 3)
+
+    def test_check_subset_accepts_numpy_integers(self):
+        got = check_subset([np.int64(2), np.uint8(0)], 3)
+        assert got == (2, 0) and all(type(t) is int for t in got)
 
     def test_distinct_rows_stand_for_their_cells(self):
         rows = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 1], [0, 1, 0], [1, 0, 1]], dtype=np.uint8)

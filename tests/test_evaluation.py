@@ -220,6 +220,13 @@ class TestTableScorer:
         with pytest.raises(DataError):
             TableScorer([0]).fit(ds.rated_selections, ds.rated_pc)
 
+    @pytest.mark.parametrize("scorer", [TableScorer, ForestScorer])
+    def test_ids_that_are_not_integers_rejected(self, scorer):
+        # int() would read 0.5 as token 0
+        with pytest.raises(ParameterError):
+            scorer([0.5])
+        assert scorer([np.int64(1), 0]).subset == (0, 1)
+
     def test_subset_order_irrelevant(self):
         rng = np.random.default_rng(4)
         sel = (rng.random((50, 3)) < 0.4).astype(int)

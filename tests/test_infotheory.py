@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from toksel.errors import DataError, ParameterError
 from toksel.infotheory import (
     _cell_terms,
+    IgEvaluator,
     _cond_term_sum,
     audit_monotonicity,
     audit_submodularity,
@@ -173,6 +174,20 @@ class TestInformationGain:
         pc = [1, 1, 1, 0, 1, 0, 0, 0]
         ds = make_dataset([[t] for t in rows], pc_to_rating(pc))
         assert information_gain(ds, [0]) == pytest.approx(0.188722, abs=1e-6)
+
+    @pytest.mark.parametrize("token", [0.9, 0.0, "0", None], ids=repr)
+    def test_ids_that_are_not_integers_rejected(self, token):
+        # int() would read each as token 0
+        ds = make_dataset([[1, 0], [1, 1], [0, 0], [0, 1]], [1, 1, 5, 5])
+        with pytest.raises(ParameterError):
+            information_gain(ds, [token])
+        with pytest.raises(ParameterError):
+            IgEvaluator(ds).cond([token])
+
+    def test_numpy_integer_ids_accepted(self):
+        ds = make_dataset([[1, 0], [1, 1], [0, 0], [0, 1]], [1, 1, 5, 5])
+        assert information_gain(ds, [np.int64(0)]) == 1.0
+        assert IgEvaluator(ds).cond([np.int64(0), np.int32(1)]) == IgEvaluator(ds).cond([1, 0]) == 0.0
 
     def test_empty_subset_zero(self, ):
         ds = make_dataset([[0], [1]], [1, 5])

@@ -23,11 +23,10 @@ are read by array compares and only each line's head is parsed: one
 split at its three commas (CSV, when no head holds a quote or a NUL),
 or one batched `json.loads` of head + "}" (JSONL). Any other chunk is
 read row by row, and each row goes through the row check that names
-its first error (`_check_csv_row`, `_check_jsonl_record`): a CSV chunk
-holding a quote hands itself and the rest of the file to csv.reader,
-since a quoted field may hold a line break; any other CSV chunk goes
-alone through csv.reader; a JSONL chunk is decoded line by line by
-`_jsonl_objects`.
+its first error (`_check_csv_row`, `_check_jsonl_record`): the first
+CSV chunk that fails hands itself and the rest of the file to
+csv.reader, since a quoted field may hold a line break; a JSONL chunk
+is decoded line by line by `_jsonl_objects`.
 """
 
 from __future__ import annotations
@@ -582,20 +581,16 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
         chunks = _chunks(fh)  # the lines after the header
         for lines in chunks:
             got = _csv_tail_chunk(lines, tails["\r\n" if lines[0].endswith("\r\n") else "\n"])
-            if got is not None:
-                columns.add(*got)
-                row_no += len(lines)
-                continue
-            # a quoted field may hold a line break and run on into the next chunk:
-            # from the first chunk with a quote on, csv reads the rest of the file
-            quoted = '"' in "".join(lines)
-            rows = csv.reader(chain(lines, chain.from_iterable(chunks)) if quoted else lines)
-            for chunk in _chunks(rows):
-                numbered = enumerate(chunk, row_no)
-                columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
-                row_no += len(chunk)
-            if quoted:
+            if got is None:
+                # a quoted field may hold a line break and run on into the next chunk:
+                # from the first chunk that fails the tail guard, csv reads the rest of the file
+                for chunk in _chunks(csv.reader(chain(lines, chain.from_iterable(chunks)))):
+                    numbered = enumerate(chunk, row_no)
+                    columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
+                    row_no += len(chunk)
                 break
+            columns.add(*got)
+            row_no += len(lines)
     return columns.dataset(cat)
 
 

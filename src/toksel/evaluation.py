@@ -4,7 +4,9 @@ The default scorer is a Laplace-smoothed probability table over the
 subset's joint token patterns; with binary tokens and small subsets it is
 the empirical Bayes-optimal scorer and keeps every reported number
 exactly reproducible from the master seed. A from-scratch randomized-tree
-ensemble is available for comparison.
+ensemble is available for comparison. Either scorer gives each cell of a
+subset (the records that agree on its tokens) one score, and a split's
+AUC weights each cell's score by the cell's test records.
 """
 
 from __future__ import annotations
@@ -338,58 +340,52 @@ def report_to_json_text(report: EvalReport) -> str:
     return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _table_auc(cells: np.ndarray, n_cells: int, train: np.ndarray, test: np.ndarray) -> float:
-    """Table-scorer test AUC from (n_patterns, 2) train and test label counts, `cells`
-    mapping patterns to cells; equals fitting TableScorer on the training records
-    and scoring the test records."""
-
-    def per_cell(counts, label):
-        return np.bincount(cells, weights=counts[:, label], minlength=n_cells)
-
-    n1 = per_cell(train, 1)
-    n = n1 + per_cell(train, 0)
-    n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
-    if n1_total == 0 or n1_total == n_total:
-        raise DataError("training data must contain both poor and non-poor calls")
-    prior = _smoothed_rate(n1_total, n_total)
-    scores = np.where(n > 0, _smoothed_rate(n1, n), prior)
-    # each cell's test records enter the AUC as one weighted entry per label
-    return auc(
-        np.concatenate([scores, scores]),
-        np.repeat([0, 1], n_cells),
-        np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
-    )
-
-
 def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table", trees=100) -> np.ndarray:
     """Test AUC of each subset (rows) on each of the plan's splits (columns).
 
     Each split is drawn, scored for every subset and dropped before the
-    next, so memory does not grow with the number of splits. The table
-    scorer keys each subset's cells once and scores them from the split's
-    pattern counts. The forest scorer slices the split's training and
-    test records once, then fits and predicts every subset on them.
+    next, so memory does not grow with the number of splits. A scorer
+    gives each cell of a subset one score: the table scorer from the
+    split's training counts per pattern, the forest by fitting on the
+    training records and predicting the pattern rows, which walks each
+    cell's row once. One `auc` then counts each cell's test records as
+    one integer-weighted entry per label, which equals scoring the test
+    records one by one.
     """
     y = dataset.rated_pc
-    splits = plan.partitions(y.size)
-    if scorer_kind == "table":
-        table = dataset.patterns
-        cells = [cell_ids(table.rows, s) for s in subsets]
-    else:
+    table = dataset.patterns
+    cells = [cell_ids(table.rows, s) for s in subsets]
+    if scorer_kind == "forest":
         X = dataset.rated_selections
     out = np.empty((len(subsets), plan.splits))
-    for j, (train_idx, test_idx, scorer_seed) in enumerate(splits):
-        if scorer_kind == "table":
-            keys = table.row_of_record[train_idx] * 2 + y[train_idx]
-            train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
-            test = table.counts - train
-            for i, (c, n_cells) in enumerate(cells):
-                out[i, j] = _table_auc(c, n_cells, train, test)
-        else:
-            X_train, y_train, X_test, y_test = X[train_idx], y[train_idx], X[test_idx], y[test_idx]
-            for i, s in enumerate(subsets):
-                scorer = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X_train, y_train)
-                out[i, j] = auc(scorer.predict(X_test), y_test)
+    for j, (train_idx, _, scorer_seed) in enumerate(plan.partitions(y.size)):
+        keys = table.row_of_record[train_idx] * 2 + y[train_idx]
+        train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
+        test = table.counts - train
+        n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
+        if scorer_kind == "forest":
+            X_train, y_train = X[train_idx], y[train_idx]
+        for i, (s, (c, n_cells)) in enumerate(zip(subsets, cells)):
+
+            def per_cell(counts, label):
+                return np.bincount(c, weights=counts[:, label], minlength=n_cells)
+
+            if scorer_kind == "table":
+                if n1_total == 0 or n1_total == n_total:
+                    raise DataError("training data must contain both poor and non-poor calls")
+                n1 = per_cell(train, 1)
+                n = n1 + per_cell(train, 0)
+                scores = np.where(n > 0, _smoothed_rate(n1, n), _smoothed_rate(n1_total, n_total))
+            else:
+                # a cell's patterns share its row under the subset, hence its prediction
+                scores = np.empty(n_cells)
+                forest = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X_train, y_train)
+                scores[c] = forest.predict(table.rows)
+            out[i, j] = auc(
+                np.concatenate([scores, scores]),
+                np.repeat([0, 1], n_cells),
+                np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
+            )
     return out
 
 

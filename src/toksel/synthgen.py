@@ -16,6 +16,7 @@ ones remove them. Both arms of an experiment present the same truth.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -275,8 +276,8 @@ def _catalog_from_config(spec) -> TokenCatalog:
         return TokenCatalog.from_csv(spec["file"])
     if isinstance(spec, list):
         spec = [_expect(t, dict, "catalog entry") for t in spec]
-        labels = [t["label"] for t in spec]
-        panels = [t.get("panel", "audio") for t in spec]
+        labels = [_expect(t["label"], str, "label") for t in spec]
+        panels = [_expect(t.get("panel", "audio"), str, "panel") for t in spec]
         return TokenCatalog.from_labels(labels, panels)
     raise DataError(f"cannot interpret catalog spec {spec!r}")
 
@@ -298,10 +299,13 @@ def presentation_from_config(obj: dict) -> PresentationConfig:
 
 
 def _number(value, name: str, kind=float):
-    """A config number: for `kind` int a JSON integer, for float an integer or a decimal; never a bool."""
+    """A config number: for `kind` int a JSON integer, for float an integer or a decimal in the
+    float range, not NaN (json reads NaN, Infinity and 1e999, as inf); never a bool."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise DataError(f"config value {name!r} must be {noun}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise DataError(f"config value {name!r} must be a finite number, got {value!r}")
     return kind(value)
 
 

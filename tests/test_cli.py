@@ -541,7 +541,15 @@ MALFORMED = {
     ),
     # a platform of 5 would be written as 5 and load back as "5"
     "config platform a number": lambda tmp: _generate(tmp, _config(platform=5)),
+    # a label of 5 reached the writers, which raised TypeError
+    "config catalog label a number, csv": lambda tmp: _generate(tmp, _two_label_config(5)),
+    "config catalog label a number, jsonl": lambda tmp: [*_generate(tmp, _two_label_config(5)), "--format", "jsonl"],
+    "config catalog label null": lambda tmp: _generate(tmp, _two_label_config(None)),
 }
+
+
+def _two_label_config(label):
+    return {**_cause_config(token_weights=[0.8, 0.6]), "catalog": [{"label": label}, {"label": "b"}]}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -551,6 +559,38 @@ def test_malformed_input_is_a_one_line_data_error(case, tmp_path, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert err.startswith("toksel: data error: ") and err.count("\n") == 1
+
+
+# every number of a generator config, each in a config that is otherwise valid
+_CONFIG_NUMBERS = {
+    "base_fire_rate": lambda v: _config(base_fire_rate=v),
+    "base_fire_rate by label": lambda v: _config(base_fire_rate={"token_01": v}),
+    "prevalence": lambda v: _cause_config(prevalence=v),
+    "severity": lambda v: _cause_config(severity=v),
+    "token_weights": lambda v: _cause_config(token_weights=[0.8, v, 0.4, 0.2]),
+    "intercept": lambda v: _config(rating={"intercept": v}),
+    "severity_slope": lambda v: _config(rating={"severity_slope": v}),
+    "rate": lambda v: _config(rating={"rate": v}),
+    "position_multipliers": lambda v: _arm_config(position_multipliers=[v]),
+    "scroll_penalty": lambda v: _arm_config(scroll_penalty=v),
+}
+
+
+@pytest.mark.parametrize(
+    "text", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "10**400"],
+)
+@pytest.mark.parametrize("key", sorted(_CONFIG_NUMBERS))
+def test_non_finite_config_number_is_a_one_line_data_error(key, text, tmp_path, capsys):
+    """Python's json reads NaN, Infinity and 1e999 (as inf), and an integer past the float
+    range does not convert: none may reach the generator, which wrote zero columns or left
+    rated calls unrated from them."""
+    config = json.dumps(_CONFIG_NUMBERS[key]("@")).replace('"@"', text)
+    code = main(["generate", "--config", _write(tmp_path, "cfg.json", config), "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("toksel: data error: config value ") and err.count("\n") == 1
+    assert "must be a finite number" in err
 
 
 def test_cli_import_leaves_scipy_out():

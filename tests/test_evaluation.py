@@ -238,42 +238,61 @@ class TestTableScorer:
         assert np.array_equal(s1.predict(probe), s2.predict(probe))
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except (DataError, UndefinedStatisticError) as exc:
+        return type(exc)
+
+
+def _sorted_subsets(n_tokens):
+    return st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens).map(
+        lambda s: tuple(sorted(s))
+    )
+
+
+def _assert_split_aucs(ds, subsets, plan, row_auc, *args, **kwargs):
+    """`_split_aucs` of all the subsets in one call gives, for each subset, the AUC that
+    `row_auc(subset, train, test, scorer_seed)` gives on each split, or raises its first error."""
+    expected = [[] for _ in subsets]
+    try:
+        for split in plan.partitions(ds.rated_pc.size):
+            for aucs, subset in zip(expected, subsets):
+                aucs.append(row_auc(subset, *split))
+    except DataError as exc:
+        with pytest.raises(type(exc)):
+            _split_aucs(ds, subsets, plan, *args, **kwargs)
+    else:
+        assert _split_aucs(ds, subsets, plan, *args, **kwargs).tolist() == expected
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_table_split_aucs_equal_row_scorer(data):
-    """Split AUCs from pattern counts equal TableScorer fitted and scored row by row."""
+    """Split AUCs from pattern counts, for 1-3 subsets scored in one call, equal
+    TableScorer fitted and scored row by row for each subset."""
     n_tokens = data.draw(st.integers(1, 5))
     n = data.draw(st.integers(4, 60))
     rows = data.draw(st.lists(
         st.lists(st.integers(0, 1), min_size=n_tokens, max_size=n_tokens), min_size=n, max_size=n
     ))
     ratings = data.draw(st.lists(st.sampled_from([None, 1, 2, 4, 5]), min_size=n, max_size=n))
-    subset = tuple(sorted(data.draw(
-        st.lists(st.integers(0, n_tokens - 1), unique=True, max_size=n_tokens)
-    )))
+    subsets = data.draw(st.lists(_sorted_subsets(n_tokens), min_size=1, max_size=3))
     ds = make_dataset(rows, ratings)
     X, y = ds.rated_selections, ds.rated_pc
     assume(y.size >= 2)
     plan = SplitPlan(splits=4, master_seed=data.draw(st.integers(0, 99)))
 
-    expected = []
-    for train, test, _ in plan.partitions(y.size):
-        try:
-            scorer = TableScorer(subset).fit(X[train], y[train])
-            expected.append(auc(scorer.predict(X[test]), y[test]))
-        except DataError as exc:
-            expected.append(type(exc))
-            break
-    if isinstance(expected[-1], type):
-        with pytest.raises(expected[-1]):
-            _split_aucs(ds, [subset], plan, "table")
-    else:
-        assert _split_aucs(ds, [subset], plan, "table")[0].tolist() == expected
+    def row_auc(subset, train, test, _):
+        scorer = TableScorer(subset).fit(X[train], y[train])
+        return auc(scorer.predict(X[test]), y[test])
+
+    _assert_split_aucs(ds, subsets, plan, row_auc, "table")
 
 
 @st.composite
 def forest_data(draw):
-    """Rated rows with duplicate and constant columns mixed in, and a subset of them."""
+    """Rated rows with duplicate and constant columns mixed in, and 1-3 subsets of them."""
     n = draw(st.integers(4, 80))
     columns = []
     for _ in range(draw(st.integers(1, 7))):
@@ -286,49 +305,38 @@ def forest_data(draw):
             columns.append(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     ratings = draw(st.lists(st.sampled_from([None, 1, 2, 4, 5]), min_size=n, max_size=n))
     ds = make_dataset(np.array(columns).T, ratings)
-    subset = draw(st.lists(st.integers(0, len(columns) - 1), unique=True, max_size=len(columns)))
-    return ds, subset
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except (DataError, UndefinedStatisticError) as exc:
-        return type(exc)
+    subsets = draw(st.lists(_sorted_subsets(len(columns)), min_size=1, max_size=3))
+    return ds, subsets
 
 
 @given(forest_data(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_forest_equals_record_forest(data, trees, seed):
-    """The weighted-row forest grows the record-by-record forest's trees, bit for bit."""
-    ds, subset = data
+    """The weighted-row forest grows the record-by-record forest's trees, bit for bit, and
+    its split AUCs for 1-3 subsets scored in one call equal the record forest's."""
+    ds, subsets = data
     X, y = ds.rated_selections, ds.rated_pc
     assume(y.size >= 2)
     probe = np.array(list(itertools.product([0, 1], repeat=X.shape[1])))
 
-    def fitted(cls):
+    def fitted(cls, subset):
         return _outcome(lambda: cls(subset, trees=trees, seed=seed).fit(X, y))
 
-    new, ref = fitted(ForestScorer), fitted(reference_forest.ForestScorer)
-    if isinstance(ref, type):
-        assert new is ref
-    else:
-        assert new._roots == ref._roots
-        for rows in (X, probe):
-            assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
+    for subset in subsets:
+        new, ref = fitted(ForestScorer, subset), fitted(reference_forest.ForestScorer, subset)
+        if isinstance(ref, type):
+            assert new is ref
+        else:
+            assert new._roots == ref._roots
+            for rows in (X, probe):
+                assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
+
+    def record_auc(subset, train, test, scorer_seed):
+        scorer = reference_forest.ForestScorer(subset, trees=trees, seed=scorer_seed)
+        return auc(scorer.fit(X[train], y[train]).predict(X[test]), y[test])
 
     plan = SplitPlan(splits=3, master_seed=seed)
-    expected = []
-    for train, test, scorer_seed in plan.partitions(y.size):
-        scorer = reference_forest.ForestScorer(tuple(sorted(subset)), trees=trees, seed=scorer_seed)
-        expected.append(_outcome(lambda: auc(scorer.fit(X[train], y[train]).predict(X[test]), y[test])))
-        if isinstance(expected[-1], type):
-            break
-    if isinstance(expected[-1], type):
-        with pytest.raises(expected[-1]):
-            _split_aucs(ds, [tuple(sorted(subset))], plan, "forest", trees=trees)
-    else:
-        assert _split_aucs(ds, [tuple(sorted(subset))], plan, "forest", trees=trees)[0].tolist() == expected
+    _assert_split_aucs(ds, subsets, plan, record_auc, "forest", trees=trees)
 
 
 def _depth(node):

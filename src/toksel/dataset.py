@@ -6,6 +6,15 @@ that binary label is what every downstream statistic conditions on.
 Records without a star rating are kept for response-rate analysis but
 carry no poor-call label.
 
+A Dataset holds no Python object per record. Ratings and token cells
+are numpy arrays; arms are uint8 codes into ARMS; call ids and
+platforms are `StringColumn`s, each all its values as one joined str
+plus an int64 array of end offsets. The tuples `Dataset.call_ids`,
+`.arms` and `.platforms` are built on first access, and no stage reads
+them: the loaders append each chunk to the columns and drop its
+strings, the writers read one chunk's slice at a time, and
+`filter_dataset` takes rows of the columns.
+
 A line as `save_dataset` writes it is a head (call_id, arm, platform
 and rating) and a tail whose text depends only on the catalog:
 ",c,c,...,c" and the line end in CSV, ', "selections": {"<label>": c,
@@ -34,13 +43,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import getitem, index, itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -197,12 +208,95 @@ def label_pc(rating: Optional[int]) -> Optional[int]:
     return 1 if rating <= 2 else 0
 
 
+class StringColumn:
+    """A column of strings held as one joined str and the int64 end offset,
+    in characters, of each value.
+
+    A short str costs some 50 bytes as a Python object, and a tuple 8 more
+    to point at it; here a value costs its characters and its offset. It is
+    a column store's layout for variable-length values (Abadi, Madden &
+    Hachem, "Column-Stores vs. Row-Stores", SIGMOD 2008), as in Apache
+    Arrow's string arrays. A str holds any text, NUL, line breaks and lone
+    surrogates included, so nothing is escaped.
+    """
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: str, ends: np.ndarray):
+        self.text = text
+        self.ends = ends
+        ends.setflags(write=False)
+
+    @classmethod
+    def of(cls, values: Iterable) -> "StringColumn":
+        """The column of str(v) for each of `values`, joined _CHUNK_ROWS values at a time."""
+        values = map(str, values)
+        chunks = iter(lambda: list(islice(values, _CHUNK_ROWS)), [])
+        return cls.concat(
+            [cls("".join(chunk), np.cumsum(np.fromiter(map(len, chunk), np.int64, len(chunk)))) for chunk in chunks]
+        )
+
+    @classmethod
+    def concat(cls, columns: Sequence["StringColumn"]) -> "StringColumn":
+        """The values of `columns`, one after another."""
+        ends = np.concatenate([np.zeros(0, np.int64), *(c.ends for c in columns)])
+        lo = offset = 0
+        for c in columns:  # each column's ends shifted in place by the text before it
+            ends[lo:lo + len(c)] += offset
+            lo, offset = lo + len(c), offset + len(c.text)
+        return cls("".join(c.text for c in columns), ends)
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def slice(self, lo: int, hi: int) -> list[str]:
+        """The values at positions lo..hi-1, as str objects."""
+        start = int(self.ends[lo - 1]) if lo else 0
+        ends = self.ends[lo:hi] - start
+        text = self.text[start:start + int(ends[-1])] if ends.size else ""
+        width = len(text) // max(ends.size, 1)
+        # ASCII values of one width and without NUL (numpy drops a value's trailing
+        # NULs) are the items of a "<U{width}" array, which makes their strs at once
+        if width and text.isascii() and "\0" not in text and np.array_equal(ends, np.arange(1, ends.size + 1) * width):
+            return np.frombuffer(text.encode("utf-32-le"), f"<U{width}").tolist()
+        ends = ends.tolist()
+        return list(map(text.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+    def take(self, idx: np.ndarray) -> "StringColumn":
+        """The column of the values at positions `idx`, in that order."""
+        bounds = np.concatenate([np.zeros(1, np.int64), self.ends])
+        idx = np.asarray(idx, np.int64)
+        return StringColumn.of(map(self.text.__getitem__, map(slice, bounds[idx], bounds[idx + 1])))
+
+
+def _string_column(values) -> StringColumn:
+    return values if isinstance(values, StringColumn) else StringColumn.of(values)
+
+
+_ARM_CODES = {arm: code for code, arm in enumerate(ARMS)}
+
+
+def _arm_codes(arms) -> np.ndarray:
+    """uint8 codes into ARMS of arm names, or of codes already given as a uint8 array."""
+    if isinstance(arms, np.ndarray) and arms.dtype == np.uint8:
+        bad = arms[arms >= len(ARMS)]
+        if bad.size:
+            raise SchemaError(f"unknown arm code {bad[0]}")
+        return arms
+    for arm in set(arms):
+        if arm not in ARMS:
+            raise SchemaError(f"unknown arm {arm!r}")
+    return np.fromiter(map(_ARM_CODES.__getitem__, arms), np.uint8, len(arms))
+
+
 class Dataset:
     """Immutable collection of response records plus derived poor-call labels.
 
-    Stored columnar (numpy) for fast counting; `records()` materializes
-    the record view. Ratings use 0 internally for "absent", poor-call
-    labels use -1.
+    Stored columnar for fast counting: ratings and token cells as numpy
+    arrays, call ids and platforms as `StringColumn`s, arms as uint8
+    codes into ARMS. The tuples `call_ids`, `arms` and `platforms` and
+    the record view of `records()` are built on access; no stage reads
+    them. Ratings use 0 internally for "absent", poor-call labels use -1.
     """
 
     def __init__(
@@ -214,11 +308,19 @@ class Dataset:
         ratings: np.ndarray,
         selections: np.ndarray,
     ):
+        """`call_ids` and `platforms` are sequences of values stored as str, or
+        `StringColumn`s, shared as given; `arms` are arm names, or their uint8
+        codes into ARMS."""
+        call_ids, platforms = _string_column(call_ids), _string_column(platforms)
         n = len(call_ids)
         ratings = np.asarray(ratings, dtype=np.int16)
         selections = np.asarray(selections, dtype=np.uint8)
         if ratings.shape != (n,):
             raise DataError("ratings length must match record count")
+        if len(arms) != n:
+            raise DataError("arms length must match record count")
+        if len(platforms) != n:
+            raise DataError("platforms length must match record count")
         if selections.shape != (n, len(catalog)):
             raise DataError(
                 f"selections must be (n_records, {len(catalog)}), got {selections.shape}"
@@ -228,21 +330,18 @@ class Dataset:
             raise DataError(f"rating outside 1-5 at record {bad[0]}")
         if selections.size and selections.max() > 1:
             raise DataError("selection cells must be 0 or 1")
-        for arm in set(arms):
-            if arm not in ARMS:
-                raise SchemaError(f"unknown arm {arm!r}")
 
         self._catalog = catalog
-        self._call_ids = tuple(map(str, call_ids))
-        self._arms = tuple(arms)
-        self._platforms = tuple(map(str, platforms))
+        self._call_ids = call_ids
+        self._arm_codes = _arm_codes(arms)
+        self._platforms = platforms
         self._ratings = ratings
         self._selections = selections
         pc = np.full(n, -1, dtype=np.int8)
         rated = ratings > 0
         pc[rated] = (ratings[rated] <= 2).astype(np.int8)
         self._pc = pc
-        for arr in (self._ratings, self._selections, self._pc):
+        for arr in (self._arm_codes, self._ratings, self._selections, self._pc):
             arr.setflags(write=False)
 
     @classmethod
@@ -270,17 +369,17 @@ class Dataset:
     def catalog(self) -> TokenCatalog:
         return self._catalog
 
-    @property
+    @cached_property
     def call_ids(self) -> tuple[str, ...]:
-        return self._call_ids
+        return tuple(self._call_ids.slice(0, len(self)))
 
-    @property
+    @cached_property
     def arms(self) -> tuple[str, ...]:
-        return self._arms
+        return tuple(map(ARMS.__getitem__, self._arm_codes.tolist()))
 
-    @property
+    @cached_property
     def platforms(self) -> tuple[str, ...]:
-        return self._platforms
+        return tuple(self._platforms.slice(0, len(self)))
 
     @property
     def selections(self) -> np.ndarray:
@@ -332,14 +431,15 @@ class Dataset:
         return PatternTable(rows, counts.reshape(-1, 2), inverse)
 
     def __len__(self) -> int:
-        return len(self._call_ids)
+        return self._ratings.shape[0]
 
     def record(self, i: int) -> ResponseRecord:
+        i = range(len(self))[i]
         rating = int(self._ratings[i])
         return ResponseRecord(
-            call_id=self._call_ids[i],
-            arm=self._arms[i],
-            platform=self._platforms[i],
+            call_id=self._call_ids.slice(i, i + 1)[0],
+            arm=ARMS[self._arm_codes[i]],
+            platform=self._platforms.slice(i, i + 1)[0],
             rating=rating if rating else None,
             selections=tuple(int(v) for v in self._selections[i]),
         )
@@ -459,7 +559,7 @@ def filter_dataset(
         raise ParameterError(f"unknown arm {arm!r}")
     keep = np.ones(len(dataset), dtype=bool)
     if arm is not None:
-        keep &= np.fromiter(map(arm.__eq__, dataset.arms), bool, len(dataset))
+        keep &= dataset._arm_codes == _ARM_CODES[arm]
     if rated_only:
         keep &= dataset.rated_mask
     if responded_only:
@@ -467,9 +567,9 @@ def filter_dataset(
     idx = np.flatnonzero(keep)
     return Dataset(
         dataset.catalog,
-        [dataset.call_ids[i] for i in idx],
-        [dataset.arms[i] for i in idx],
-        [dataset.platforms[i] for i in idx],
+        dataset._call_ids.take(idx),
+        dataset._arm_codes[idx],
+        dataset._platforms.take(idx),
         dataset.ratings[idx],
         dataset.selections[idx],
     )
@@ -540,24 +640,81 @@ _JSON_RATINGS = {None: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 _JSONL_KEYS = ("call_id", "arm", "platform", "selections")
 
 
-class _Columns:
-    """A file's columns, gathered chunk by chunk and joined into one Dataset."""
+class _Buffer:
+    """An array grown a chunk of rows at a time, into spare capacity that
+    doubles when full; `array` is a view of the rows appended.
+
+    Chunks are not kept to be joined at the end: kept, each chunk's arrays
+    sit in the C heap between the next chunks' short-lived objects, and
+    once joined and freed they leave holes that the allocator keeps
+    resident. Each capacity is an anonymous memory mapping of its own
+    instead: one that a doubling frees goes back to the system whole,
+    and pages past the rows appended are never touched.
+    """
 
     def __init__(self):
-        self.call_ids, self.arms, self.platforms, self.ratings, self.cells = [], [], [], [], []
-        self.shared: dict[str, str] = {}  # one str object per distinct arm or platform
+        self.data, self.size = None, 0
+
+    def append(self, chunk: np.ndarray) -> None:
+        end = self.size + len(chunk)
+        if self.data is None or end > len(self.data):
+            shape = (max(end, 2 * self.size, _CHUNK_ROWS), *chunk.shape[1:])
+            mapping = mmap.mmap(-1, math.prod(shape) * chunk.itemsize)
+            grown = np.frombuffer(mapping, chunk.dtype, math.prod(shape)).reshape(shape)
+            if self.size:
+                grown[:self.size] = self.data[:self.size]
+            self.data = grown
+        self.data[self.size:end] = chunk
+        self.size = end
+
+    def array(self, empty: np.ndarray) -> np.ndarray:
+        """The rows appended, or `empty` if no chunk was."""
+        return empty if self.data is None else self.data[:self.size]
+
+
+class _TextBuffer:
+    """A string column grown a chunk of values at a time: its text as UTF-8
+    bytes ("surrogatepass" keeps lone surrogates), and its ends in characters."""
+
+    def __init__(self):
+        self.utf8, self.ends, self.chars = _Buffer(), _Buffer(), 0
+
+    def append(self, values) -> None:
+        chunk = _string_column(values)
+        self.utf8.append(np.frombuffer(chunk.text.encode("utf-8", "surrogatepass"), np.uint8))
+        self.ends.append(chunk.ends + self.chars)
+        self.chars += len(chunk.text)
+
+    def column(self) -> StringColumn:
+        """The column; the UTF-8 bytes are freed once decoded."""
+        utf8, self.utf8 = self.utf8.array(np.zeros(0, np.uint8)), None
+        return StringColumn(str(memoryview(utf8), "utf-8", "surrogatepass"), self.ends.array(np.zeros(0, np.int64)))
+
+
+class _Columns:
+    """A file's columns, filled chunk by chunk; each chunk's strings are
+    dropped once they are appended to the compact columns."""
+
+    def __init__(self):
+        self.call_ids, self.platforms = _TextBuffer(), _TextBuffer()
+        self.arms, self.ratings, self.cells = _Buffer(), _Buffer(), _Buffer()
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
-        self.call_ids += call_ids
-        self.arms += map(self.shared.setdefault, arms, arms)
-        self.platforms += map(self.shared.setdefault, platforms, platforms)
+        self.call_ids.append(call_ids)
+        self.arms.append(np.fromiter(map(_ARM_CODES.__getitem__, arms), np.uint8, len(arms)))
+        self.platforms.append(platforms)
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
 
     def dataset(self, catalog: TokenCatalog) -> Dataset:
-        ratings = np.concatenate([np.zeros(0, np.int16), *self.ratings])
-        cells = np.concatenate([np.zeros((0, len(catalog)), np.uint8), *self.cells])
-        return Dataset(catalog, self.call_ids, self.arms, self.platforms, ratings, cells)
+        return Dataset(
+            catalog,
+            self.call_ids.column(),
+            self.arms.array(np.zeros(0, np.uint8)),
+            self.platforms.column(),
+            self.ratings.array(np.zeros(0, np.int16)),
+            self.cells.array(np.zeros((0, len(catalog)), np.uint8)),
+        )
 
 
 def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
@@ -685,10 +842,12 @@ def _csv_tail_chunk(lines: list[str], tail: _Tail):
     if '"' in text or "\0" in text:
         return None
     # commas counted per head, as the commas before each line end: 3 per line in
-    # total can hide a head of 2 commas beside one of 4
-    data = np.frombuffer(f"{text}\n".encode(), np.uint8)
+    # total can hide a head of 2 commas beside one of 4; read as UTF-32 code
+    # units, positions count characters
+    data = np.frombuffer(f"{text}\n".encode("utf-32-le"), np.uint32)
     ends = np.flatnonzero(data == ord("\n"))
-    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    comma_at = np.flatnonzero(data == ord(","))
+    commas = np.searchsorted(comma_at, ends)
     if (np.diff(commas, prepend=0) != 3).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
         return None
     fields = text.replace("\n", ",").split(",")
@@ -696,7 +855,13 @@ def _csv_tail_chunk(lines: list[str], tail: _Tail):
     if not (set(arms) <= set(ARMS) and set(ratings) <= _CSV_RATINGS.keys()):
         return None
     ratings = np.fromiter(map(_CSV_RATINGS.__getitem__, ratings), np.int16, len(ratings))
-    return fields[0::4], arms, fields[2::4], ratings, cells
+    # the call id runs from a head's start to its first comma, the platform
+    # between its second and third
+    comma_at = comma_at.reshape(-1, 3)
+    starts = np.concatenate([np.zeros(1, np.int64), ends[:-1] + 1])
+    call_ids = StringColumn("".join(fields[0::4]), np.cumsum(comma_at[:, 0] - starts))
+    platforms = StringColumn("".join(fields[2::4]), np.cumsum(comma_at[:, 2] - comma_at[:, 1] - 1))
+    return call_ids, arms, platforms, ratings, cells
 
 
 def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: list[int]):
@@ -782,7 +947,7 @@ def _jsonl_tail_chunk(lines: list[str], tail: _Tail):
     if split is None:
         return None
     heads, cells = split
-    objs = _decoded([head + "}" for head in heads])
+    objs = _decoded(heads)
     if objs is None:
         return None
     try:
@@ -797,7 +962,7 @@ def _jsonl_tail_chunk(lines: list[str], tail: _Tail):
     ):
         return None
     ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
-    return list(map(str, call_ids)), arms, list(map(str, platforms)), ratings, cells
+    return call_ids, arms, platforms, ratings, cells
 
 
 def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[dict]]:
@@ -808,10 +973,11 @@ def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[di
     return rows, list(map(_jsonl_object, filter(None, texts), rows))
 
 
-def _decoded(texts: list[str]) -> Optional[list[dict]]:
-    """The JSON object each of `texts` (the tail heads + "}") holds, from one
-    `json.loads` of "[" + ",\n".join(texts) + "]"; None unless that shows
-    each text holds exactly one object.
+def _decoded(heads: list[str]) -> Optional[list[dict]]:
+    """The JSON object each head + "}" (a text, below) holds, from one
+    `json.loads` of "[" + ",\n".join(texts) + "]", which is "[" +
+    "},\n".join(heads) + "}]"; None unless that shows each text holds
+    exactly one object.
 
     It does when every text starts with "{", the joined text holds no "[",
     and the result is one object per text. Strict JSON has no raw line
@@ -821,14 +987,14 @@ def _decoded(texts: list[str]) -> Optional[list[dict]]:
     next text; so every joining comma separates two values of the wrapper,
     and N values from N texts put one value in each text.
     """
-    joined = ",\n".join(texts)
-    if "[" in joined or not all(map(str.startswith, texts, repeat("{"))):
+    joined = "},\n".join(heads)
+    if "[" in joined or not all(map(str.startswith, heads, repeat("{"))):
         return None
     try:
-        objs = json.loads(f"[{joined}]")
+        objs = json.loads(f"[{joined}}}]")
     except (ValueError, RecursionError):
         return None
-    return objs if len(objs) == len(texts) and set(map(type, objs)) <= {dict} else None
+    return objs if len(objs) == len(heads) and set(map(type, objs)) <= {dict} else None
 
 
 def _jsonl_object(text: str, row_no: int) -> dict:
@@ -874,32 +1040,35 @@ def _check_jsonl_record(obj: dict, row_no: int, labels: list[str]):
 def _csv_line_end(*texts) -> str:
     # csv quotes a field only for the characters of its line terminator, and an
     # unquoted "\r" reads back as a line break: text holding one gets "\r\n" line ends
-    return "\r\n" if any("\r" in "".join(t) for t in texts) else "\n"
+    return "\r\n" if any("\r" in text for t in texts for text in t) else "\n"
 
 
-# A rating's cell text, indexed by the stored rating (0 for unrated).
-_CSV_RATING_TEXT = tuple(_CSV_RATINGS)
-_JSON_RATING_TEXT = tuple(map(json.dumps, _JSON_RATINGS))
+# An arm's text, indexed by its code, and a rating's, indexed by the stored
+# rating (0 for unrated): object arrays, so that one gather gives a chunk's strs.
+_CSV_ARM_TEXT = np.array(ARMS, object)
+_CSV_RATING_TEXT = np.array(list(_CSV_RATINGS), object)
+_JSON_ARM_TEXT = np.array(list(map(encode_basestring, ARMS)), object)
+_JSON_RATING_TEXT = np.array(list(map(json.dumps, _JSON_RATINGS)), object)
 
 
 def _record_chunks(dataset: Dataset) -> Iterator[tuple]:
-    """call_ids, arms, platforms, ratings and selections of _CHUNK_ROWS records at a time."""
+    """call_ids, arm codes, platforms, ratings and selections of _CHUNK_ROWS records at a time."""
     for lo in range(0, len(dataset), _CHUNK_ROWS):
         hi = lo + _CHUNK_ROWS
         yield (
-            dataset.call_ids[lo:hi], dataset.arms[lo:hi], dataset.platforms[lo:hi],
-            dataset.ratings[lo:hi], dataset.selections[lo:hi],
+            dataset._call_ids.slice(lo, hi), dataset._arm_codes[lo:hi],
+            dataset._platforms.slice(lo, hi), dataset.ratings[lo:hi], dataset.selections[lo:hi],
         )
 
 
 def _write_csv(dataset: Dataset, fh) -> None:
     labels = dataset.catalog.labels
-    end = _csv_line_end(labels, dataset.call_ids, dataset.platforms)
+    end = _csv_line_end(labels, (dataset._call_ids.text, dataset._platforms.text))
     writer = csv.writer(fh, lineterminator=end)
     writer.writerow([*BASE_COLUMNS, *labels])
     tail = _Tail([","] * len(labels) + [end], list(range(len(labels))))
     for call_ids, arms, platforms, ratings, cells in _record_chunks(dataset):
-        ratings = list(map(_CSV_RATING_TEXT.__getitem__, ratings.tolist()))
+        arms, ratings = _CSV_ARM_TEXT[arms].tolist(), _CSV_RATING_TEXT[ratings].tolist()
         heads = [f"{c},{a},{p},{r}" for c, a, p, r in zip(call_ids, arms, platforms, ratings)]
         text = "".join(heads)
         # a chunk where some call id or platform holds a comma, a quote, a line
@@ -913,10 +1082,10 @@ def _write_csv(dataset: Dataset, fh) -> None:
 def _write_jsonl(dataset: Dataset, fh) -> None:
     tail, enc = _jsonl_tail(dataset.catalog.labels, dataset.catalog), encode_basestring
     for call_ids, arms, platforms, ratings, cells in _record_chunks(dataset):
-        ratings = map(_JSON_RATING_TEXT.__getitem__, ratings.tolist())
+        arms, ratings = _JSON_ARM_TEXT[arms].tolist(), _JSON_RATING_TEXT[ratings].tolist()
         # the members as JSONEncoder(ensure_ascii=False) writes them, in this order
         heads = [
-            f'{{"call_id": {enc(c)}, "arm": {enc(a)}, "platform": {enc(p)}, "rating": {r}'
+            f'{{"call_id": {enc(c)}, "arm": {a}, "platform": {enc(p)}, "rating": {r}'
             for c, a, p, r in zip(call_ids, arms, platforms, ratings)
         ]
         fh.write(tail.lines(heads, cells))

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import ARMS, Dataset, TokenCatalog
+from .dataset import ARMS, Dataset, StringColumn, TokenCatalog
 from .errors import CapacityError, DataError, ParameterError
 
 ORDER_POLICIES = ("fixed", "randomized")
@@ -193,17 +193,36 @@ def generate_truth(config: GeneratorConfig) -> TruthDataset:
     ratings = np.clip(np.rint(raw), 1, 5).astype(np.int16)
     ratings[~rated] = 0
 
-    call_ids = [f"c{i:07d}" for i in range(n)]
+    platform = str(config.platform)
     return TruthDataset(
         config.catalog,
-        call_ids,
-        ["none"] * n,
-        [config.platform] * n,
+        _call_ids(n),
+        np.full(n, ARMS.index("none"), np.uint8),
+        StringColumn(platform * n, np.arange(1, n + 1, dtype=np.int64) * len(platform)),
         ratings,
         selections,
         propensities=propensities,
         uniforms=uniforms,
     )
+
+
+def _call_ids(n: int, width: int = 7) -> StringColumn:
+    """The column of the call ids "c" + i zero-padded to `width` digits, for i in
+    range(n), written as digit arrays: ids of d digits are the rows of an
+    (m, 1 + d) byte grid."""
+    blocks, lo, digits = [], 0, width
+    while lo < n:
+        hi = min(n, 10**digits)
+        ids = np.arange(lo, hi)
+        grid = np.empty((hi - lo, 1 + digits), np.uint8)
+        grid[:, 0] = ord("c")
+        for col in range(digits, 0, -1):
+            grid[:, col] = ids % 10 + ord("0")
+            ids //= 10
+        ends = np.arange(1, hi - lo + 1, dtype=np.int64) * (1 + digits)
+        blocks.append(StringColumn(grid.tobytes().decode(), ends))
+        lo, digits = hi, digits + 1
+    return StringColumn.concat(blocks)
 
 
 def _display_ranks(
@@ -253,12 +272,12 @@ def apply_presentation(
     observed_p = np.clip(multipliers * truth._propensities, 0.0, 1.0)
     observed = (truth._uniforms < observed_p).astype(np.uint8)
 
-    n = len(truth)
+    # the call id and platform columns are immutable: the observed arm shares the truth's
     return Dataset(
         truth.catalog,
-        list(truth.call_ids),
-        [arm] * n,
-        list(truth.platforms),
+        truth._call_ids,
+        np.full(len(truth), ARMS.index(arm), np.uint8),
+        truth._platforms,
         truth.ratings.copy(),
         observed,
     )

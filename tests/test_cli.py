@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 import toksel
 from toksel.cli import main
-from toksel.dataset import dataset_to_jsonl_text, save_dataset
-from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
+from toksel.dataset import Dataset, dataset_to_jsonl_text, save_dataset
+from toksel.synthgen import GeneratorConfig, LatentCause, demo_experiment_config, generate_truth
 from toksel.dataset import TokenCatalog
 
 from conftest import make_dataset
@@ -704,3 +706,59 @@ def test_numeric_flags_exit_by_contract(tiny_data, run):
     else:
         lines = err.splitlines()
         assert "error:" in lines[-1] and sum("error:" in line for line in lines) == 1
+
+
+def _refused(name):
+    def get(self):
+        raise AssertionError(f"Dataset.{name} was read")
+
+    return property(get)
+
+
+# Every stage, generate included, on a demo of 3000 calls in both formats.
+_STAGE_RUNS = [
+    "generate --config {work}/config.json --output {work}/data",
+    "generate --config {work}/config.json --output {work}/jdata --format jsonl",
+    "select --input {work}/data/treatment.csv --strategy rits --k 5 --output {work}/rits.json",
+    "select --input {work}/jdata/treatment.jsonl --strategy rits --k 5 --output {work}/jrits.json",
+    "select --input {work}/data/treatment.csv --strategy exhaustive --k 2 --output {work}/exhaustive.json",
+    "select --input {work}/data/treatment.csv --strategy auc_greedy --k 3 --splits 3 --seed 1"
+    " --output {work}/auc_greedy.json",
+    "audit --input {work}/data/treatment.csv --trials 30 --seed 2 --output {work}/audit.json",
+    "evaluate --input {work}/data/treatment.csv --strategies rits,auc_greedy,random --k-max 4"
+    " --splits 3 --seed 3 --output {work}/table",
+    "evaluate --input {work}/data/treatment.csv --strategies rits --k-max 3 --splits 2 --seed 3"
+    " --scorer forest --trees 3 --output {work}/forest",
+    "abtest --control {work}/data/control.csv --treatment {work}/data/treatment.csv"
+    " --output {work}/abtest.json --csv {work}/abtest.csv",
+]
+
+
+def _run_stages(work):
+    """Each stage's exit code and output text, then every file the stages wrote."""
+    config = {**demo_experiment_config(), "n_calls": 3000}
+    work.mkdir()
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    runs = []
+    for command in _STAGE_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(command.format(work=work).split())
+        runs.append((command, code, out.getvalue()))
+    files = {p.relative_to(work).as_posix(): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+    return runs, files
+
+
+def test_no_stage_reads_record_strings(tmp_path):
+    """The stages read the compact columns: with Dataset.call_ids, .arms and
+    .platforms made to raise, every stage exits 0 and writes the bytes of a
+    run without the patch, in the same directory."""
+    work = tmp_path / "work"
+    expected = _run_stages(work)
+    assert all(code == 0 for _, code, _ in expected[0]), expected[0]
+    shutil.rmtree(work)
+    with mock.patch.multiple(
+        Dataset, call_ids=_refused("call_ids"), arms=_refused("arms"), platforms=_refused("platforms")
+    ):
+        got = _run_stages(work)
+    assert got == expected

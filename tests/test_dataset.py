@@ -279,6 +279,22 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             make_dataset([[2]], [5])
 
+    @pytest.mark.parametrize("column", ["arms", "platforms"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_arm_and_platform_counts_must_match_record_count(self, column, length):
+        columns = {"arms": ["control"] * 2, "platforms": ["web"] * 2}
+        columns[column] = columns[column][:1] * length
+        with pytest.raises(DataError, match=f"{column} length must match record count"):
+            Dataset(TokenCatalog.numbered(2), ["a", "b"], columns["arms"], columns["platforms"],
+                    np.array([1, 5]), np.zeros((2, 2), np.uint8))
+
+    def test_arms_given_as_codes(self):
+        codes = np.array([2, 0, 1], np.uint8)
+        ds = Dataset(TokenCatalog.numbered(1), ["a", "b", "c"], codes, ["web"] * 3, np.ones(3), np.zeros((3, 1)))
+        assert ds.arms == ("none", "control", "treatment")
+        with pytest.raises(SchemaError):
+            Dataset(TokenCatalog.numbered(1), ["a"], np.array([3], np.uint8), ["web"], np.ones(1), np.zeros((1, 1)))
+
     def test_arrays_are_read_only(self):
         ds = make_dataset([[0, 1]], [4])
         with pytest.raises(ValueError):

@@ -391,7 +391,7 @@ def _proportional_split_dataset():
     return make_dataset(rows, ratings)
 
 
-@pytest.mark.xfail(strict=True, reason="per-cell terms are rounded before fsum (ROADMAP item 1)")
+@pytest.mark.xfail(strict=True, reason="per-cell terms are rounded before fsum (ROADMAP item 5)")
 def test_proportional_split_is_monotone():
     ds = _proportional_split_dataset()
     assert _cond_term_sum(ds, (0,)) <= _cond_term_sum(ds, ())

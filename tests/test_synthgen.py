@@ -19,6 +19,7 @@ from toksel.synthgen import (
     generate_truth,
     generator_from_config,
     load_experiment_config,
+    _call_ids,
     _display_ranks,
 )
 
@@ -117,6 +118,17 @@ class TestGenerateTruth:
     def test_arm_tag_is_none(self):
         ds = generate_truth(one_cause_config(n_calls=5))
         assert set(ds.arms) == {"none"}
+
+    def test_call_ids_are_zero_padded_indices(self):
+        ds = generate_truth(dataclasses.replace(one_cause_config(n_calls=12), platform="web"))
+        assert ds.call_ids == tuple(f"c{i:07d}" for i in range(12))
+        assert ds.platforms == ("web",) * 12
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_call_ids_widen_past_the_padding(self, width):
+        # 10**7 calls cross the padding of the real ids; narrower padding crosses it at 10 and 100
+        n = 10 ** (width + 1) + 5
+        assert _call_ids(n, width).slice(0, n) == [f"c{i:0{width}d}" for i in range(n)]
 
 
 class TestPresentationConfig:

@@ -445,10 +445,12 @@ class Dataset:
         )
 
     def records(self) -> list[ResponseRecord]:
-        return [self.record(i) for i in range(len(self))]
+        return list(self)
 
     def __iter__(self) -> Iterator[ResponseRecord]:
-        return (self.record(i) for i in range(len(self)))
+        for call_ids, arms, platforms, ratings, cells in _record_chunks(self):
+            for c, a, p, r, s in zip(call_ids, arms.tolist(), platforms, ratings.tolist(), cells.tolist()):
+                yield ResponseRecord(call_id=c, arm=ARMS[a], platform=p, rating=r or None, selections=tuple(s))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from toksel import dataset as dataset_module
 from toksel.dataset import (
     ARMS,
     Dataset,
+    ResponseRecord,
     StringColumn,
     TokenCatalog,
     dataset_to_csv_text,
@@ -87,12 +88,14 @@ def build(columns):
 @settings(max_examples=150, deadline=None)
 def test_public_tuples_equal_the_input(columns, rows):
     call_ids, arms, platforms, _, _ = columns
+    records = [ResponseRecord(c, a, p, r or None, tuple(s)) for c, a, p, r, s in zip(*columns)]
     with chunked(rows):
         dataset = build(columns)
         assert dataset.call_ids == tuple(call_ids)
         assert dataset.arms == tuple(arms)
         assert dataset.platforms == tuple(platforms)
-        assert [dataset.record(i).call_id for i in range(-len(call_ids), 0)] == call_ids
+        assert dataset.records() == records
+        assert [dataset.record(i) for i in range(-len(records), 0)] == records
 
 
 @given(datasets(), st.sampled_from([None, *ARMS]), st.booleans(), st.booleans(), CHUNK_ROWS)

@@ -26,15 +26,20 @@ Files are written in chunks of records: each head by string formatting,
 and the chunk's tails by one fill of the template. A CSV chunk whose
 call ids or platforms need quoting goes through csv.writer instead.
 
-Files are read in chunks of lines, each in one of two ways. When every
-line of a chunk ends in the tail with 0 or 1 in each cell, the cells
-are read by array compares and only each line's head is parsed: one
-split at its three commas (CSV, when no head holds a quote or a NUL),
-or one batched `json.loads` of head + "}" (JSONL). Any other chunk is
-read row by row, and each row goes through the row check that names
-its first error (`_check_csv_row`, `_check_jsonl_record`): the first
-CSV chunk that fails hands itself and the rest of the file to
-csv.reader, since a quoted field may hold a line break; a JSONL chunk
+Files are read in chunks of lines of about 256 KiB of text (`_CHUNK_TEXT`
+characters), so that a chunk of wide lines holds no more than one of
+narrow ones; each chunk is read in one of two ways. When every line of
+a chunk ends in the tail with 0 or 1 in each cell, the cells are read by
+array compares and only each line's head is parsed. In CSV, when no
+head holds a quote or a NUL, the heads are read by position from their
+text's UTF-32 code units, at their three commas: the call ids and
+platforms as one joined text each, the arms and ratings as codes, with
+no str per field. In JSONL, head + "}" is decoded by one batched
+`json.loads`. Any other chunk is read row by row, and each row goes
+through the row check that names its first error (`_check_csv_row`,
+`_check_jsonl_record`): the first CSV chunk that fails hands itself and
+the rest of the file to csv.reader, since a quoted field may hold a line
+break, and its rows are then taken _CHUNK_ROWS at a time; a JSONL chunk
 is decoded line by line by `_jsonl_objects`.
 """
 
@@ -630,9 +635,12 @@ def _text_errors(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-# Lines or rows read, checked and converted at a time: one chunk's parsed
-# rows are alive at once.
+# Records written, column values joined, or rows that csv.reader parses, at a time.
 _CHUNK_ROWS = 4096
+# Characters of file lines read, checked and converted at a time: one chunk's
+# lines and what they parse into are alive at once, so a bound in text, not in
+# lines, bounds them whatever the width of a line.
+_CHUNK_TEXT = 1 << 18
 
 # Rating cells as written. Other text that int() reads (" 3", "+3") is valid
 # too: its chunk goes through the row check.
@@ -702,8 +710,9 @@ class _Columns:
         self.arms, self.ratings, self.cells = _Buffer(), _Buffer(), _Buffer()
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
+        """Append a chunk: its arms as names, or as their uint8 codes into ARMS."""
         self.call_ids.append(call_ids)
-        self.arms.append(np.fromiter(map(_ARM_CODES.__getitem__, arms), np.uint8, len(arms)))
+        self.arms.append(_arm_codes(arms))
         self.platforms.append(platforms)
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
@@ -737,13 +746,15 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
         tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
 
         columns, row_no = _Columns(), 2
-        chunks = _chunks(fh)  # the lines after the header
+        chunks = _chunks(fh, _CHUNK_TEXT, len)  # the lines after the header
         for lines in chunks:
             got = _csv_tail_chunk(lines, tails["\r\n" if lines[0].endswith("\r\n") else "\n"])
             if got is None:
                 # a quoted field may hold a line break and run on into the next chunk:
-                # from the first chunk that fails the tail guard, csv reads the rest of the file
-                for chunk in _chunks(csv.reader(chain(lines, chain.from_iterable(chunks)))):
+                # from the first chunk that fails the tail guard, csv reads the rest of the file;
+                # its rows are counted, as each field is a str object far larger than its text
+                rows = csv.reader(chain(lines, chain.from_iterable(chunks)))
+                for chunk in _chunks(rows, _CHUNK_ROWS, lambda row: 1):
                     numbered = enumerate(chunk, row_no)
                     columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
                     row_no += len(chunk)
@@ -753,17 +764,25 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
     return columns.dataset(cat)
 
 
-def _chunks(items) -> Iterator[list]:
-    """The lines of a file, or the rows of a csv reader, _CHUNK_ROWS at a time.
+def _chunks(items, budget: int, size) -> Iterator[list]:
+    """The lines of a file, or the rows of a csv reader, in chunks whose sizes,
+    as `size` gives each item's, add up to `budget`.
 
-    A CSV or decoding error is raised after the items read before it are
-    yielded, so that a bad row among them is the error reported.
+    A chunk ends with the item that brings it to `budget`, so an item as
+    large as that is a chunk of its own when it starts one. A CSV or
+    decoding error is raised after the items read before it are yielded,
+    so that a bad row among them is the error reported; this is why lines
+    are not read by `readlines(hint)`, which drops them.
     """
     while True:
         chunk: list = []
+        total = 0
         try:
-            for item in islice(items, _CHUNK_ROWS):
+            for item in items:
                 chunk.append(item)
+                total += size(item)
+                if total >= budget:
+                    break
         except (csv.Error, UnicodeDecodeError):
             if chunk:
                 yield chunk
@@ -826,15 +845,18 @@ class _Tail:
 
 
 def _csv_tail_chunk(lines: list[str], tail: _Tail):
-    """call_id, arm, platform, rating and catalog-ordered cell columns of CSV
-    lines that each end in `tail`, or None when a guard fails.
+    """call_id, arm code, platform, rating and catalog-ordered cell columns of
+    CSV lines that each end in `tail`, or None when a guard fails.
 
     The guards leave csv.reader nothing to do but split each head at its
     three commas: no head holds a quote or a NUL (which csv refuses before
     Python 3.11), and none is longer than csv's field size limit. No head
     holds a carriage return or a line feed, since a file read with
-    newline="" ends a line at either. The arms and ratings must be ones
-    `_check_csv_row` accepts unchanged.
+    newline="" ends a line at either. The heads are read by position from
+    their text's UTF-32 code units, in which positions count characters:
+    the call ids and platforms as joined text, the arms and ratings as
+    codes. Each arm and rating must be text `_check_csv_row` accepts
+    unchanged, as `save_dataset` writes it.
     """
     split = tail.split(lines)
     if split is None:
@@ -844,26 +866,43 @@ def _csv_tail_chunk(lines: list[str], tail: _Tail):
     if '"' in text or "\0" in text:
         return None
     # commas counted per head, as the commas before each line end: 3 per line in
-    # total can hide a head of 2 commas beside one of 4; read as UTF-32 code
-    # units, positions count characters
+    # total can hide a head of 2 commas beside one of 4
     data = np.frombuffer(f"{text}\n".encode("utf-32-le"), np.uint32)
     ends = np.flatnonzero(data == ord("\n"))
     comma_at = np.flatnonzero(data == ord(","))
     commas = np.searchsorted(comma_at, ends)
     if (np.diff(commas, prepend=0) != 3).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
         return None
-    fields = text.replace("\n", ",").split(",")
-    arms, ratings = fields[1::4], fields[3::4]
-    if not (set(arms) <= set(ARMS) and set(ratings) <= _CSV_RATINGS.keys()):
-        return None
-    ratings = np.fromiter(map(_CSV_RATINGS.__getitem__, ratings), np.int16, len(ratings))
-    # the call id runs from a head's start to its first comma, the platform
-    # between its second and third
-    comma_at = comma_at.reshape(-1, 3)
+    # a head's fields lie between its start, its three commas and its end
     starts = np.concatenate([np.zeros(1, np.int64), ends[:-1] + 1])
-    call_ids = StringColumn("".join(fields[0::4]), np.cumsum(comma_at[:, 0] - starts))
-    platforms = StringColumn("".join(fields[2::4]), np.cumsum(comma_at[:, 2] - comma_at[:, 1] - 1))
-    return call_ids, arms, platforms, ratings, cells
+    first, second, third = comma_at.reshape(-1, 3).T
+    arms = _field_codes(data, first + 1, second, ARMS)
+    ratings = _field_codes(data, third + 1, ends, list(_CSV_RATINGS))  # a rating's index is its value
+    if arms is None or ratings is None:
+        return None
+    call_ids, platforms = _fields(data, starts, first), _fields(data, second + 1, third)
+    return call_ids, arms.astype(np.uint8), platforms, ratings.astype(np.int16), cells
+
+
+def _fields(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> StringColumn:
+    """The column of the texts at code units lo[i]..hi[i]-1 of the UTF-32 `data`."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    # each field's code units, gathered at their offsets from its place in the joined text
+    at = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+    return StringColumn(data[at].tobytes().decode("utf-32-le"), ends)
+
+
+def _field_codes(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, texts: Sequence[str]) -> Optional[np.ndarray]:
+    """For each field at code units lo[i]..hi[i]-1 of the UTF-32 `data`, the
+    index of its text in `texts`; None if some field holds none of them."""
+    lengths = hi - lo
+    codes = np.full(lengths.size, len(texts))
+    for code, value in enumerate(texts):
+        rows = np.flatnonzero(lengths == len(value))
+        units = data[lo[rows, None] + np.arange(len(value))]
+        codes[rows[(units == np.frombuffer(value.encode("utf-32-le"), np.uint32)).all(axis=1)]] = code
+    return None if (codes == len(texts)).any() else codes
 
 
 def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: list[int]):
@@ -883,7 +922,7 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
     cat, tail, error, columns, first_row = None, None, None, _Columns(), 1
     with open(path, encoding="utf-8") as fh:
-        for lines in _chunks(fh):
+        for lines in _chunks(fh, _CHUNK_TEXT, len):
             if cat is None and error is None:
                 labels = _first_labels(lines, first_row)
                 if labels is not None:

@@ -1,10 +1,11 @@
-"""Row-by-row survey file loaders and writers, the reference for toksel.dataset's column-wise ones.
+"""Row-by-row survey file loaders and writers, the reference for toksel.dataset's chunked ones.
 
 These are the loaders and writers toksel shipped before its file I/O
-worked on columns and chunks: every cell is parsed or formatted on its
-own, in file order. The chunked loaders must return an equal Dataset for
-every file, or raise the same exception with the same message; the
-writers must write the same text.
+worked in chunks: every cell is parsed or formatted on its own, in file
+order. The chunked loaders, which read a chunk of lines from their tails
+or row by row, must return an equal Dataset for every file, or raise the
+same exception with the same message; the writers must write the same
+text.
 """
 
 from __future__ import annotations

@@ -59,12 +59,37 @@ def outcome(load, path, fmt, catalog):
     return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
 
 
-def assert_same_outcome(path, fmt, catalog=None, chunk_rows=None):
+def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=None):
+    """Both loaders give the same outcome. The chunked one reads `chunk_text`
+    characters of lines at a time, and `chunk_rows` rows of csv.reader, which
+    also sizes the first capacity of its columns; each at its default when None."""
     expected = outcome(load_reference, path, fmt, catalog)
-    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows or dataset_module._CHUNK_ROWS):
+    with mock.patch.multiple(
+        dataset_module,
+        _CHUNK_TEXT=chunk_text or dataset_module._CHUNK_TEXT,
+        _CHUNK_ROWS=chunk_rows or dataset_module._CHUNK_ROWS,
+    ):
         got = outcome(load_dataset, path, fmt, catalog)
     assert got == expected
     return got
+
+
+def chunk_ranges(lines, chunk_text):
+    """(start, stop) of each chunk the loader cuts `lines` into at `chunk_text`
+    characters: a chunk ends with the line that brings it to `chunk_text`."""
+    ranges, start, size = [], 0, 0
+    for i, line in enumerate(lines):
+        size += len(line)
+        if size >= chunk_text or i == len(lines) - 1:
+            ranges.append((start, i + 1))
+            start, size = i + 1, 0
+    return ranges
+
+
+# Chunk sizes in characters: 1 makes a chunk of each line; a test file's CSV lines
+# are about 10-40 characters long and its JSONL lines about 100-150.
+CHUNK_TEXT = st.sampled_from([1, 40, 150, 400, None])
+CHUNK_ROWS = st.sampled_from([1, 2, 3, 5, None])
 
 
 def drawn_catalog(draw, labels):
@@ -229,7 +254,7 @@ def with_cell(line, fmt, j, raw):
 
 @st.composite
 def canonical_file(draw, fmt):
-    """A file as save_dataset writes it, with 0-2 faults put into it; a catalog; and a chunk size.
+    """A file as save_dataset writes it, with 0-2 faults put into it; a catalog; and a chunk size in characters.
 
     The files are mostly canonical, so that most of their chunks are read
     from their lines' tails. A fault makes a chunk fail a guard, or the
@@ -240,7 +265,7 @@ def canonical_file(draw, fmt):
     lines = text.splitlines(keepends=True)
     first = 1 if fmt == "csv" else 0  # the line after the header
     k = len(dataset.catalog)
-    chunk_rows = draw(st.integers(1, 5))
+    chunk_text = draw(st.sampled_from([1, 1, 30, 60, 120]))
 
     def record_line():
         return draw(st.integers(first, len(lines) - 1))
@@ -258,9 +283,10 @@ def canonical_file(draw, fmt):
             lines[i] = lines[i].replace(",", "", 1)
             i = i + 1 if i + 1 < len(lines) else max(first, i - 1)
             lines[i] = "," + lines[i]
-        elif fault == "quote":  # in chunk 3, often on its last line: a line break there runs on into chunk 4
-            last = 3 * chunk_rows - 1
-            i = min(first + draw(st.integers(2 * chunk_rows, last) | st.just(last)), len(lines) - 1)
+        elif fault == "quote":  # in chunk 3, often on its last line: a line break there may run on into chunk 4
+            ranges = chunk_ranges(lines[first:], chunk_text)
+            start, stop = ranges[min(2, len(ranges) - 1)]
+            i = first + draw(st.integers(start, stop - 1) | st.just(stop - 1))
             quoted = '"' + draw(st.sampled_from(["a\nb", "x,y", 'q""q', "a\r\nb"])) + '"'
             lines[i] = quoted + lines[i][lines[i].find(","):]
         elif fault == "crlf":  # every line, or one
@@ -289,34 +315,34 @@ def canonical_file(draw, fmt):
         else:  # a selections member in the head, before the tail's: the last one counts
             head = draw(st.sampled_from(["5", "{}", "[1]", '{"x": 1}', "null"]))
             lines[i] = '{"selections": ' + head + ", " + lines[i][1:]
-    return "".join(lines), drawn_catalog(draw, dataset.catalog.labels), chunk_rows
+    return "".join(lines), drawn_catalog(draw, dataset.catalog.labels), chunk_text
 
 
 class TestAgainstReference:
-    @given(drawn=csv_file(), chunk_rows=st.sampled_from([1, 2, 3, 5, None]))
+    @given(drawn=csv_file(), chunk_text=CHUNK_TEXT, chunk_rows=CHUNK_ROWS)
     @settings(max_examples=250, deadline=None)
-    def test_csv(self, tmp_path_factory, drawn, chunk_rows):
+    def test_csv(self, tmp_path_factory, drawn, chunk_text, chunk_rows):
         text, catalog = drawn
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path, "csv", catalog, chunk_rows)
+        assert_same_outcome(path, "csv", catalog, chunk_text, chunk_rows)
 
-    @given(drawn=jsonl_file(), chunk_rows=st.sampled_from([1, 2, 3, 5, None]))
+    @given(drawn=jsonl_file(), chunk_text=CHUNK_TEXT, chunk_rows=CHUNK_ROWS)
     @settings(max_examples=250, deadline=None)
-    def test_jsonl(self, tmp_path_factory, drawn, chunk_rows):
+    def test_jsonl(self, tmp_path_factory, drawn, chunk_text, chunk_rows):
         text, catalog = drawn
         path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path, "jsonl", catalog, chunk_rows)
+        assert_same_outcome(path, "jsonl", catalog, chunk_text, chunk_rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_canonical_files_with_faults(self, tmp_path_factory, fmt, data):
-        text, catalog, chunk_rows = data.draw(canonical_file(fmt))
+        text, catalog, chunk_text = data.draw(canonical_file(fmt))
         path = tmp_path_factory.mktemp(fmt) / f"d.{fmt}"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path, fmt, catalog, chunk_rows)
+        assert_same_outcome(path, fmt, catalog, chunk_text, data.draw(CHUNK_ROWS))
 
     @given(dataset=any_dataset(), chunk_rows=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=150, deadline=None)
@@ -373,6 +399,12 @@ def jsonl_lines(n, start=0):
     )
 
 
+def several_chunks(line):
+    """A count of lines as long as `line`, or longer, that fill three chunks of
+    the loader's text, and 10 lines more."""
+    return 3 * dataset_module._CHUNK_TEXT // len(line) + 10
+
+
 def record_line(call_id="x", arm="none"):
     return json.dumps({"call_id": call_id, "arm": arm, "platform": "web", "selections": {"echo": 1, "noise": 0}})
 
@@ -394,6 +426,53 @@ class TestCases:
         text = CSV_HEAD + csv_rows(3) + "xcontrol,none,3,1,0\n" + ",y,none,web,4,1,0\n"
         got = assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv")
         assert got == (DataError, "row 5: expected 6 columns, got 5")
+
+    def test_csv_heads_read_by_position_give_the_row_path_dataset(self, tmp_path):
+        # call ids and platforms other than ASCII (UTF-8 of 2, 3 and 4 bytes), empty
+        # platforms and ratings, and every arm, in a chunk read from its tails alone
+        heads = [
+            "é1,control,ü,1", "語,treatment,,", "😀x,none,ß web,5", ",control,,3", "a b,none,語😀,",
+            "c5,treatment,desktop,2", "ü,none,é,4",
+        ]
+        text = CSV_HEAD + "".join(f"{head},{i % 2},{i // 2 % 2}\n" for i, head in enumerate(heads))
+        path = self.write(tmp_path, "d.csv", text)
+        expected = assert_same_outcome(path, "csv")
+        assert expected[1][:3] == ("é1", "語", "😀x") and expected[3][1] == "" and expected[4][1] == 0
+        assert set(expected[2]) == set(ARMS)
+        row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row checks"))
+        with mock.patch.object(dataset_module, "_check_csv_row", row_path):
+            assert outcome(load_dataset, path, "csv", None) == expected
+        # the loader's own row path, with every chunk refused at the tail guard
+        with mock.patch.object(dataset_module, "_csv_tail_chunk", mock.Mock(return_value=None)):
+            assert outcome(load_dataset, path, "csv", None) == expected
+
+    @pytest.mark.parametrize(
+        "arm, rating, error",
+        [
+            # arm texts one character off an arm: shorter, longer, or one character changed
+            ("contro", "4", "row 5: unknown arm 'contro'"),
+            ("treatmen", "4", "row 5: unknown arm 'treatmen'"),
+            ("none ", "4", "row 5: unknown arm 'none '"),
+            ("Control", "4", "row 5: unknown arm 'Control'"),
+            ("treatmenx", "4", "row 5: unknown arm 'treatmenx'"),
+            ("nonE", "4", "row 5: unknown arm 'nonE'"),
+            ("none", "0", "row 5: rating 0 outside 1-5"),
+            ("none", "6", "row 5: rating 6 outside 1-5"),
+            ("none", "12", "row 5: rating 12 outside 1-5"),
+            ("none", " 3", None),
+        ],
+    )
+    def test_csv_head_fields_off_the_written_ones_go_to_the_row_path(self, tmp_path, arm, rating, error):
+        text = CSV_HEAD + csv_rows(3) + f"x,{arm},web,{rating},1,0\n" + csv_rows(3, start=3)
+        path = self.write(tmp_path, "d.csv", text)
+        rows = mock.Mock(wraps=dataset_module._check_csv_row)
+        with mock.patch.object(dataset_module, "_check_csv_row", rows):
+            got = assert_same_outcome(path, "csv")
+        assert rows.call_count == (4 if error else 7)  # the chunk's rows up to the first error
+        if error:
+            assert got == (DataError, error)
+        else:
+            assert got[4] == [1, 2, 3, 3, 4, 5, 1]
 
     @pytest.mark.parametrize("rating", [" 3", "+3", "03"])
     def test_csv_ratings_int_reads_load_as_3(self, tmp_path, rating):
@@ -444,7 +523,7 @@ class TestCases:
         assert assert_same_outcome(path, "csv", catalog)[0] == catalog
 
     def test_jsonl_syntax_error_after_a_bad_record_in_a_later_chunk_wins(self, tmp_path):
-        n = 3 * dataset_module._CHUNK_ROWS + 10
+        n = several_chunks(jsonl_lines(1))
         bad = json.dumps(
             {"call_id": "x", "arm": "none", "platform": "web", "selections": {"echo": 2, "noise": 0}}
         )
@@ -477,13 +556,13 @@ class TestCases:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_valid_files_of_several_chunks(self, tmp_path, fmt):
-        n = 3 * dataset_module._CHUNK_ROWS + 10
+        n = several_chunks(csv_rows(1) if fmt == "csv" else jsonl_lines(1))
         text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
         assert len(assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt)[1]) == n
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_canonical_file_is_read_from_its_tails_alone(self, tmp_path, fmt):
-        n = 3 * dataset_module._CHUNK_ROWS + 10
+        n = several_chunks(csv_rows(1) if fmt == "csv" else jsonl_lines(1))
         text = CSV_HEAD + csv_rows(n) if fmt == "csv" else jsonl_lines(n)
         path = self.write(tmp_path, f"d.{fmt}", text)
         expected = outcome(load_reference, path, fmt, None)
@@ -496,20 +575,46 @@ class TestCases:
 
     def test_csv_quote_in_chunk_3_hands_the_rest_of_the_file_to_csv(self, tmp_path):
         size = 4
-        lines = csv_rows(6 * size).splitlines(keepends=True)
+        lines = csv_rows(6 * size, start=10).splitlines(keepends=True)  # two-digit ids: one width
         # a quoted line break on the last line of chunk 3: the record runs on into chunk 4
-        lines[3 * size - 1] = '"call\nid"' + lines[3 * size - 1][lines[3 * size - 1].index(","):]
+        first_half = '"call\n'
+        lines[3 * size - 1] = first_half + 'id"' + lines[3 * size - 1][lines[3 * size - 1].index(","):]
         path = self.write(tmp_path, "d.csv", CSV_HEAD + "".join(lines))
+        # chunks of `size` lines, the third of which ends with the quoted field's first line
+        chunk_text = (size - 1) * len(lines[0]) + len(first_half)
         tail = mock.Mock(wraps=dataset_module._csv_tail_chunk)
         rows = mock.Mock(wraps=dataset_module._check_csv_row)
         with mock.patch.object(dataset_module, "_csv_tail_chunk", tail), \
                 mock.patch.object(dataset_module, "_check_csv_row", rows):
-            got = assert_same_outcome(path, "csv", chunk_rows=size)
+            got = assert_same_outcome(path, "csv", chunk_text=chunk_text)
         assert got[1][3 * size - 1] == "call\nid" and len(got[1]) == 6 * size
         # chunks 1 and 2 are read from their tails, chunk 3 tries and fails
         assert tail.call_count == 3
         # from chunk 3 on, every record goes through csv.reader and the row check
         assert [call.args[1] for call in rows.call_args_list] == list(range(2 + 2 * size, 2 + 6 * size))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_line_longer_than_the_chunk_text_is_a_chunk_of_one_line(self, tmp_path, fmt):
+        chunk_text = 200
+        lines = (csv_rows(20) if fmt == "csv" else jsonl_lines(20)).splitlines(keepends=True)
+        at = chunk_ranges(lines, chunk_text)[1][0]  # the first line of chunk 2
+        long_id = "x" * 3 * chunk_text
+        long_line = (csv_rows(1) if fmt == "csv" else jsonl_lines(1)).replace("c0", long_id)
+        lines.insert(at, long_line)
+        path = self.write(tmp_path, f"d.{fmt}", (CSV_HEAD if fmt == "csv" else "") + "".join(lines))
+        expected = assert_same_outcome(path, fmt, chunk_text=chunk_text)
+        assert expected[1][at] == long_id
+        # read from its tail, alone in its chunk, as every other chunk is
+        name = "_csv_tail_chunk" if fmt == "csv" else "_jsonl_tail_chunk"
+        tail = mock.Mock(wraps=getattr(dataset_module, name))
+        row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row checks"))
+        with mock.patch.multiple(dataset_module, _CHUNK_TEXT=chunk_text, **{name: tail}), \
+                mock.patch.object(dataset_module, "_check_csv_row", row_path), \
+                mock.patch.object(dataset_module, "_check_jsonl_record", row_path):
+            got = outcome(load_dataset, path, fmt, None)
+        assert got == expected
+        assert tail.call_args_list[1].args[0] == [long_line]
+        assert sum(len(call.args[0]) for call in tail.call_args_list) == len(lines)
 
     def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
         # read as one array, the two lines are two records; each line alone is not one

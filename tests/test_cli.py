@@ -595,14 +595,91 @@ def test_non_finite_config_number_is_a_one_line_data_error(key, text, tmp_path, 
     assert "must be a finite number" in err
 
 
-def test_cli_import_leaves_scipy_out():
+def _fresh_python(code, *args):
+    """The last line `code` prints, run with `args` by a new interpreter that imports this toksel."""
     src = Path(toksel.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, toksel.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _fresh_python("import sys, toksel.cli; print('scipy' in sys.modules)") == "False"
+
+
+# The package's public names, as its eager imports of every module made them.
+PUBLIC_NAMES = [
+    "AbTestReport", "AuditReport", "CapacityError", "DataError", "Dataset", "EvalReport", "ForestScorer",
+    "GeneratorConfig", "LatentCause", "ParameterError", "PatternTable", "PresentationConfig",
+    "ProportionComparison", "ResponseRecord", "SchemaError", "SelectionStep", "SelectionTrace", "SplitPlan",
+    "TableScorer", "Token", "TokenCatalog", "UndefinedStatisticError", "abtest", "apply_presentation", "auc",
+    "audit_monotonicity", "audit_submodularity", "cell_counts", "compare_proportions", "dataset",
+    "demo_dataset", "demo_experiment_config", "demo_generator_config", "entropy", "errors", "evaluate_subsets",
+    "evaluation", "filter_dataset", "generate_truth", "information_gain", "infotheory", "jaccard",
+    "jaccard_set", "label_pc", "load_dataset", "pc_entropy", "run_abtest", "save_dataset",
+    "select_auc_greedy", "select_exhaustive", "select_random", "select_rits", "select_rits_lazy",
+    "selection", "synthgen",
+]
+
+
+def test_package_import_loads_no_module():
+    code = "import sys, toksel; print(sorted(m for m in sys.modules if m.startswith('toksel.')))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_public_names_are_those_of_the_eager_imports():
+    code = (
+        "import json, toksel\n"
+        "listed = [n for n in dir(toksel) if not n.startswith('_')]\n"
+        "star = {}\n"
+        "exec('from toksel import *', star)\n"
+        "print(json.dumps([toksel.__all__, listed, sorted(set(star) - {'__builtins__'})]))"
+    )
+    all_names, listed, star = json.loads(_fresh_python(code))
+    assert all_names == listed == star == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(toksel, name)
+        home = value.__name__ if isinstance(value, type(toksel)) else value.__module__
+        assert home.startswith("toksel.")
+        assert value is sys.modules[home] or getattr(sys.modules[home], name) is value
+
+
+def test_cli_import_runs_neither_the_generator_nor_hashlib():
+    # numpy 1.x imports numpy.random, and with it _hashlib: only what toksel.cli adds counts.
+    # The generator is put in sys.modules unrun (a LazyLoader module, of its own type).
+    code = (
+        "import json, sys, types, numpy\n"
+        "before = set(sys.modules)\n"
+        "import toksel.cli\n"
+        "added = set(sys.modules) - before\n"
+        "ran = type(sys.modules['toksel.synthgen']) is types.ModuleType\n"
+        "print(json.dumps([ran, sorted(added & {'hashlib', '_hashlib'})]))"
+    )
+    assert json.loads(_fresh_python(code)) == [False, []]
+
+
+def test_abtest_imports_hashlib_only_after_its_statistics(tmp_path):
+    """`_hashlib`, whose OpenSSL is resident memory, is not loaded while the
+    arms are: only for the manifest's digests."""
+    data = write_selection_data(tmp_path, n_calls=300)
+    code = (
+        "import json, sys, numpy\n"
+        "before = '_hashlib' in sys.modules\n"
+        "from toksel import cli\n"
+        "run_abtest, seen = cli.run_abtest, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    report = run_abtest(*args, **kwargs)\n"
+        "    seen.append('_hashlib' in sys.modules)\n"
+        "    return report\n"
+        "cli.run_abtest = spy\n"
+        "code = cli.main(['abtest', '--control', sys.argv[1], '--treatment', sys.argv[1], '--output', sys.argv[2]])\n"
+        "print(json.dumps([code, before, seen, '_hashlib' in sys.modules]))"
+    )
+    code, before, seen, after = json.loads(_fresh_python(code, data, tmp_path / "abtest.json"))
+    assert (code, seen, after) == (0, [before], True)
+    assert (tmp_path / "abtest.json.manifest.json").exists()
 
 
 # Each flag's base command, with every other numeric flag at a small valid value.

@@ -43,7 +43,9 @@ def values(draw, chars=(*FILE_CHARS, "\ud800"), max_size=9):
 
 
 def chunked(rows):
-    return mock.patch.object(dataset_module, "_CHUNK_ROWS", rows)
+    """Values joined and written, and csv.reader's rows read, `rows` at a time;
+    lines read in chunks of about as many of these files' short lines."""
+    return mock.patch.multiple(dataset_module, _CHUNK_ROWS=rows, _CHUNK_TEXT=16 * rows)
 
 
 @given(values(), CHUNK_ROWS, st.data())

@@ -15,11 +15,9 @@ _EXPORTS = {
     "dataset": (
         "Dataset",
         "PatternTable",
-        "ResponseRecord",
         "Token",
         "TokenCatalog",
         "filter_dataset",
-        "label_pc",
         "load_dataset",
         "save_dataset",
     ),
@@ -28,7 +26,6 @@ _EXPORTS = {
         "EvalReport",
         "ForestScorer",
         "SplitPlan",
-        "TableScorer",
         "auc",
         "evaluate_subsets",
         "jaccard",

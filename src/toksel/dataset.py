@@ -1,7 +1,7 @@
 """Survey-response data model, CSV/JSONL ingestion, and poor-call labeling.
 
 A dataset couples a token catalog (the survey's checkbox questions) with
-per-call response records. Calls rated 1 or 2 stars are labeled "poor";
+each call's responses. Calls rated 1 or 2 stars are labeled "poor";
 that binary label is what every downstream statistic conditions on.
 Records without a star rating are kept for response-rate analysis but
 carry no poor-call label.
@@ -46,7 +46,6 @@ is decoded line by line by `_jsonl_objects`.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import mmap
@@ -126,6 +125,8 @@ class TokenCatalog:
         """Build a catalog from bare labels. Panels default to audio when unknown."""
         if panels is None:
             panels = ["audio"] * len(labels)
+        if len(panels) != len(labels):
+            raise SchemaError(f"{len(labels)} labels but {len(panels)} panels")
         return cls([Token(i, lab, pan) for i, (lab, pan) in enumerate(zip(labels, panels))])
 
     @classmethod
@@ -189,28 +190,6 @@ class TokenCatalog:
 
     def __hash__(self) -> int:
         return hash(self._tokens)
-
-
-@dataclass(frozen=True)
-class ResponseRecord:
-    """One call's survey outcome."""
-
-    call_id: str
-    arm: str
-    platform: str
-    rating: Optional[int]  # 1..5 or None
-    selections: tuple[int, ...]  # 0/1 per catalog token
-
-    @property
-    def responded(self) -> bool:
-        return any(self.selections)
-
-
-def label_pc(rating: Optional[int]) -> Optional[int]:
-    """Poor-call indicator: 1 for ratings 1-2, 0 for 3-5, None when unrated."""
-    if rating is None:
-        return None
-    return 1 if rating <= 2 else 0
 
 
 class StringColumn:
@@ -294,14 +273,26 @@ def _arm_codes(arms) -> np.ndarray:
     return np.fromiter(map(_ARM_CODES.__getitem__, arms), np.uint8, len(arms))
 
 
-class Dataset:
-    """Immutable collection of response records plus derived poor-call labels.
+def _stored(values: np.ndarray, dtype, top: int, error: str) -> np.ndarray:
+    """`values` as the `dtype` a Dataset stores them in, each an integer in
+    0..top; DataError names the first record that holds another value, one
+    the cast would change (out of range, fractional, NaN) included."""
+    with np.errstate(invalid="ignore"):  # NaN and the infinities cast to some integer, which differs
+        stored = values.astype(dtype, copy=False)  # values of `dtype` already: no copy, no compare
+    if stored.size and (stored.min() < 0 or stored.max() > top or (stored is not values and (stored != values).any())):
+        bad = (stored < 0) | (stored > top) | (stored != values)
+        raise DataError(f"{error} at record {np.argwhere(bad)[0, 0]}")
+    return stored
 
-    Stored columnar for fast counting: ratings and token cells as numpy
-    arrays, call ids and platforms as `StringColumn`s, arms as uint8
-    codes into ARMS. The tuples `call_ids`, `arms` and `platforms` and
-    the record view of `records()` are built on access; no stage reads
-    them. Ratings use 0 internally for "absent", poor-call labels use -1.
+
+class Dataset:
+    """Immutable survey responses, one call per record, with derived poor-call labels.
+
+    Stored as columns: ratings and token cells as numpy arrays, call ids
+    and platforms as `StringColumn`s, arms as uint8 codes into ARMS. The
+    tuples `call_ids`, `arms` and `platforms` are built on access; no
+    stage reads them. Ratings use 0 internally for "absent", poor-call
+    labels use -1.
     """
 
     def __init__(
@@ -318,8 +309,7 @@ class Dataset:
         codes into ARMS."""
         call_ids, platforms = _string_column(call_ids), _string_column(platforms)
         n = len(call_ids)
-        ratings = np.asarray(ratings, dtype=np.int16)
-        selections = np.asarray(selections, dtype=np.uint8)
+        ratings, selections = np.asarray(ratings), np.asarray(selections)
         if ratings.shape != (n,):
             raise DataError("ratings length must match record count")
         if len(arms) != n:
@@ -330,11 +320,8 @@ class Dataset:
             raise DataError(
                 f"selections must be (n_records, {len(catalog)}), got {selections.shape}"
             )
-        bad = np.flatnonzero((ratings < 0) | (ratings > 5))
-        if bad.size:
-            raise DataError(f"rating outside 1-5 at record {bad[0]}")
-        if selections.size and selections.max() > 1:
-            raise DataError("selection cells must be 0 or 1")
+        ratings = _stored(ratings, np.int16, 5, "rating other than 1-5")
+        selections = _stored(selections, np.uint8, 1, "selection cell other than 0 or 1")
 
         self._catalog = catalog
         self._call_ids = call_ids
@@ -348,25 +335,6 @@ class Dataset:
         self._pc = pc
         for arr in (self._arm_codes, self._ratings, self._selections, self._pc):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_records(cls, catalog: TokenCatalog, records: Sequence[ResponseRecord]) -> "Dataset":
-        n = len(records)
-        sel = np.zeros((n, len(catalog)), dtype=np.uint8)
-        ratings = np.zeros(n, dtype=np.int16)
-        for i, rec in enumerate(records):
-            if len(rec.selections) != len(catalog):
-                raise DataError(f"record {i}: selections length {len(rec.selections)} != catalog size {len(catalog)}")
-            sel[i] = rec.selections
-            ratings[i] = 0 if rec.rating is None else rec.rating
-        return cls(
-            catalog,
-            [r.call_id for r in records],
-            [r.arm for r in records],
-            [r.platform for r in records],
-            ratings,
-            sel,
-        )
 
     # -- basic views -------------------------------------------------
 
@@ -437,25 +405,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self._ratings.shape[0]
-
-    def record(self, i: int) -> ResponseRecord:
-        i = range(len(self))[i]
-        rating = int(self._ratings[i])
-        return ResponseRecord(
-            call_id=self._call_ids.slice(i, i + 1)[0],
-            arm=ARMS[self._arm_codes[i]],
-            platform=self._platforms.slice(i, i + 1)[0],
-            rating=rating if rating else None,
-            selections=tuple(int(v) for v in self._selections[i]),
-        )
-
-    def records(self) -> list[ResponseRecord]:
-        return list(self)
-
-    def __iter__(self) -> Iterator[ResponseRecord]:
-        for call_ids, arms, platforms, ratings, cells in _record_chunks(self):
-            for c, a, p, r, s in zip(call_ids, arms.tolist(), platforms, ratings.tolist(), cells.tolist()):
-                yield ResponseRecord(call_id=c, arm=ARMS[a], platform=p, rating=r or None, selections=tuple(s))
 
 
 @dataclass(frozen=True)
@@ -1133,20 +1082,6 @@ def _write_jsonl(dataset: Dataset, fh) -> None:
 
 
 _WRITERS = {"csv": _write_csv, "jsonl": _write_jsonl}
-
-
-def dataset_to_csv_text(dataset: Dataset) -> str:
-    """The text `save_dataset` writes in CSV."""
-    buf = io.StringIO()
-    _write_csv(dataset, buf)
-    return buf.getvalue()
-
-
-def dataset_to_jsonl_text(dataset: Dataset) -> str:
-    """The text `save_dataset` writes in JSONL."""
-    buf = io.StringIO()
-    _write_jsonl(dataset, buf)
-    return buf.getvalue()
 
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:

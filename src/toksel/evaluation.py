@@ -1,12 +1,14 @@
-"""Subset scoring: repeated-split AUC with pluggable scorers, and Jaccard redundancy.
+"""Subset scoring: repeated-split AUC with two scorers, and Jaccard redundancy.
 
-The default scorer is a Laplace-smoothed probability table over the
-subset's joint token patterns; with binary tokens and small subsets it is
-the empirical Bayes-optimal scorer and keeps every reported number
-exactly reproducible from the master seed. A from-scratch randomized-tree
-ensemble is available for comparison. Either scorer gives each cell of a
-subset (the records that agree on its tokens) one score, and a split's
-AUC weights each cell's score by the cell's test records.
+Either scorer gives each cell of a subset (the records that agree on its
+tokens) one score, and a split's AUC weights each cell's score by the
+cell's test records. The default, "table", scores a cell by the
+Laplace-smoothed poor-call rate of its training records, taken from the
+split's counts per distinct token row; with binary tokens and small
+subsets it is the empirical Bayes-optimal scorer and keeps every reported
+number exactly reproducible from the master seed. "forest", a
+from-scratch randomized-tree ensemble (`ForestScorer`), is there for
+comparison.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from operator import index
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -83,6 +86,17 @@ def jaccard_set(dataset: Dataset, subset: Sequence[int]) -> float:
 # -- train/test split plan ---------------------------------------------
 
 
+def check_seed(seed) -> None:
+    """Refuse, with ParameterError, a seed that numpy's generators do not take:
+    anything but an integer >= 0 (Python or numpy), None included."""
+    try:
+        if index(seed) >= 0:
+            return
+    except TypeError:
+        pass
+    raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Repeated random holdout plan; all randomness derives from master_seed."""
@@ -92,8 +106,7 @@ class SplitPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.master_seed is None:
-            raise ParameterError("repeated splits require a seed for reproducibility")
+        check_seed(self.master_seed)
         if self.splits < 1:
             raise ParameterError("splits must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -120,49 +133,6 @@ def _smoothed_rate(n1, n):
     """(n_poor + 1) / (n + 2), Laplace smoothing: the table scorer's score of a cell,
     or its prior. The pseudocount is fixed; there is no option to change it."""
     return (n1 + 1) / (n + 2)
-
-
-class TableScorer:
-    """Laplace-smoothed empirical P(poor | token pattern) lookup.
-
-    Fitted patterns score (n_poor + 1) / (n + 2), with no option to
-    change the smoothing; patterns unseen in training back off to the
-    smoothed training prior. Subset order is canonicalized so the scorer
-    depends only on the token set.
-    """
-
-    def __init__(self, subset: Sequence[int]):
-        self.subset = tuple(sorted(token_ids(subset)))
-        self._scores: Optional[np.ndarray] = None
-        self.prior_: Optional[float] = None
-
-    def fit(self, selections: np.ndarray, labels: np.ndarray) -> "TableScorer":
-        X = np.asarray(selections)
-        check_subset(self.subset, X.shape[1])
-        y = np.asarray(labels, dtype=np.int64)
-        n1_total = int(y.sum())
-        if n1_total == 0 or n1_total == y.size:
-            raise DataError("training data must contain both poor and non-poor calls")
-        # one training row per cell, so predict can key new rows together with them
-        cells, self._cells = distinct_rows(X, self.subset)
-        n_cells = self._cells.shape[0]
-        n1 = np.bincount(cells, weights=y, minlength=n_cells)
-        n = np.bincount(cells, minlength=n_cells).astype(np.float64)
-        self.prior_ = _smoothed_rate(n1_total, y.size)
-        self._scores = _smoothed_rate(n1, n)
-        return self
-
-    def predict(self, selections: np.ndarray) -> np.ndarray:
-        if self._scores is None:
-            raise ParameterError("scorer is not fitted")
-        X = np.asarray(selections)
-        check_subset(self.subset, X.shape[1])
-        X = X[:, list(self.subset)]
-        cells, n_cells = cell_ids(np.vstack([self._cells, X]), range(len(self.subset)))
-        fitted = self._cells.shape[0]
-        scores = np.full(n_cells, self.prior_)
-        scores[cells[:fitted]] = self._scores
-        return scores[cells[fitted:]]
 
 
 class ForestScorer:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, PatternTable, TokenCatalog, cell_ids, refine_cells
 from .errors import CapacityError, ParameterError
-from .evaluation import SplitPlan, univariate_aucs
+from .evaluation import SplitPlan, check_seed, univariate_aucs
 from .infotheory import IgEvaluator, extension_term_sums
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
@@ -159,8 +159,7 @@ def select_auc_greedy(
 
 def select_random(catalog_size: int, k: int, seed: int) -> SelectionTrace:
     """Uniform random subset of k tokens, deterministic for a given seed."""
-    if seed is None:
-        raise ParameterError("random selection requires a seed for reproducibility")
+    check_seed(seed)
     if catalog_size < 1:
         raise ParameterError("catalog size must be >= 1")
     _check_k(k, catalog_size)

@@ -140,11 +140,6 @@ class PresentationConfig:
         return mult
 
 
-def default_position_multipliers(n_tokens: int, top: float = DEFAULT_TOP_MULTIPLIER) -> tuple[float, ...]:
-    """Top-of-list boost, flat elsewhere."""
-    return (top,) + (1.0,) * (n_tokens - 1)
-
-
 class TruthDataset(Dataset):
     """Dataset realized by generate_truth, carrying its propensity side-channel.
 

@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from toksel import dataset as dataset_module
 from toksel.dataset import Dataset, TokenCatalog
 
 
@@ -18,6 +21,18 @@ def make_dataset(selections, ratings, catalog=None, arms=None, platforms=None):
         np.array([0 if r is None else r for r in ratings], dtype=np.int16),
         sel,
     )
+
+
+def contents(ds):
+    """Everything a Dataset holds, in a form that compares with ==."""
+    return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
+
+
+def written_text(ds, fmt):
+    """The text `save_dataset` writes in format `fmt`."""
+    buf = io.StringIO()
+    dataset_module._WRITERS[fmt](ds, buf)
+    return buf.getvalue()
 
 
 def pc_to_rating(pc):

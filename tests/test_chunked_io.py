@@ -20,12 +20,11 @@ from toksel.dataset import (
     BASE_COLUMNS,
     Dataset,
     TokenCatalog,
-    dataset_to_csv_text,
-    dataset_to_jsonl_text,
     load_dataset,
 )
 from toksel.errors import DataError
 
+from conftest import contents, written_text
 from reference_io import csv_text_reference, jsonl_text_reference, load_reference
 from test_dataset import any_dataset
 
@@ -56,7 +55,7 @@ def outcome(load, path, fmt, catalog):
         ds = load(path, format=fmt, catalog=catalog)
     except Exception as exc:  # the outcome compared is the exception itself
         return type(exc), str(exc)
-    return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
+    return contents(ds)
 
 
 def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=None):
@@ -261,7 +260,7 @@ def canonical_file(draw, fmt):
     file fail a check, or both.
     """
     dataset = draw(any_dataset(min_records=1, max_records=16, text=PLAIN, label=ASCII_LABEL))
-    text = dataset_to_csv_text(dataset) if fmt == "csv" else dataset_to_jsonl_text(dataset)
+    text = written_text(dataset, fmt)
     lines = text.splitlines(keepends=True)
     first = 1 if fmt == "csv" else 0  # the line after the header
     k = len(dataset.catalog)
@@ -376,8 +375,8 @@ class TestAgainstReference:
 def assert_same_text(dataset, chunk_rows):
     """Both writers, `chunk_rows` records at a time, write the reference writers' text."""
     with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows or dataset_module._CHUNK_ROWS):
-        assert dataset_to_csv_text(dataset) == csv_text_reference(dataset)
-        assert dataset_to_jsonl_text(dataset) == jsonl_text_reference(dataset)
+        assert written_text(dataset, "csv") == csv_text_reference(dataset)
+        assert written_text(dataset, "jsonl") == jsonl_text_reference(dataset)
 
 
 CSV_HEAD = "call_id,arm,platform,rating,echo,noise\n"

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import toksel
 from toksel.cli import main
-from toksel.dataset import Dataset, dataset_to_jsonl_text, save_dataset
+from toksel.dataset import Dataset, save_dataset
 from toksel.synthgen import GeneratorConfig, LatentCause, demo_experiment_config, generate_truth
 from toksel.dataset import TokenCatalog
 
-from conftest import make_dataset
+from conftest import make_dataset, written_text
 
 
 MINIMAL_CONFIG = {
@@ -444,7 +444,7 @@ class TestTopLevel:
 
 
 def _jsonl_line(**overrides):
-    obj = json.loads(dataset_to_jsonl_text(make_dataset([[1, 0]], [1])))
+    obj = json.loads(written_text(make_dataset([[1, 0]], [1]), "jsonl"))
     obj["selections"].update(overrides)
     return obj
 
@@ -609,16 +609,16 @@ def test_cli_import_leaves_scipy_out():
     assert _fresh_python("import sys, toksel.cli; print('scipy' in sys.modules)") == "False"
 
 
-# The package's public names, as its eager imports of every module made them.
+# The package's public names: its modules, and the names each of them exports.
 PUBLIC_NAMES = [
     "AbTestReport", "AuditReport", "CapacityError", "DataError", "Dataset", "EvalReport", "ForestScorer",
     "GeneratorConfig", "LatentCause", "ParameterError", "PatternTable", "PresentationConfig",
-    "ProportionComparison", "ResponseRecord", "SchemaError", "SelectionStep", "SelectionTrace", "SplitPlan",
-    "TableScorer", "Token", "TokenCatalog", "UndefinedStatisticError", "abtest", "apply_presentation", "auc",
+    "ProportionComparison", "SchemaError", "SelectionStep", "SelectionTrace", "SplitPlan",
+    "Token", "TokenCatalog", "UndefinedStatisticError", "abtest", "apply_presentation", "auc",
     "audit_monotonicity", "audit_submodularity", "cell_counts", "compare_proportions", "dataset",
     "demo_dataset", "demo_experiment_config", "demo_generator_config", "entropy", "errors", "evaluate_subsets",
     "evaluation", "filter_dataset", "generate_truth", "information_gain", "infotheory", "jaccard",
-    "jaccard_set", "label_pc", "load_dataset", "pc_entropy", "run_abtest", "save_dataset",
+    "jaccard_set", "load_dataset", "pc_entropy", "run_abtest", "save_dataset",
     "select_auc_greedy", "select_exhaustive", "select_random", "select_rits", "select_rits_lazy",
     "selection", "synthgen",
 ]

@@ -7,14 +7,12 @@ from toksel import dataset as dataset_module
 from toksel.dataset import (
     ARMS,
     Dataset,
-    ResponseRecord,
     TokenCatalog,
     Token,
     cell_ids,
     check_subset,
     distinct_rows,
     filter_dataset,
-    label_pc,
     load_dataset,
     refine_cells,
     save_dataset,
@@ -23,7 +21,7 @@ from toksel.errors import DataError, ParameterError, SchemaError
 from toksel.synthgen import demo_generator_config, generate_truth
 
 import reference_cells
-from conftest import make_dataset
+from conftest import contents, make_dataset
 
 
 CSV_4ROW = """call_id,arm,platform,rating,echo,noise
@@ -72,28 +70,16 @@ class TestTokenCatalog:
         cat.to_csv(path)
         assert TokenCatalog.from_csv(path) == cat
 
+    def test_from_labels_refuses_panels_of_another_length(self):
+        with pytest.raises(SchemaError, match="3 labels but 1 panels"):
+            TokenCatalog.from_labels(["a", "b", "c"], ["audio"])
+        assert TokenCatalog.from_labels(["a", "b"], ["audio", "video"]).panel_ids("video") == [1]
+
     def test_id_lookup(self):
         cat = TokenCatalog.numbered(4)
         assert cat.id_of("token_02") == 2
         with pytest.raises(SchemaError):
             cat.id_of("nope")
-
-
-class TestLabelPc:
-    def test_rating_1_is_poor(self):
-        assert label_pc(1) == 1
-
-    def test_rating_2_is_poor(self):
-        assert label_pc(2) == 1
-
-    def test_rating_5_boundary(self):
-        assert label_pc(5) == 0
-
-    def test_rating_3_boundary(self):
-        assert label_pc(3) == 0
-
-    def test_absent_propagates(self):
-        assert label_pc(None) is None
 
 
 class TestLoadCsv:
@@ -102,12 +88,9 @@ class TestLoadCsv:
         assert len(ds) == 4
         assert ds.catalog.labels == ["echo", "noise"]
         assert list(ds.ratings) == [1, 5, 0, 3]
-        rec = ds.record(2)
-        assert rec.rating is None
-        assert rec.arm == "treatment"
-        assert rec.platform == "mobile"
-        assert not rec.responded
-        assert ds.record(0).responded
+        assert (ds.arms[2], ds.platforms[2], ds.ratings[2]) == ("treatment", "mobile", 0)
+        assert not ds.responded[2]
+        assert ds.responded[0]
 
     def test_rating_out_of_range_names_row(self, tmp_path):
         bad = CSV_4ROW.replace("b,control,desktop,5", "b,control,desktop,7")
@@ -154,7 +137,7 @@ class TestLoadJsonl:
         jsonl_path = tmp_path / "d.jsonl"
         save_dataset(csv_ds, jsonl_path, format="jsonl")
         ds = load_dataset(jsonl_path, format="jsonl")
-        assert ds.records() == csv_ds.records()
+        assert contents(ds) == contents(csv_ds)
 
     def test_unknown_label_rejected(self, tmp_path):
         line = '{"call_id":"a","arm":"none","platform":"d","rating":4,"selections":{"mystery":1}}'
@@ -215,7 +198,7 @@ class TestRoundTrip:
         save_dataset(loaded, second, format=fmt)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.catalog.labels == dataset.catalog.labels
-        assert loaded.records() == dataset.records()
+        assert contents(loaded) == contents(dataset)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_synthetic_file_round_trips_byte_identically(self, tmp_path, fmt):
@@ -227,7 +210,7 @@ class TestRoundTrip:
         save_dataset(loaded, p2, format=fmt)
         assert p1.read_bytes() == p2.read_bytes()
         again = load_dataset(p2, format=fmt)
-        assert again.records() == loaded.records()
+        assert contents(again) == contents(loaded)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -245,7 +228,7 @@ class TestRoundTrip:
         loaded = load_dataset(p1, format=fmt)
         save_dataset(loaded, p2, format=fmt)
         assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.records() == truth.records()
+        assert contents(loaded) == contents(truth)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_platforms_that_are_not_strings_are_stored_and_saved_as_strings(self, tmp_path, fmt):
@@ -269,15 +252,18 @@ class TestDatasetInvariants:
     def test_responded_matches_any_selection(self):
         ds = make_dataset([[0, 0], [1, 0], [1, 1]], [5, 5, 5])
         assert list(ds.responded) == [False, True, True]
-        assert ds.record(1).responded
 
     def test_rating_bounds_enforced(self):
-        with pytest.raises(DataError):
-            make_dataset([[0]], [6])
+        # cast to the stored int16, 65541 would wrap to 5 and 2.7 truncate to 2
+        for ratings in ([5, 6], [5, -1], np.array([5, 65541]), [5, 2.7], [5, 65541], [5, np.nan]):
+            with pytest.raises(DataError, match="at record 1"):
+                Dataset(TokenCatalog.numbered(1), ["a", "b"], ["none"] * 2, ["web"] * 2, ratings, [[0], [0]])
 
     def test_selection_binary_enforced(self):
-        with pytest.raises(DataError):
-            make_dataset([[2]], [5])
+        # cast to the stored uint8, 257 would wrap to 1 and 0.5 truncate to 0
+        for cells in ([[0], [2]], [[0], [-1]], np.array([[0], [257]]), [[0], [0.5]], [[0], [np.nan]]):
+            with pytest.raises(DataError, match="at record 1"):
+                Dataset(TokenCatalog.numbered(1), ["a", "b"], ["none"] * 2, ["web"] * 2, [5, 5], cells)
 
     @pytest.mark.parametrize("column", ["arms", "platforms"])
     @pytest.mark.parametrize("length", [1, 3])
@@ -302,18 +288,9 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.pc_labels[0] = 1
 
-    def test_from_records_round_trip(self):
-        recs = [
-            ResponseRecord("a", "control", "desktop", 2, (1, 0)),
-            ResponseRecord("b", "none", "mobile", None, (0, 0)),
-        ]
-        ds = Dataset.from_records(TokenCatalog.numbered(2), recs)
-        assert ds.records() == recs
-
     def test_record_selection_length_checked(self):
-        recs = [ResponseRecord("a", "none", "desktop", 2, (1, 0, 1))]
-        with pytest.raises(DataError):
-            Dataset.from_records(TokenCatalog.numbered(2), recs)
+        with pytest.raises(DataError, match=r"selections must be \(n_records, 2\), got \(1, 3\)"):
+            Dataset(TokenCatalog.numbered(2), ["a"], ["none"], ["desktop"], [2], [[1, 0, 1]])
 
 
 @st.composite
@@ -444,12 +421,12 @@ class TestFilter:
 
     def test_empty_predicate_is_identity(self, mixed):
         out = filter_dataset(mixed)
-        assert out.records() == mixed.records()
+        assert contents(out) == contents(mixed)
 
     def test_arm_filter(self, mixed):
         out = filter_dataset(mixed, arm="treatment")
         assert len(out) == 3
-        assert all(r.arm == "treatment" for r in out)
+        assert out.arms == ("treatment",) * 3
 
     def test_rated_only_shrinks_by_unrated_count(self, mixed):
         n_unrated = int((mixed.ratings == 0).sum())
@@ -464,7 +441,7 @@ class TestFilter:
     def test_order_preserved_and_catalog_shared(self, mixed):
         out = filter_dataset(mixed, arm="control")
         assert out.catalog is mixed.catalog
-        assert [r.call_id for r in out] == ["c0000", "c0003"]
+        assert out.call_ids == ("c0000", "c0003")
 
     @given(
         ds=any_dataset(),
@@ -477,4 +454,4 @@ class TestFilter:
         # any_dataset draws 0 records too, as a header-only CSV loads
         once = filter_dataset(ds, arm=arm, rated_only=rated, responded_only=responded)
         twice = filter_dataset(once, arm=arm, rated_only=rated, responded_only=responded)
-        assert once.records() == twice.records()
+        assert contents(once) == contents(twice)

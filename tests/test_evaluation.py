@@ -11,7 +11,6 @@ from toksel.evaluation import (
     _split_aucs,
     ForestScorer,
     SplitPlan,
-    TableScorer,
     auc,
     evaluate_subsets,
     jaccard,
@@ -31,6 +30,7 @@ from toksel.dataset import TokenCatalog
 
 from conftest import make_dataset, pc_to_rating
 import reference_forest
+from reference_table import TableScorer
 
 
 def brute_force_auc(scores, labels):
@@ -184,8 +184,11 @@ class TestSplitPlan:
             SplitPlan(splits=3, train_fraction=1.0)
         with pytest.raises(DataError):
             SplitPlan(splits=2).partitions(1)
-        with pytest.raises(ParameterError, match="seed"):
-            SplitPlan(splits=2, master_seed=None)
+        # numpy's SeedSequence refuses each of these, later and with its own error
+        for seed in (None, -1, 1.5, 2.0, "3"):
+            with pytest.raises(ParameterError, match="seed"):
+                SplitPlan(splits=2, master_seed=seed)
+        assert SplitPlan(splits=2, master_seed=np.int64(5)).master_seed == 5
 
     def test_tiny_n_keeps_both_sides_nonempty(self):
         for train, test, _ in SplitPlan(splits=4, train_fraction=0.9, master_seed=0).partitions(3):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from toksel import selection
 from toksel.dataset import TokenCatalog, refine_cells
 from toksel.errors import CapacityError, ParameterError
-from toksel.evaluation import SplitPlan, TableScorer, auc
+from toksel.evaluation import SplitPlan, auc
 from toksel.infotheory import (
     IgEvaluator,
     _cond_term_sum,
@@ -27,6 +27,7 @@ from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
 from conftest import make_dataset, pc_to_rating
 from reference_selection import exhaustive_reference, greedy_reference
+from reference_table import TableScorer
 
 
 def synthetic(seed, n_tokens=8, n_calls=1500, prevalence=0.3):
@@ -233,10 +234,11 @@ class TestSelectRandom:
             select_random(5, 6, seed=1)
 
     def test_seed_required(self, duplicate_dataset):
-        with pytest.raises(ParameterError, match="seed"):
-            select_random(5, 2, seed=None)
-        with pytest.raises(ParameterError, match="seed"):
-            select_auc_greedy(duplicate_dataset, 2, splits=3, seed=None)
+        for seed in (None, -1, 1.5, "3"):
+            with pytest.raises(ParameterError, match="seed"):
+                select_random(5, 2, seed=seed)
+            with pytest.raises(ParameterError, match="seed"):
+                select_auc_greedy(duplicate_dataset, 2, splits=3, seed=seed)
 
 
 class TestSelectExhaustive:

@@ -16,14 +16,13 @@ from toksel import dataset as dataset_module
 from toksel.dataset import (
     ARMS,
     Dataset,
-    ResponseRecord,
     StringColumn,
     TokenCatalog,
-    dataset_to_csv_text,
-    dataset_to_jsonl_text,
     filter_dataset,
     load_dataset,
 )
+
+from conftest import written_text
 
 FILE_CHARS = ["\0", "\r", "\n", '"', ",", "a", "1", " ", "ü", "語", "😀"]
 CHUNK_ROWS = st.sampled_from([1, 2, 3])
@@ -90,14 +89,11 @@ def build(columns):
 @settings(max_examples=150, deadline=None)
 def test_public_tuples_equal_the_input(columns, rows):
     call_ids, arms, platforms, _, _ = columns
-    records = [ResponseRecord(c, a, p, r or None, tuple(s)) for c, a, p, r, s in zip(*columns)]
     with chunked(rows):
         dataset = build(columns)
         assert dataset.call_ids == tuple(call_ids)
         assert dataset.arms == tuple(arms)
         assert dataset.platforms == tuple(platforms)
-        assert dataset.records() == records
-        assert [dataset.record(i) for i in range(-len(records), 0)] == records
 
 
 @given(datasets(), st.sampled_from([None, *ARMS]), st.booleans(), st.booleans(), CHUNK_ROWS)
@@ -120,12 +116,11 @@ def test_filter_matches_a_per_index_reference(columns, arm, rated_only, responde
 @given(datasets(chars=FILE_CHARS, min_records=1), st.sampled_from(["csv", "jsonl"]), CHUNK_ROWS)
 @settings(max_examples=150, deadline=None)
 def test_save_load_save_gives_the_same_bytes(tmp_path_factory, columns, fmt, rows):
-    to_text = {"csv": dataset_to_csv_text, "jsonl": dataset_to_jsonl_text}[fmt]
     path = tmp_path_factory.mktemp("column") / f"data.{fmt}"
     with chunked(rows):
         dataset = build(columns)
-        text = to_text(dataset)
+        text = written_text(dataset, fmt)
         path.write_text(text, encoding="utf-8", newline="")
         loaded = load_dataset(path, format=fmt)
-        assert to_text(loaded) == text
+        assert written_text(loaded, fmt) == text
         assert (loaded.call_ids, loaded.arms, loaded.platforms) == (dataset.call_ids, dataset.arms, dataset.platforms)

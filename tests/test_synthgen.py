@@ -12,7 +12,6 @@ from toksel.synthgen import (
     LatentCause,
     PresentationConfig,
     apply_presentation,
-    default_position_multipliers,
     demo_experiment_config,
     demo_generator_config,
     experiment_from_config,
@@ -151,9 +150,6 @@ class TestPresentationConfig:
             position_multipliers=(1.4,), scroll_penalty=0.51, fold_rank=2
         )
         assert list(cfg.rank_multipliers(4)) == [1.4, 1.0, 0.51, 0.51]
-
-    def test_default_multipliers(self):
-        assert default_position_multipliers(3) == (1.4, 1.0, 1.0)
 
 
 class TestDisplayRanks:

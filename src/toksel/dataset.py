@@ -19,42 +19,56 @@ A line as `save_dataset` writes it is a head (call_id, arm, platform
 and rating) and a tail whose text depends only on the catalog:
 ",c,c,...,c" and the line end in CSV, ', "selections": {"<label>": c,
 ...}}' and "\n" in JSONL (labels in the first record's order). One
-template, `_Tail`, both writes and checks the tails, a chunk of lines
-at a time.
+template, `_Tail`, both writes the tails of a chunk of records and
+checks those of a block of lines.
 
 Files are written in chunks of records: each head by string formatting,
 and the chunk's tails by one fill of the template. A CSV chunk whose
 call ids or platforms need quoting goes through csv.writer instead.
 
-Files are read in chunks of lines of about 256 KiB of text (`_CHUNK_TEXT`
-characters), so that a chunk of wide lines holds no more than one of
-narrow ones; each chunk is read in one of two ways. When every line of
-a chunk ends in the tail with 0 or 1 in each cell, the cells are read by
-array compares and only each line's head is parsed. In CSV, when no
-head holds a quote or a NUL, the heads are read by position from their
-text's UTF-32 code units, at their three commas: the call ids and
-platforms as one joined text each, the arms and ratings as codes, with
-no str per field. In JSONL, head + "}" is decoded by one batched
-`json.loads`. Any other chunk is read row by row, and each row goes
-through the row check that names its first error (`_check_csv_row`,
-`_check_jsonl_record`): the first CSV chunk that fails hands itself and
-the rest of the file to csv.reader, since a quoted field may hold a line
-break, and its rows are then taken _CHUNK_ROWS at a time; a JSONL chunk
-is decoded line by line by `_jsonl_objects`.
+Files are read as bytes, in blocks of about 128 KiB (`_CHUNK_TEXT`)
+that end after a line feed, so that a block of wide lines holds no more
+than one of narrow ones, as Instant Loading splits CSV input into chunks
+at line ends and finds their delimiters with vector operations
+(Mühlbauer et al., "Instant Loading for Main Memory Databases", PVLDB
+2013). When every line of a block ends in the tail of its line end with
+0 or 1 in each cell, the block is read with a few array operations over
+its bytes: the tails are compared with the template, each cell read at
+a fixed offset from its line end, and only the heads are parsed. In CSV,
+when no head holds a quote, a NUL or a carriage return, the heads are
+read by position at their three commas: the call ids and platforms
+gathered and decoded once per block, the arms and ratings read as
+codes, with no str per field. In JSONL, the heads are decoded at once
+and each head + "}" read by one batched `json.loads`.
+
+Any other block is read row by row, and each row goes through the row
+check that names its first error (`_check_csv_row`,
+`_check_jsonl_record`). From the first CSV block that fails, csv.reader
+reads the rest of the file as text, since a quoted field may hold a
+line break, and its rows are then taken _CHUNK_ROWS at a time. A JSONL
+block that fails is decoded and read line by line by `_jsonl_objects`,
+and the next block is read from its tails again; but from a JSONL block
+that is not UTF-8, or holds a line that is not a JSON object, the rest
+of the file is read as text. A file read as text decodes its bytes
+8 KiB at a time and reads no line of a chunk that does not decode; read
+as text again past the lines already read, it keeps that order, so that
+the first error reported, and a decoding error's byte position, are a
+text reader's.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import mmap
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring
-from operator import getitem, index, itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -306,7 +320,20 @@ class Dataset:
     ):
         """`call_ids` and `platforms` are sequences of values stored as str, or
         `StringColumn`s, shared as given; `arms` are arm names, or their uint8
-        codes into ARMS."""
+        codes into ARMS. The ratings, selections and arm codes are copied, so
+        that no array the caller holds changes the dataset or is made read-only."""
+        arms = arms.copy() if isinstance(arms, np.ndarray) else arms
+        self._store(catalog, call_ids, arms, platforms, np.array(ratings), np.array(selections))
+
+    @classmethod
+    def _own(cls, *columns) -> "Dataset":
+        """A dataset of the columns `__init__` takes, whose arrays nothing else
+        references: stored as they are, with no copy."""
+        dataset = cls.__new__(cls)
+        dataset._store(*columns)
+        return dataset
+
+    def _store(self, catalog, call_ids, arms, platforms, ratings, selections) -> None:
         call_ids, platforms = _string_column(call_ids), _string_column(platforms)
         n = len(call_ids)
         ratings, selections = np.asarray(ratings), np.asarray(selections)
@@ -521,7 +548,7 @@ def filter_dataset(
     if responded_only:
         keep &= dataset.responded
     idx = np.flatnonzero(keep)
-    return Dataset(
+    return Dataset._own(
         dataset.catalog,
         dataset._call_ids.take(idx),
         dataset._arm_codes[idx],
@@ -586,17 +613,19 @@ def _text_errors(path):
 
 # Records written, column values joined, or rows that csv.reader parses, at a time.
 _CHUNK_ROWS = 4096
-# Characters of file lines read, checked and converted at a time: one chunk's
-# lines and what they parse into are alive at once, so a bound in text, not in
-# lines, bounds them whatever the width of a line.
-_CHUNK_TEXT = 1 << 18
+# Bytes of a file read, checked and converted at a time: one block's bytes and
+# what they parse into are alive at once, so a bound in bytes, not in lines,
+# bounds them whatever the width of a line.
+_CHUNK_TEXT = 1 << 17
 
 # Rating cells as written. Other text that int() reads (" 3", "+3") is valid
-# too: its chunk goes through the row check.
+# too: its block goes through the row check.
 _CSV_RATINGS = {"": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}
 # Looked up after a type check: True == 1 and 1.0 == 1, but neither is a rating.
 _JSON_RATINGS = {None: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 _JSONL_KEYS = ("call_id", "arm", "platform", "selections")
+# A UTF-8 byte order mark (as Excel's "CSV UTF-8" writes one) reads as part of the first header field.
+_BOM_ERROR = "header starts with a UTF-8 byte order mark (BOM); save the file as UTF-8 without a BOM"
 
 
 class _Buffer:
@@ -667,7 +696,7 @@ class _Columns:
         self.cells.append(np.asarray(cells, np.uint8))
 
     def dataset(self, catalog: TokenCatalog) -> Dataset:
-        return Dataset(
+        return Dataset._own(
             catalog,
             self.call_ids.column(),
             self.arms.array(np.zeros(0, np.uint8)),
@@ -679,43 +708,73 @@ class _Columns:
 
 def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("empty file: missing header")
-        if tuple(header[: len(BASE_COLUMNS)]) != BASE_COLUMNS or len(header) <= len(BASE_COLUMNS):
-            raise SchemaError(
-                f"header must start with {','.join(BASE_COLUMNS)} followed by token columns"
-            )
-        labels = header[len(BASE_COLUMNS):]
-        if len(set(labels)) != len(labels):
-            raise SchemaError("duplicate token columns in header")
-        cat = _catalog_for_labels(labels, catalog)
-        col_order = [labels.index(lab) for lab in cat.labels]
-        tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
+        read: list[str] = []  # the lines csv.reader reads the header row from
+        header = next(csv.reader(read.append(line) or line for line in fh), None)
+    if header is None:
+        raise SchemaError("empty file: missing header")
+    if header and header[0].startswith("\ufeff"):
+        raise SchemaError(_BOM_ERROR)
+    if tuple(header[: len(BASE_COLUMNS)]) != BASE_COLUMNS or len(header) <= len(BASE_COLUMNS):
+        raise SchemaError(
+            f"header must start with {','.join(BASE_COLUMNS)} followed by token columns"
+        )
+    labels = header[len(BASE_COLUMNS):]
+    if len(set(labels)) != len(labels):
+        raise SchemaError("duplicate token columns in header")
+    cat = _catalog_for_labels(labels, catalog)
+    col_order = [labels.index(lab) for lab in cat.labels]
+    tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
 
-        columns, row_no = _Columns(), 2
-        chunks = _chunks(fh, _CHUNK_TEXT, len)  # the lines after the header
-        for lines in chunks:
-            got = _csv_tail_chunk(lines, tails["\r\n" if lines[0].endswith("\r\n") else "\n"])
+    columns, row_no = _Columns(), 2
+    with open(path, "rb") as fh:
+        fh.seek(sum(len(line.encode()) for line in read))
+        for block in _blocks(fh):
+            got = _csv_block(block, tails)
             if got is None:
-                # a quoted field may hold a line break and run on into the next chunk:
-                # from the first chunk that fails the tail guard, csv reads the rest of the file;
-                # its rows are counted, as each field is a str object far larger than its text
-                rows = csv.reader(chain(lines, chain.from_iterable(chunks)))
-                for chunk in _chunks(rows, _CHUNK_ROWS, lambda row: 1):
-                    numbered = enumerate(chunk, row_no)
-                    columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
-                    row_no += len(chunk)
                 break
             columns.add(*got)
-            row_no += len(lines)
+            row_no += len(got[1])
+        else:
+            return columns.dataset(cat)
+    # a quoted field may hold a line break and run on into the next block: from the
+    # first block that fails a guard, csv.reader reads the rest of the file as text;
+    # its rows are counted, as each field is a str object far larger than its text
+    with _text_after(path, "", len(read) + row_no - 2) as fh:
+        for chunk in _chunks(csv.reader(fh), _CHUNK_ROWS, lambda row: 1):
+            numbered = enumerate(chunk, row_no)
+            columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
+            row_no += len(chunk)
     return columns.dataset(cat)
 
 
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of a file opened in binary, in blocks of about _CHUNK_TEXT bytes
+    that end after a line feed, or where the file does.
+
+    A block read up to the middle of a line is read on to the line's end,
+    so a line longer than a block extends it.
+    """
+    while block := fh.read(_CHUNK_TEXT):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
+@contextmanager
+def _text_after(path, newline: Optional[str], lines: int):
+    """The file opened as text, past its first `lines` lines.
+
+    A decoding error is then raised where a reader of the whole file as
+    text raises it: a text file decodes its bytes in chunks of a fixed
+    size counted from the start of the file, and no line of a chunk is
+    read until the whole chunk decodes.
+    """
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        next(islice(fh, lines, lines), None)
+        yield fh
+
+
 def _chunks(items, budget: int, size) -> Iterator[list]:
-    """The lines of a file, or the rows of a csv reader, in chunks whose sizes,
-    as `size` gives each item's, add up to `budget`.
+    """The lines of a text file, or the rows of a csv reader, in chunks whose
+    sizes, as `size` gives each item's, add up to `budget`.
 
     A chunk ends with the item that brings it to `budget`, so an item as
     large as that is a chunk of its own when it starts one. A CSV or
@@ -747,11 +806,10 @@ class _Tail:
 
     One template, the tail's UTF-8 bytes with "0" in each cell, serves
     both ways. `lines` writes a chunk's tails by one fill of it, and
-    `split` reads the cells of a chunk of lines with vector compares
-    against it, as simdjson finds a JSON text's structure (Langdale &
-    Lemire, "Parsing Gigabytes of JSON per Second", VLDB J. 2019),
-    leaving each line's head to the loader. A tail with text other than
-    ASCII is written but never matches.
+    `split` checks a block's bytes against it in one pass, each tail read
+    at a fixed offset from its line end, as simdjson finds a JSON text's
+    structure (Langdale & Lemire, "Parsing Gigabytes of JSON per Second",
+    VLDB J. 2019), leaving each line's head to the loader.
     """
 
     def __init__(self, parts: list[str], col_order: list[int]):
@@ -760,9 +818,9 @@ class _Tail:
         self.template = np.frombuffer(text.encode(), np.uint8)
         slots = np.cumsum([len(part.encode()) + 1 for part in parts[:-1]]) - 1
         self.slots = slots[col_order]  # the cells' byte offsets, in catalog order
-        self.fixed = np.ones(self.template.size, bool)
-        self.fixed[slots] = False
-        self.text = self.template[self.fixed] if text.isascii() else None
+        # a tail's bytes less the template's: 0 or 1 in a cell, 0 elsewhere
+        self.top = np.zeros(self.template.size, np.uint8)
+        self.top[slots] = 1
 
     def lines(self, heads: list[str], cells: np.ndarray) -> str:
         """The text of the lines `heads[i]` + the tail holding the catalog-ordered
@@ -774,84 +832,148 @@ class _Tail:
         tails, w = grid.tobytes().decode(), self.width
         return "".join([head + tails[i:i + w] for i, head in zip(range(0, len(tails), w), heads)])
 
-    def split(self, lines: list[str]) -> Optional[tuple[list[str], np.ndarray]]:
-        """Each line's head, the line without its last `width` characters, and the
-        (n, k) catalog-ordered cells in its tail; None unless every line ends
-        in the tail with "0" or "1" in each cell."""
-        if self.text is None:
+    def split(self, data: np.ndarray, ends: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The offset in `data` where each line's tail starts, and the (n, k)
+        catalog-ordered cells of the tails, for the lines of `data` that end
+        at the line feeds `ends`; None unless every line ends in the tail
+        with 0 or 1 in each cell."""
+        w = self.template.size
+        if ends[0] < w - 1 or (ends[1:] - ends[:-1]).min(initial=w) < w:  # a line shorter than the tail
             return None
-        n, w = len(lines), self.width
-        tails = "".join(map(getitem, lines, repeat(slice(-w, None))))
-        data = tails.encode()
-        # n * w characters: no line is shorter than the tail; as many bytes: all are ASCII
-        if len(tails) != n * w or len(data) != n * w:
+        at = ends - (w - 1)
+        grid = _windows(data, w)[at]  # each line's last w bytes
+        grid -= self.template  # a byte below the template's wraps past 1
+        if (grid > self.top).any():
             return None
-        grid = np.frombuffer(data, np.uint8).reshape(n, w)
-        cells = grid[:, self.slots] - np.uint8(ord("0"))
-        if (cells > 1).any() or not (grid[:, self.fixed] == self.text).all():
-            return None
-        return list(map(getitem, lines, repeat(slice(None, -w)))), cells
+        return at, grid[:, self.slots]
 
 
-def _csv_tail_chunk(lines: list[str], tail: _Tail):
+def _windows(data: np.ndarray, width: int) -> np.ndarray:
+    """The view whose row i is data[i:i + width], as numpy's
+    sliding_window_view gives it, without its checks."""
+    return np.ndarray((data.size - width + 1, width), np.uint8, data, 0, (1, 1))
+
+
+def _block_lines(block: bytes, tails: dict) -> Optional[tuple[np.ndarray, np.ndarray, _Tail]]:
+    """A block's bytes, the offsets of its line feeds, and the tail of its
+    first line's end, `tails["\\n"]` or `tails["\\r\\n"]`.
+
+    None if its last line has no line end, or if some line holds a
+    carriage return but in a "\\r\\n" line end: one ends a line when the
+    file is read as text.
+    """
+    if not block.endswith(b"\n"):
+        return None
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    crlf = ends[0] > 0 and data[ends[0] - 1] == ord("\r")
+    if np.count_nonzero(data == ord("\r")) != ends.size if crlf else b"\r" in block:
+        return None
+    return data, ends, tails["\r\n" if crlf else "\n"]
+
+
+def _line_starts(ends: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros(1, ends.dtype), ends[:-1] + 1])
+
+
+def _csv_block(block: bytes, tails: dict):
     """call_id, arm code, platform, rating and catalog-ordered cell columns of
-    CSV lines that each end in `tail`, or None when a guard fails.
+    a block of CSV lines that each end in the tail of their line end, or None
+    when a guard fails.
 
     The guards leave csv.reader nothing to do but split each head at its
     three commas: no head holds a quote or a NUL (which csv refuses before
-    Python 3.11), and none is longer than csv's field size limit. No head
-    holds a carriage return or a line feed, since a file read with
-    newline="" ends a line at either. The heads are read by position from
-    their text's UTF-32 code units, in which positions count characters:
-    the call ids and platforms as joined text, the arms and ratings as
-    codes. Each arm and rating must be text `_check_csv_row` accepts
-    unchanged, as `save_dataset` writes it.
+    Python 3.11) or a carriage return, and none is longer than csv's field
+    size limit. The heads are read by position from the block's bytes: the
+    call ids and platforms are gathered and decoded once each, and the arms
+    and ratings read as codes. Each arm and rating must be text
+    `_check_csv_row` accepts unchanged, as `save_dataset` writes it.
     """
-    split = tail.split(lines)
+    lines = _block_lines(block, tails)
+    if lines is None or b'"' in block or b"\0" in block:
+        return None
+    data, ends, tail = lines
+    split = tail.split(data, ends)
     if split is None:
         return None
-    heads, cells = split
-    text = "\n".join(heads)
-    if '"' in text or "\0" in text:
+    tail_at, cells = split
+    # the heads' commas, the tails' masked out: 3 per line in total, and each line's
+    # three in its own head (a count alone can hide a head of 2 beside one of 4)
+    commas = data == ord(",")
+    _windows(commas.view(np.uint8), tail.template.size)[tail_at] = 0
+    commas = np.flatnonzero(commas)
+    if commas.size != 3 * ends.size:
         return None
-    # commas counted per head, as the commas before each line end: 3 per line in
-    # total can hide a head of 2 commas beside one of 4
-    data = np.frombuffer(f"{text}\n".encode("utf-32-le"), np.uint32)
-    ends = np.flatnonzero(data == ord("\n"))
-    comma_at = np.flatnonzero(data == ord(","))
-    commas = np.searchsorted(comma_at, ends)
-    if (np.diff(commas, prepend=0) != 3).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+    first, second, third = commas.reshape(-1, 3).T
+    starts = _line_starts(ends)
+    if (first < starts).any() or (third >= tail_at).any() or (tail_at - starts).max() >= csv.field_size_limit():
         return None
-    # a head's fields lie between its start, its three commas and its end
-    starts = np.concatenate([np.zeros(1, np.int64), ends[:-1] + 1])
-    first, second, third = comma_at.reshape(-1, 3).T
-    arms = _field_codes(data, first + 1, second, ARMS)
-    ratings = _field_codes(data, third + 1, ends, list(_CSV_RATINGS))  # a rating's index is its value
+    arms = _CSV_ARM_FIELDS.codes(data, first + 1, second)
+    ratings = _CSV_RATING_FIELDS.codes(data, third + 1, tail_at)  # a rating's code is its value
     if arms is None or ratings is None:
         return None
-    call_ids, platforms = _fields(data, starts, first), _fields(data, second + 1, third)
-    return call_ids, arms.astype(np.uint8), platforms, ratings.astype(np.int16), cells
+    call_ids, platforms = _utf8_fields(data, starts, first), _utf8_fields(data, second + 1, third)
+    if call_ids is None or platforms is None:
+        return None
+    return call_ids, arms, platforms, ratings.astype(np.int16), cells
 
 
-def _fields(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> StringColumn:
-    """The column of the texts at code units lo[i]..hi[i]-1 of the UTF-32 `data`."""
+class _FieldCodes:
+    """Reads fields of a block as codes, each field's index in `texts`: found
+    by its length in bytes and its first byte, in which no two texts agree,
+    and checked against its text's other bytes."""
+
+    def __init__(self, texts: Sequence[str]):
+        self.texts = [np.frombuffer(text.encode(), np.uint8) for text in texts]
+        self.longest = max(map(len, self.texts))
+        # the code at length * 256 + first byte; longer fields share the last row
+        self.table = np.full((self.longest + 2) * 256, len(texts), np.uint8)
+        for code, text in enumerate(self.texts):
+            row = text.size * 256
+            # an empty field's byte is the one after it, whichever
+            self.table[row + int(text[0]) if text.size else slice(row, row + 256)] = code
+
+    def codes(self, data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+        """The code of each field data[lo[i]:hi[i]], which some byte follows;
+        None if some field holds none of the texts."""
+        codes = self.table[np.minimum(hi - lo, self.longest + 1) * 256 + data[lo]]
+        if (codes == len(self.texts)).any():
+            return None
+        present = np.flatnonzero(np.bincount(codes, minlength=len(self.texts)))
+        for code in present:
+            text = self.texts[code]
+            if text.size > 1:
+                at = lo if present.size == 1 else lo[codes == code]
+                if (_windows(data, text.size)[at] != text).any():
+                    return None
+        return codes
+
+
+_CSV_ARM_FIELDS = _FieldCodes(ARMS)
+_CSV_RATING_FIELDS = _FieldCodes(list(_CSV_RATINGS))
+
+
+def _utf8_fields(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[StringColumn]:
+    """The column of the fields data[lo[i]:hi[i]] of a block, gathered and
+    decoded at once; None unless each field is UTF-8 on its own."""
     lengths = hi - lo
     ends = np.cumsum(lengths)
-    # each field's code units, gathered at their offsets from its place in the joined text
-    at = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
-    return StringColumn(data[at].tobytes().decode("utf-32-le"), ends)
-
-
-def _field_codes(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, texts: Sequence[str]) -> Optional[np.ndarray]:
-    """For each field at code units lo[i]..hi[i]-1 of the UTF-32 `data`, the
-    index of its text in `texts`; None if some field holds none of them."""
-    lengths = hi - lo
-    codes = np.full(lengths.size, len(texts))
-    for code, value in enumerate(texts):
-        rows = np.flatnonzero(lengths == len(value))
-        units = data[lo[rows, None] + np.arange(len(value))]
-        codes[rows[(units == np.frombuffer(value.encode("utf-32-le"), np.uint32)).all(axis=1)]] = code
-    return None if (codes == len(texts)).any() else codes
+    if lengths[0] and (lengths == lengths[0]).all():  # fields of one width: a window of the block each
+        utf8 = _windows(data, int(lengths[0]))[lo].reshape(-1)
+    else:  # each field's bytes, gathered at their offsets from its place in the joined bytes
+        utf8 = data[np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1])]
+    try:
+        text = utf8.tobytes().decode()
+    except UnicodeDecodeError:
+        return None
+    if len(text) < utf8.size:
+        # ends counted in characters, at the bytes that start one; a field that
+        # starts inside another's last character would hide two bad ones
+        lead = (utf8 & 0xC0) != 0x80
+        if not lead[(ends - lengths)[lengths > 0]].all():
+            return None
+        ends = np.concatenate([np.zeros(1, np.int64), np.cumsum(lead)])[ends]
+    return StringColumn(text, ends)
 
 
 def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: list[int]):
@@ -869,35 +991,87 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
-    cat, tail, error, columns, first_row = None, None, None, _Columns(), 1
-    with open(path, encoding="utf-8") as fh:
-        for lines in _chunks(fh, _CHUNK_TEXT, len):
-            if cat is None and error is None:
-                labels = _first_labels(lines, first_row)
-                if labels is not None:
-                    try:
-                        cat = _catalog_for_labels(labels, catalog)
-                    except DataError as exc:
-                        error = exc
-                    else:
-                        tail = _jsonl_tail(labels, cat)
-            got = _jsonl_tail_chunk(lines, tail) if tail is not None else None
-            if got is None:
-                rows, objs = _jsonl_objects(lines, first_row)
-            first_row += len(lines)
-            # a line that is not a JSON object is reported before any record
-            # error, so after one the rest of the file is only parsed
-            if error is not None or (got is None and not objs):
-                continue
+    records = _JsonlRecords(catalog)
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
             try:
-                columns.add(*(got or zip(*map(_check_jsonl_record, objs, rows, repeat(cat.labels)))))
+                if records.cat is None and records.error is None:  # no record read yet
+                    records.find_catalog(_text_lines(block))
+                if not records.read_block(block):
+                    records.read_lines(_text_lines(block))
+            except (UnicodeDecodeError, DataError):
+                break
+        else:
+            return records.dataset()
+    # a block that does not decode, or holds a line that is not a JSON object, is
+    # read again as text with the rest of the file, so that the error reported is a
+    # text reader's: a decoding error comes before the lines of its chunk
+    with _text_after(path, None, records.row - 1) as fh:
+        for lines in _chunks(fh, _CHUNK_TEXT, len):
+            records.read_lines(lines)
+    return records.dataset()
+
+
+def _text_lines(block: bytes) -> list[str]:
+    """A block's lines as a text file read in universal newlines mode gives them."""
+    return io.StringIO(block.decode(), newline=None).readlines()
+
+
+class _JsonlRecords:
+    """The records of a JSONL file, read a block or a chunk of lines at a time
+    and numbered from row 1.
+
+    The first record's selections keys name the catalog and the tails. A
+    line that is not a JSON object is reported before any record error,
+    so after one the rest of the file is only parsed.
+    """
+
+    def __init__(self, catalog: Optional[TokenCatalog]):
+        self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
+        self.columns, self.row = _Columns(), 1
+
+    def find_catalog(self, lines: list[str]) -> None:
+        """The catalog of the first record in `lines`, if no earlier line held one."""
+        if self.cat is not None or self.error is not None:
+            return
+        labels = _first_labels(lines, self.row)
+        if labels is None:
+            return
+        try:
+            self.cat = _catalog_for_labels(labels, self.catalog)
+        except DataError as exc:
+            self.error = exc
+        else:
+            self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
+
+    def read_block(self, block: bytes) -> bool:
+        """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""
+        got = _jsonl_block(block, self.tails) if self.tails is not None else None
+        if got is None:
+            return False
+        if self.error is None:
+            self.columns.add(*got)
+        self.row += len(got[3])
+        return True
+
+    def read_lines(self, lines: list[str]) -> None:
+        """Read lines row by row; a line that is not a JSON object raises its
+        error, and then nothing of them is read."""
+        self.find_catalog(lines)
+        rows, objs = _jsonl_objects(lines, self.row)
+        self.row += len(lines)
+        if self.error is None and objs:
+            try:
+                self.columns.add(*zip(*map(_check_jsonl_record, objs, rows, repeat(self.cat.labels))))
             except DataError as exc:
-                error = exc
-    if error is not None:
-        raise error
-    if cat is None:
-        raise SchemaError("empty file: no records")
-    return columns.dataset(cat)
+                self.error = exc
+
+    def dataset(self) -> Dataset:
+        if self.error is not None:
+            raise self.error
+        if self.cat is None:
+            raise SchemaError("empty file: no records")
+        return self.columns.dataset(self.cat)
 
 
 def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:
@@ -912,32 +1086,52 @@ def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:
     return None
 
 
-def _jsonl_tail(labels: list[str], cat: TokenCatalog) -> _Tail:
+def _jsonl_tail(labels: list[str], cat: TokenCatalog, end: str = "\n") -> _Tail:
     """The tail of a JSONL line whose selections hold `labels` in this order,
-    as `save_dataset` writes it."""
+    as `save_dataset` writes it with line end `end`."""
     keys = [encode_basestring(label) + ": " for label in labels]
-    parts = [', "selections": {' + keys[0], *[", " + key for key in keys[1:]], "}}\n"]
+    parts = [', "selections": {' + keys[0], *[", " + key for key in keys[1:]], "}}" + end]
     return _Tail(parts, [labels.index(label) for label in cat.labels])
 
 
-def _jsonl_tail_chunk(lines: list[str], tail: _Tail):
-    """call_id, arm, platform, rating and catalog-ordered cell columns of JSONL
-    lines that each end in `tail`, or None when a guard fails.
+def _jsonl_block(block: bytes, tails: dict):
+    """call_id, arm, platform, rating and catalog-ordered cell columns of a
+    block of JSONL lines that each end in the tail of their line end, or
+    None when a guard fails.
 
-    The heads are decoded as head + "}" under `_decoded`'s guard, and
-    each object must hold a call_id, an arm and a platform, so it has at
-    least one member. Then the parser stands after a member value of the
-    line's outermost object at the end of the head: so head + tail is that
-    object with the tail's selections as one more member, which wins over a
-    selections member of the head, as `json.loads` keeps the last value of
-    a repeated key. The arms and ratings must be ones `_check_jsonl_record`
-    accepts unchanged.
+    The block's heads, each followed by "}", are joined by ",\n" and
+    decoded at once, and `_decoded` reads them as the elements of one JSON
+    array under its guard. Each object must hold a call_id, an arm and a
+    platform, so it has at least one member. Then the parser stands after
+    a member value of the line's outermost object at the end of the head:
+    so head + tail is that object with the tail's selections as one more
+    member, which wins over a selections member of the head, as
+    `json.loads` keeps the last value of a repeated key. The arms and
+    ratings must be ones `_check_jsonl_record` accepts unchanged.
     """
-    split = tail.split(lines)
+    lines = _block_lines(block, tails)
+    if lines is None:
+        return None
+    data, ends, tail = lines
+    split = tail.split(data, ends)
     if split is None:
         return None
-    heads, cells = split
-    objs = _decoded(heads)
+    tail_at, cells = split
+    brackets = tail.template.tobytes().count(b"[")
+    if (data[_line_starts(ends)] != ord("{")).any() or (
+        np.count_nonzero(data == ord("[")) != ends.size * brackets if brackets else b"[" in block
+    ):
+        return None
+    # "},\n".join(heads) + "}\n": each tail's first two bytes become "}," (the last
+    # one's "}"), and of the rest only its line feed is kept
+    text, keep, at = data.copy(), np.ones(data.size, np.uint8), np.arange(tail.template.size)
+    _windows(text, 2)[tail_at] = np.frombuffer(b"},", np.uint8)
+    _windows(keep, at.size)[tail_at] = (at < 2) | (at == at.size - 1)
+    keep[tail_at[-1] + 1] = 0
+    try:
+        objs = _decoded(text[keep.view(bool)].tobytes().decode(), ends.size)
+    except UnicodeDecodeError:
+        return None
     if objs is None:
         return None
     try:
@@ -963,28 +1157,26 @@ def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[di
     return rows, list(map(_jsonl_object, filter(None, texts), rows))
 
 
-def _decoded(heads: list[str]) -> Optional[list[dict]]:
-    """The JSON object each head + "}" (a text, below) holds, from one
-    `json.loads` of "[" + ",\n".join(texts) + "]", which is "[" +
-    "},\n".join(heads) + "}]"; None unless that shows each text holds
-    exactly one object.
+def _decoded(text: str, n: int) -> Optional[list[dict]]:
+    """The JSON objects of n heads, from one `json.loads` of "[" + text + "]",
+    where `text` is "},\n".join(heads) + "}\n", the elements head + "}"
+    joined by ",\n"; None unless that shows each element holds exactly one
+    object.
 
-    It does when every text starts with "{", the joined text holds no "[",
-    and the result is one object per text. Strict JSON has no raw line
-    break inside a string, so every joining comma is a structural one; with
-    no "[" the wrapper is the only array, and a comma between members of an
-    object must be followed by a string key, not by the "{" that starts the
-    next text; so every joining comma separates two values of the wrapper,
-    and N values from N texts put one value in each text.
+    It does when every head starts with "{", no head holds a "[" (both
+    checked by the caller), and the result is n objects. Strict JSON has
+    no raw line break inside a string, so every joining comma is a
+    structural one; with no "[" the wrapper is the only array, and a comma
+    between members of an object must be followed by a string key, not by
+    the "{" that starts the next element; so every joining comma separates
+    two values of the wrapper, and n values from n elements put one value
+    in each.
     """
-    joined = "},\n".join(heads)
-    if "[" in joined or not all(map(str.startswith, heads, repeat("{"))):
-        return None
     try:
-        objs = json.loads(f"[{joined}}}]")
+        objs = json.loads(f"[{text}]")
     except (ValueError, RecursionError):
         return None
-    return objs if len(objs) == len(heads) and set(map(type, objs)) <= {dict} else None
+    return objs if len(objs) == n and set(map(type, objs)) <= {dict} else None
 
 
 def _jsonl_object(text: str, row_no: int) -> dict:
@@ -1022,6 +1214,8 @@ def _check_jsonl_record(obj: dict, row_no: int, labels: list[str]):
         # every key is a label with a 0/1 cell, so some label has no key
         raise SchemaError(f"row {row_no}: missing token keys {sorted(label_set - set(selections))}")
     return str(obj["call_id"]), obj["arm"], str(obj["platform"]), rating, cells
+
+
 
 
 # -- canonical writers ------------------------------------------------

@@ -145,15 +145,18 @@ class TruthDataset(Dataset):
 
     The per-cell propensities and the uniforms that realized them are
     what apply_presentation rescales, so presentation effects stay
-    coupled to the truth draw.
+    coupled to the truth draw. Only generate_truth builds one.
     """
 
-    def __init__(self, *args, propensities: np.ndarray, uniforms: np.ndarray, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._propensities = propensities
-        self._uniforms = uniforms
-        for arr in (self._propensities, self._uniforms):
+    @classmethod
+    def _own(cls, *columns, propensities: np.ndarray, uniforms: np.ndarray) -> "TruthDataset":
+        """`Dataset._own`, with the draws that apply_presentation rescales."""
+        truth = super()._own(*columns)
+        truth._propensities = propensities
+        truth._uniforms = uniforms
+        for arr in (truth._propensities, truth._uniforms):
             arr.setflags(write=False)
+        return truth
 
 
 def generate_truth(config: GeneratorConfig) -> TruthDataset:
@@ -189,7 +192,7 @@ def generate_truth(config: GeneratorConfig) -> TruthDataset:
     ratings[~rated] = 0
 
     platform = str(config.platform)
-    return TruthDataset(
+    return TruthDataset._own(
         config.catalog,
         _call_ids(n),
         np.full(n, ARMS.index("none"), np.uint8),
@@ -268,7 +271,7 @@ def apply_presentation(
     observed = (truth._uniforms < observed_p).astype(np.uint8)
 
     # the call id and platform columns are immutable: the observed arm shares the truth's
-    return Dataset(
+    return Dataset._own(
         truth.catalog,
         truth._call_ids,
         np.full(len(truth), ARMS.index(arm), np.uint8),

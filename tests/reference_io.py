@@ -2,10 +2,11 @@
 
 These are the loaders and writers toksel shipped before its file I/O
 worked in chunks: every cell is parsed or formatted on its own, in file
-order. The chunked loaders, which read a chunk of lines from their tails
-or row by row, must return an equal Dataset for every file, or raise the
-same exception with the same message; the writers must write the same
-text.
+order, from the file read as text. The chunked loaders, which read a
+block of bytes from its lines' tails or row by row, must return an equal
+Dataset for every file, or raise the same exception with the same
+message (a decoding error's position included); the writers must write
+the same text.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise SchemaError("empty file: missing header")
+        if header and header[0].startswith("\ufeff"):
+            raise SchemaError(
+                "header starts with a UTF-8 byte order mark (BOM); save the file as UTF-8 without a BOM"
+            )
         if tuple(header[: len(BASE_COLUMNS)]) != BASE_COLUMNS or len(header) <= len(BASE_COLUMNS):
             raise SchemaError(
                 f"header must start with {','.join(BASE_COLUMNS)} followed by token columns"

@@ -22,7 +22,7 @@ from toksel.dataset import (
     TokenCatalog,
     load_dataset,
 )
-from toksel.errors import DataError
+from toksel.errors import DataError, SchemaError
 
 from conftest import contents, written_text
 from reference_io import csv_text_reference, jsonl_text_reference, load_reference
@@ -59,8 +59,8 @@ def outcome(load, path, fmt, catalog):
 
 
 def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=None):
-    """Both loaders give the same outcome. The chunked one reads `chunk_text`
-    characters of lines at a time, and `chunk_rows` rows of csv.reader, which
+    """Both loaders give the same outcome. The chunked one reads blocks of about
+    `chunk_text` bytes at a time, and `chunk_rows` rows of csv.reader, which
     also sizes the first capacity of its columns; each at its default when None."""
     expected = outcome(load_reference, path, fmt, catalog)
     with mock.patch.multiple(
@@ -74,8 +74,8 @@ def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=Non
 
 
 def chunk_ranges(lines, chunk_text):
-    """(start, stop) of each chunk the loader cuts `lines` into at `chunk_text`
-    characters: a chunk ends with the line that brings it to `chunk_text`."""
+    """(start, stop) of each block the loader cuts ASCII `lines` into at `chunk_text`
+    bytes: a block ends with the line that brings it to `chunk_text`."""
     ranges, start, size = [], 0, 0
     for i, line in enumerate(lines):
         size += len(line)
@@ -85,8 +85,8 @@ def chunk_ranges(lines, chunk_text):
     return ranges
 
 
-# Chunk sizes in characters: 1 makes a chunk of each line; a test file's CSV lines
-# are about 10-40 characters long and its JSONL lines about 100-150.
+# Block sizes in bytes: 1 makes a block of each line; a test file's CSV lines
+# are about 10-40 bytes long and its JSONL lines about 100-150.
 CHUNK_TEXT = st.sampled_from([1, 40, 150, 400, None])
 CHUNK_ROWS = st.sampled_from([1, 2, 3, 5, None])
 
@@ -253,10 +253,10 @@ def with_cell(line, fmt, j, raw):
 
 @st.composite
 def canonical_file(draw, fmt):
-    """A file as save_dataset writes it, with 0-2 faults put into it; a catalog; and a chunk size in characters.
+    """A file as save_dataset writes it, with 0-2 faults put into it; a catalog; and a block size in bytes.
 
-    The files are mostly canonical, so that most of their chunks are read
-    from their lines' tails. A fault makes a chunk fail a guard, or the
+    The files are mostly canonical, so that most of their blocks are read
+    from their lines' tails. A fault makes a block fail a guard, or the
     file fail a check, or both.
     """
     dataset = draw(any_dataset(min_records=1, max_records=16, text=PLAIN, label=ASCII_LABEL))
@@ -399,8 +399,8 @@ def jsonl_lines(n, start=0):
 
 
 def several_chunks(line):
-    """A count of lines as long as `line`, or longer, that fill three chunks of
-    the loader's text, and 10 lines more."""
+    """A count of ASCII lines as long as `line`, or longer, that fill three of
+    the loader's blocks, and 10 lines more."""
     return 3 * dataset_module._CHUNK_TEXT // len(line) + 10
 
 
@@ -441,8 +441,8 @@ class TestCases:
         row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row checks"))
         with mock.patch.object(dataset_module, "_check_csv_row", row_path):
             assert outcome(load_dataset, path, "csv", None) == expected
-        # the loader's own row path, with every chunk refused at the tail guard
-        with mock.patch.object(dataset_module, "_csv_tail_chunk", mock.Mock(return_value=None)):
+        # the loader's own row path, with every block refused at the tail guard
+        with mock.patch.object(dataset_module, "_csv_block", mock.Mock(return_value=None)):
             assert outcome(load_dataset, path, "csv", None) == expected
 
     @pytest.mark.parametrize(
@@ -472,6 +472,13 @@ class TestCases:
             assert got == (DataError, error)
         else:
             assert got[4] == [1, 2, 3, 3, 4, 5, 1]
+
+    @pytest.mark.parametrize("call_id, read", [('"q""q"', 'q"q'), ('"qq"', "qq"), ("q\0q", "q\0q")])
+    def test_csv_quote_or_nul_in_a_head_goes_to_csv_reader(self, tmp_path, call_id, read):
+        # csv.reader reads a quoted field without its quotes, and refuses a NUL before Python 3.11
+        path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(3) + f"{call_id},none,web,4,1,0\n")
+        got = assert_same_outcome(path, "csv")
+        assert got[1][3] == read or got[0] is DataError
 
     @pytest.mark.parametrize("rating", [" 3", "+3", "03"])
     def test_csv_ratings_int_reads_load_as_3(self, tmp_path, rating):
@@ -516,6 +523,34 @@ class TestCases:
         catalog = TokenCatalog.from_labels(["noise", "echo"])
         assert assert_same_outcome(path, "jsonl", catalog)[5][-1] == [1, 0]
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("csv", CSV_HEAD + csv_rows(2) + "c9,none,we\rb,4,1,0\n" + csv_rows(2, start=2)),
+            ("csv", (CSV_HEAD + csv_rows(2) + "c\r9,none,web,4,1,0\n").replace("\n", "\r\n")),
+            ("jsonl", jsonl_lines(3) + record_line().replace('"arm"', '\r"arm"') + "\n" + jsonl_lines(2, start=2)),
+        ],
+    )
+    @pytest.mark.parametrize("chunk_text", [1, None])
+    def test_carriage_return_in_a_head_ends_a_line(self, tmp_path, fmt, text, chunk_text):
+        # as a file read as text ends a line at a bare "\r", which JSON reads as whitespace
+        got = assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt, chunk_text=chunk_text)
+        assert got[0] is DataError and got[1].startswith("row 4: ")
+
+    @pytest.mark.parametrize("chunk_text", [1, None])
+    def test_csv_fields_that_split_a_character_do_not_decode(self, tmp_path, chunk_text):
+        # the bytes of "é", b"\xc3\xa9", end one call id and start the next: joined, they
+        # decode; past the first 8 KiB, which the header is decoded with
+        bad = b"a\xc3,none,web,4,1,0\n\xa9b,none,web,4,1,0\n"
+        text = (CSV_HEAD + csv_rows(400)).encode() + bad + csv_rows(3).encode()
+        got = assert_same_outcome(self.write(tmp_path, "d.csv", text), "csv", chunk_text=chunk_text)
+        assert got[0] is DataError and "can't decode byte 0xc3" in got[1]
+
+    def test_csv_header_after_a_byte_order_mark_names_it(self, tmp_path):
+        path = self.write(tmp_path, "d.csv", "\ufeff" + CSV_HEAD + csv_rows(3))
+        got = assert_same_outcome(path, "csv")
+        assert got == (SchemaError, dataset_module._BOM_ERROR) and "byte order mark" in got[1]
+
     def test_csv_catalog_in_another_order_than_the_header(self, tmp_path):
         path = self.write(tmp_path, "d.csv", CSV_HEAD + csv_rows(20))
         catalog = TokenCatalog.from_labels(["noise", "echo"])
@@ -553,6 +588,17 @@ class TestCases:
         text = (jsonl_lines(n) + record_line(arm="groupB") + "\n" + jsonl_lines(3000, start=n)).encode() + b"\xff\n"
         assert assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")[1].startswith(f"{tmp_path}")
 
+    @pytest.mark.parametrize("chunk_text", [1, 64, None])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_decoding_error_in_the_text_chunk_of_a_bad_row_wins(self, tmp_path, fmt, chunk_text):
+        # read as text, a file decodes 8 KiB at a time, and no line of a chunk that does not
+        # decode is read: a bad byte a line after a bad row hides it, 300 lines after it does not
+        bad, rows = ("x,none,web,7,1,0\n", csv_rows) if fmt == "csv" else ("{oops\n", jsonl_lines)
+        for gap, hidden in ((1, True), (300, False)):
+            text = ((CSV_HEAD if fmt == "csv" else "") + rows(20) + bad + rows(gap, start=20)).encode() + b"\xff\n"
+            got = assert_same_outcome(self.write(tmp_path, f"d.{fmt}", text), fmt, chunk_text=chunk_text)
+            assert got[0] is DataError and got[1].startswith(str(tmp_path)) == hidden
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_valid_files_of_several_chunks(self, tmp_path, fmt):
         n = several_chunks(csv_rows(1) if fmt == "csv" else jsonl_lines(1))
@@ -579,17 +625,18 @@ class TestCases:
         first_half = '"call\n'
         lines[3 * size - 1] = first_half + 'id"' + lines[3 * size - 1][lines[3 * size - 1].index(","):]
         path = self.write(tmp_path, "d.csv", CSV_HEAD + "".join(lines))
-        # chunks of `size` lines, the third of which ends with the quoted field's first line
+        # blocks of `size` lines, the third of which ends with the quoted field's first line
         chunk_text = (size - 1) * len(lines[0]) + len(first_half)
-        tail = mock.Mock(wraps=dataset_module._csv_tail_chunk)
+        tail = mock.Mock(wraps=dataset_module._csv_block)
         rows = mock.Mock(wraps=dataset_module._check_csv_row)
-        with mock.patch.object(dataset_module, "_csv_tail_chunk", tail), \
+        with mock.patch.object(dataset_module, "_csv_block", tail), \
                 mock.patch.object(dataset_module, "_check_csv_row", rows):
             got = assert_same_outcome(path, "csv", chunk_text=chunk_text)
         assert got[1][3 * size - 1] == "call\nid" and len(got[1]) == 6 * size
-        # chunks 1 and 2 are read from their tails, chunk 3 tries and fails
+        # blocks 1 and 2 are read from their tails, block 3 tries and fails
         assert tail.call_count == 3
-        # from chunk 3 on, every record goes through csv.reader and the row check
+        assert tail.call_args_list[2].args[0].endswith(first_half.encode())
+        # from block 3 on, every record goes through csv.reader and the row check
         assert [call.args[1] for call in rows.call_args_list] == list(range(2 + 2 * size, 2 + 6 * size))
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -603,8 +650,8 @@ class TestCases:
         path = self.write(tmp_path, f"d.{fmt}", (CSV_HEAD if fmt == "csv" else "") + "".join(lines))
         expected = assert_same_outcome(path, fmt, chunk_text=chunk_text)
         assert expected[1][at] == long_id
-        # read from its tail, alone in its chunk, as every other chunk is
-        name = "_csv_tail_chunk" if fmt == "csv" else "_jsonl_tail_chunk"
+        # read from its tail, alone in its block, as every other block is
+        name = "_csv_block" if fmt == "csv" else "_jsonl_block"
         tail = mock.Mock(wraps=getattr(dataset_module, name))
         row_path = mock.Mock(side_effect=AssertionError("a chunk reached the row checks"))
         with mock.patch.multiple(dataset_module, _CHUNK_TEXT=chunk_text, **{name: tail}), \
@@ -612,8 +659,8 @@ class TestCases:
                 mock.patch.object(dataset_module, "_check_jsonl_record", row_path):
             got = outcome(load_dataset, path, fmt, None)
         assert got == expected
-        assert tail.call_args_list[1].args[0] == [long_line]
-        assert sum(len(call.args[0]) for call in tail.call_args_list) == len(lines)
+        assert tail.call_args_list[1].args[0] == long_line.encode()
+        assert sum(call.args[0].count(b"\n") for call in tail.call_args_list) == len(lines)
 
     def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
         # read as one array, the two lines are two records; each line alone is not one

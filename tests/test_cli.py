@@ -160,6 +160,14 @@ class TestSelect:
         data = write_selection_data(tmp_path)
         assert main(["select", "--input", str(data), "--k", "0"]) == 1
 
+    def test_csv_after_a_byte_order_mark_is_a_data_error_naming_it(self, tmp_path, capsys):
+        # as Excel's "CSV UTF-8" writes it
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + written_text(make_dataset([[0, 1], [1, 0]], [1, 5]), "csv").encode())
+        assert main(["select", "--input", str(data), "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("toksel: data error: header starts with a UTF-8 byte order mark") and err.count("\n") == 1
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["select", "--input", str(tmp_path / "nope.csv"), "--k", "2"])
         assert code == 2

@@ -288,6 +288,15 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.pc_labels[0] = 1
 
+    def test_arrays_given_are_copied_and_left_writeable(self):
+        ratings, cells, codes = np.array([1, 5], np.int16), np.zeros((2, 1), np.uint8), np.array([2, 2], np.uint8)
+        view = ratings[:]
+        ds = Dataset(TokenCatalog.numbered(1), ["a", "b"], codes, ["w"] * 2, view, cells)
+        assert view.flags.writeable and cells.flags.writeable and codes.flags.writeable
+        ratings[0], cells[0, 0], codes[0] = 9, 1, 0
+        assert ds.ratings.tolist() == [1, 5] and ds.pc_labels.tolist() == [1, 0]
+        assert ds.selections.tolist() == [[0], [0]] and ds.arms == ("none", "none")
+
     def test_record_selection_length_checked(self):
         with pytest.raises(DataError, match=r"selections must be \(n_records, 2\), got \(1, 3\)"):
             Dataset(TokenCatalog.numbered(2), ["a"], ["none"], ["desktop"], [2], [[1, 0, 1]])

@@ -27,7 +27,7 @@ and the chunk's tails by one fill of the template. A CSV chunk whose
 call ids or platforms need quoting goes through csv.writer instead.
 
 Files are read as bytes, in blocks of about 128 KiB (`_CHUNK_TEXT`)
-that end after a line feed, so that a block of wide lines holds no more
+that end after a line end, so that a block of wide lines holds no more
 than one of narrow ones, as Instant Loading splits CSV input into chunks
 at line ends and finds their delimiters with vector operations
 (Mühlbauer et al., "Instant Loading for Main Memory Databases", PVLDB
@@ -63,6 +63,7 @@ import io
 import json
 import math
 import mmap
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -626,6 +627,7 @@ _JSON_RATINGS = {None: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5}
 _JSONL_KEYS = ("call_id", "arm", "platform", "selections")
 # A UTF-8 byte order mark (as Excel's "CSV UTF-8" writes one) reads as part of the first header field.
 _BOM_ERROR = "header starts with a UTF-8 byte order mark (BOM); save the file as UTF-8 without a BOM"
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 class _Buffer:
@@ -749,13 +751,21 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
 
 def _blocks(fh) -> Iterator[bytes]:
     """The rest of a file opened in binary, in blocks of about _CHUNK_TEXT bytes
-    that end after a line feed, or where the file does.
+    that end after a line end ("\\n", "\\r\\n" or a bare "\\r"), or where the file does.
 
     A block read up to the middle of a line is read on to the line's end,
-    so a line longer than a block extends it.
+    so a line longer than a block extends it. A bare carriage return ends a
+    block too, as it ends a line read as text: a file whose lines end in one
+    is not read whole.
     """
     while block := fh.read(_CHUNK_TEXT):
-        yield block if block.endswith(b"\n") else block + fh.readline()
+        parts = [block]
+        while not parts[-1].endswith((b"\n", b"\r")) and (ahead := fh.peek()):
+            end = _LINE_END.search(ahead)
+            parts.append(fh.read(end.end() if end else len(ahead)))
+        if parts[-1].endswith(b"\r") and fh.peek()[:1] == b"\n":  # never split a "\r\n"
+            parts.append(fh.read(1))
+        yield b"".join(parts)
 
 
 @contextmanager
@@ -921,7 +931,11 @@ def _csv_block(block: bytes, tails: dict):
 class _FieldCodes:
     """Reads fields of a block as codes, each field's index in `texts`: found
     by its length in bytes and its first byte, in which no two texts agree,
-    and checked against its text's other bytes."""
+    and checked against its text's other bytes.
+
+    One lookup serves every text: compared with each text in turn, the
+    fields made a CSV load about a quarter slower.
+    """
 
     def __init__(self, texts: Sequence[str]):
         self.texts = [np.frombuffer(text.encode(), np.uint8) for text in texts]
@@ -942,10 +956,8 @@ class _FieldCodes:
         present = np.flatnonzero(np.bincount(codes, minlength=len(self.texts)))
         for code in present:
             text = self.texts[code]
-            if text.size > 1:
-                at = lo if present.size == 1 else lo[codes == code]
-                if (_windows(data, text.size)[at] != text).any():
-                    return None
+            if text.size > 1 and (_windows(data, text.size)[lo[codes == code]] != text).any():
+                return None
         return codes
 
 
@@ -958,10 +970,8 @@ def _utf8_fields(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[S
     decoded at once; None unless each field is UTF-8 on its own."""
     lengths = hi - lo
     ends = np.cumsum(lengths)
-    if lengths[0] and (lengths == lengths[0]).all():  # fields of one width: a window of the block each
-        utf8 = _windows(data, int(lengths[0]))[lo].reshape(-1)
-    else:  # each field's bytes, gathered at their offsets from its place in the joined bytes
-        utf8 = data[np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1])]
+    # each field's bytes, gathered at their offsets from its place in the joined bytes
+    utf8 = data[np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1])]
     try:
         text = utf8.tobytes().decode()
     except UnicodeDecodeError:
@@ -1214,8 +1224,6 @@ def _check_jsonl_record(obj: dict, row_no: int, labels: list[str]):
         # every key is a label with a 0/1 cell, so some label has no key
         raise SchemaError(f"row {row_no}: missing token keys {sorted(label_set - set(selections))}")
     return str(obj["call_id"]), obj["arm"], str(obj["platform"]), rating, cells
-
-
 
 
 # -- canonical writers ------------------------------------------------

@@ -662,6 +662,21 @@ class TestCases:
         assert tail.call_args_list[1].args[0] == long_line.encode()
         assert sum(call.args[0].count(b"\n") for call in tail.call_args_list) == len(lines)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_blocks_end_at_any_line_end_and_keep_each_crlf_whole(self, tmp_path, fmt, end):
+        lines = ((CSV_HEAD + csv_rows(40)) if fmt == "csv" else jsonl_lines(40)).splitlines()
+        text = end.join([*lines, ""])
+        path = self.write(tmp_path, f"d.{fmt}", text)
+        longest = max(map(len, lines)) + len(end)
+        for chunk_text in (1, 7, 64, 200):
+            assert_same_outcome(path, fmt, chunk_text=chunk_text)
+            # a file with no line feed is not read as one block
+            with open(path, "rb") as fh, mock.patch.object(dataset_module, "_CHUNK_TEXT", chunk_text):
+                blocks = list(dataset_module._blocks(fh))
+            assert b"".join(blocks) == text.encode()
+            assert all(block.endswith(end.encode()) and len(block) < chunk_text + longest for block in blocks)
+
     def test_jsonl_records_merged_across_two_lines_through_an_array(self, tmp_path):
         # read as one array, the two lines are two records; each line alone is not one
         first, second = jsonl_lines(2).splitlines()

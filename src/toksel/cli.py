@@ -4,13 +4,18 @@ Stages hand off through files. Every command is a pure function of its
 inputs, flags, and seed; each run that writes files also writes a
 manifest recording the input digest, the seed, and the digests of every
 output, so reruns can be checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
-3 capacity exceeded (`select --strategy exhaustive`'s enumeration cap, or a run that
+3 capacity exceeded (`select --strategy exhaustive`'s cap on C(n, k), or a run that
 needs more memory than the machine can give or address, such as an impossible `n_calls`).
+
+Run as a process (`python -m toksel.cli`, the `toksel` script), `main` freezes the
+garbage collector's view of the objects imported so far (`gc.freeze`): they live until
+exit, so no collection, not even shutdown's, walks them again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import math
@@ -363,7 +368,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process entry (see the module docstring); a caller that passes an
+        # argument list, such as a test or a library, keeps its collector as it is
+        gc.freeze()
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         _run(args)
@@ -374,8 +384,9 @@ def main(argv=None) -> int:
         print(f"toksel: error: {exc}", file=sys.stderr)
         return 1
     except (CapacityError, MemoryError) as exc:
-        # MemoryError: numpy could not allocate an array the run needs
-        print(f"toksel: capacity error: {exc}", file=sys.stderr)
+        # MemoryError: an allocation the run needs failed, often with no message of its own
+        cause = str(exc) or f"out of memory while running {args.command if args else 'toksel'}"
+        print(f"toksel: capacity error: {cause}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         # OSError: an input path that is missing, a directory, or unreadable

@@ -63,9 +63,10 @@ import io
 import json
 import math
 import mmap
+import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring
@@ -448,9 +449,15 @@ class PatternTable:
     rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
     counts: np.ndarray  # (n_patterns, 2) int64: rated records per row that are (not poor, poor)
     row_of_record: np.ndarray  # (n_rated,) int64: pattern index of each rated record
+    # (n_tokens, n_patterns) uint8: `rows` transposed, so that each token's column is contiguous
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    # (2, n_patterns) float64: `counts` transposed, the weights a bincount per label takes
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.rows, self.counts, self.row_of_record):
+        object.__setattr__(self, "columns", np.ascontiguousarray(self.rows.T))
+        object.__setattr__(self, "weights", np.ascontiguousarray(self.counts.T, dtype=np.float64))
+        for arr in (self.rows, self.counts, self.row_of_record, self.columns, self.weights):
             arr.setflags(write=False)
 
     @property
@@ -497,19 +504,41 @@ def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
     Rows share a cell exactly when they agree on every column in
     `subset`. Ids run 0..n_cells-1 in increasing order of the rows'
     subset values read as a binary number, Σ row[subset[j]] * 2^j, so
-    subset[0] is the least significant bit. Any subset width works: the
-    columns are folded in from the last, and the keys are renumbered
-    whenever their range passes twice the row count, so no bincount
-    takes more than four bins per row.
+    subset[0] is the least significant bit. Any subset width works
+    (`fold_keys`).
     """
-    keys, n_keys = np.zeros(rows.shape[0], dtype=np.int64), 1
-    for t in reversed(list(subset)):
+    return _compact(*fold_keys(rows.T, 0, 1, np.array([list(subset)], dtype=np.intp).reshape(1, -1)))
+
+
+def fold_keys(columns: np.ndarray, start, width: int, subsets: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cell keys of m blocks of rows, stacked: block j starts from its own
+    cells and is refined by the token columns in row j of the (m, s) `subsets`.
+
+    `columns` is the rows transposed, (n_tokens, n_rows). `start`
+    (broadcast to (m, n_rows)) holds each row's starting cell in each
+    block, ids below `width`; block j's are offset by j * width. The
+    columns are folded in from the last, as less significant bits than
+    the start, and the keys are renumbered (`_compact`) whenever their
+    range passes twice their count, so no bincount takes more than four
+    bins per key. Returns the (m * n_rows,) keys, block by block, and
+    their range: rows share a key exactly when they are in one block and
+    share its start cell and its columns' values. Each block's keys are
+    below the next block's, and within a block they increase with the
+    start cell, then with the columns' values read as a binary number,
+    subsets[j][0] the least significant bit. Keys are renumbered only
+    over those that occur, so some keys in the range may not occur.
+    """
+    m, size = subsets.shape
+    keys = np.empty((m, columns.shape[1]), dtype=np.int64)
+    np.add(start, width * np.arange(m)[:, None], out=keys)
+    keys, n_keys = keys.reshape(-1), m * width
+    for i in reversed(range(size)):
         keys *= 2
-        keys += rows[:, t]
+        keys += columns[subsets[:, i]].reshape(-1)
         n_keys *= 2
-        if n_keys > 2 * rows.shape[0]:
+        if n_keys > 2 * keys.size:
             keys, n_keys = _compact(keys, n_keys)
-    return _compact(keys, n_keys)
+    return keys, n_keys
 
 
 def refine_cells(cells: np.ndarray, column: np.ndarray, n_cells: int) -> tuple[np.ndarray, int]:
@@ -639,16 +668,18 @@ class _Buffer:
     once joined and freed they leave holes that the allocator keeps
     resident. Each capacity is an anonymous memory mapping of its own
     instead: one that a doubling frees goes back to the system whole,
-    and pages past the rows appended are never touched.
+    and pages past the rows appended are never touched. So the first
+    mapping holds `capacity` rows, the most the file can hold by an
+    estimate from its size, and a file within it is never copied.
     """
 
-    def __init__(self):
-        self.data, self.size = None, 0
+    def __init__(self, capacity: int):
+        self.data, self.size, self.capacity = None, 0, max(1, capacity)
 
     def append(self, chunk: np.ndarray) -> None:
         end = self.size + len(chunk)
         if self.data is None or end > len(self.data):
-            shape = (max(end, 2 * self.size, _CHUNK_ROWS), *chunk.shape[1:])
+            shape = (max(end, 2 * self.size, self.capacity), *chunk.shape[1:])
             mapping = mmap.mmap(-1, math.prod(shape) * chunk.itemsize)
             grown = np.frombuffer(mapping, chunk.dtype, math.prod(shape)).reshape(shape)
             if self.size:
@@ -666,8 +697,8 @@ class _TextBuffer:
     """A string column grown a chunk of values at a time: its text as UTF-8
     bytes ("surrogatepass" keeps lone surrogates), and its ends in characters."""
 
-    def __init__(self):
-        self.utf8, self.ends, self.chars = _Buffer(), _Buffer(), 0
+    def __init__(self, rows: int, text_bytes: int):
+        self.utf8, self.ends, self.chars = _Buffer(text_bytes), _Buffer(rows), 0
 
     def append(self, values) -> None:
         chunk = _string_column(values)
@@ -683,11 +714,18 @@ class _TextBuffer:
 
 class _Columns:
     """A file's columns, filled chunk by chunk; each chunk's strings are
-    dropped once they are appended to the compact columns."""
+    dropped once they are appended to the compact columns.
 
-    def __init__(self):
-        self.call_ids, self.platforms = _TextBuffer(), _TextBuffer()
-        self.arms, self.ratings, self.cells = _Buffer(), _Buffer(), _Buffer()
+    Each column's first mapping is sized from the bytes left to read: no
+    more rows than those bytes over the width of a line's tail, the
+    narrowest line the byte path reads, and no more text than the bytes.
+    Rows past that, such as short lines read row by row, grow it by doubling.
+    """
+
+    def __init__(self, text_bytes: int, tail: _Tail):
+        rows = text_bytes // tail.template.size
+        self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
+        self.arms, self.ratings, self.cells = _Buffer(rows), _Buffer(rows), _Buffer(rows)
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         """Append a chunk: its arms as names, or as their uint8 codes into ARMS."""
@@ -727,9 +765,10 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
     col_order = [labels.index(lab) for lab in cat.labels]
     tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
 
-    columns, row_no = _Columns(), 2
     with open(path, "rb") as fh:
-        fh.seek(sum(len(line.encode()) for line in read))
+        header_bytes = sum(len(line.encode()) for line in read)
+        columns, row_no = _Columns(os.fstat(fh.fileno()).st_size - header_bytes, tails["\n"]), 2
+        fh.seek(header_bytes)
         for block in _blocks(fh):
             got = _csv_block(block, tails)
             if got is None:
@@ -1001,8 +1040,8 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
-    records = _JsonlRecords(catalog)
     with open(path, "rb") as fh:
+        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size)
         for block in _blocks(fh):
             try:
                 if records.cat is None and records.error is None:  # no record read yet
@@ -1036,9 +1075,9 @@ class _JsonlRecords:
     so after one the rest of the file is only parsed.
     """
 
-    def __init__(self, catalog: Optional[TokenCatalog]):
+    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int):
         self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
-        self.columns, self.row = _Columns(), 1
+        self.file_bytes, self.columns, self.row = file_bytes, None, 1
 
     def find_catalog(self, lines: list[str]) -> None:
         """The catalog of the first record in `lines`, if no earlier line held one."""
@@ -1053,6 +1092,7 @@ class _JsonlRecords:
             self.error = exc
         else:
             self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
+            self.columns = _Columns(self.file_bytes, self.tails["\n"])
 
     def read_block(self, block: bytes) -> bool:
         """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""

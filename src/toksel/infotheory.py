@@ -13,6 +13,15 @@ tokens) produce bit-identical values regardless of cell order, and the
 monotonicity audit can use a zero tolerance. But each term is rounded
 before the sum, so a token that splits cells in exact proportion (true
 gain 0) can still show a violation of about 1e-15 bits.
+
+Many subsets are scored at once by `stacked_term_sums`: their cell keys
+are stacked and folded together (`dataset.fold_keys`), counted by one
+bincount per label, and each subset's nonzero terms summed by one fsum,
+so each sum is the same bits as `_cond_term_sum`'s. The greedy and
+exhaustive searches score one-token extensions this way
+(`extension_term_sums`), and the audits draw every trial first and
+then score each distinct subset once, in batches of equal size
+(`subset_term_sums`).
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PatternTable, cell_ids, check_subset
+from .dataset import Dataset, PatternTable, cell_ids, check_subset, fold_keys
 from .errors import DataError, ParameterError
 
 
@@ -76,32 +85,49 @@ def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
     return math.fsum(terms[terms != 0.0])
 
 
+def stacked_term_sums(table: PatternTable, start, width: int, subsets: np.ndarray) -> list[float]:
+    """N * H[pc | cells] for each block of `dataset.fold_keys(table.columns, start, width, subsets)`.
+
+    The blocks' keys are counted per label in one bincount over all
+    blocks, the term n*log2(n) - n0*log2(n0) - n1*log2(n1) taken for
+    each occupied key, and each block's nonzero terms summed by one fsum.
+    A block's keys are its subset's cells, so its sum is the fsum of the
+    same nonzero terms that `_cond_term_sum` adds for that subset, and
+    the two agree to the bit.
+    """
+    m, n_rows = subsets.shape[0], table.rows.shape[0]
+    if m == 0 or n_rows == 0:
+        return [0.0] * m
+    keys, n_keys = fold_keys(table.columns, start, width, subsets)
+    n0, n1 = (np.bincount(keys, np.tile(w, m), minlength=n_keys) for w in table.weights)
+    occupied = np.flatnonzero(n0 + n1)
+    terms = _cell_terms(n0[occupied], n1[occupied])
+    nonzero = terms != 0.0
+    values = terms[nonzero].tolist()
+    # each block's keys are below the next block's: a block ends after its largest key
+    last = np.searchsorted(occupied, keys.reshape(m, n_rows).max(axis=1))
+    ends = np.cumsum(nonzero)[last].tolist()
+    return [math.fsum(values[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+
+
 def extension_term_sums(
     table: PatternTable, cells: np.ndarray, n_cells: int, candidates: Sequence[int]
 ) -> list[float]:
     """N * H[pc | S + t] for each candidate t, from the cells of S over `table.rows`.
 
-    Every candidate's (cell, token value) pairs are keyed j*2n + 2*cell +
-    row[t], for the j-th candidate and n cells, and counted per label in
-    one bincount over all candidates. Each sum is the fsum of the same
-    nonzero terms that `_cond_term_sum(dataset, S + t)` adds, so the two
-    agree to the bit. Memory is O(candidates * rows).
+    The j-th candidate is block j of `stacked_term_sums`: it starts from
+    the cells of S and is refined by t's column. Each sum agrees to the
+    bit with `_cond_term_sum(dataset, S + t)`. Memory is O(candidates * rows).
     """
-    candidates = list(candidates)
-    m, width = len(candidates), 2 * n_cells
-    keys = table.rows[:, candidates].T.astype(np.int64)
-    keys += 2 * cells
-    keys += width * np.arange(m)[:, None]
-    keys = keys.ravel()
-    n0, n1 = (
-        np.bincount(keys, np.tile(table.counts[:, c], m), minlength=m * width).reshape(m, width)
-        for c in (0, 1)
-    )
-    terms = _cell_terms(n0, n1)
-    nonzero = terms != 0.0
-    values = terms[nonzero].tolist()
-    ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-    return [math.fsum(values[start:end]) for start, end in zip([0, *ends], ends)]
+    candidates = np.array(list(candidates), dtype=np.intp)
+    return stacked_term_sums(table, cells, n_cells, candidates[:, None])
+
+
+def subset_term_sums(table: PatternTable, subsets: Sequence[Sequence[int]]) -> list[float]:
+    """N * H[pc | subset] for each of equal-size subsets, scored as the blocks of one
+    `stacked_term_sums`; each agrees to the bit with `_cond_term_sum`."""
+    size = len(subsets[0]) if subsets else 0
+    return stacked_term_sums(table, 0, 1, np.array(subsets, dtype=np.intp).reshape(len(subsets), size))
 
 
 def pc_entropy(dataset: Dataset) -> float:
@@ -173,10 +199,19 @@ class AuditReport:
 
 # Largest subset the audits sample, so that thousands of trials stay affordable on wide catalogs.
 _AUDIT_MAX_SIZE = 10
+# Keys (subsets * table rows) an audit scores in one batch: a bound on the batch's arrays.
+_AUDIT_BATCH_KEYS = 1 << 14
 
 
-def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw) -> AuditReport:
-    """Count the gaps above `tolerance` of `trials` draws of `draw(rng, ev, n_tokens)`."""
+def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw, gap) -> AuditReport:
+    """Count the gaps above `tolerance` of `trials` draws of `draw(rng, n_tokens)`.
+
+    A draw reads no term sum, so every trial is drawn first, in order,
+    from one generator: the subsets it returns, each as its sorted ids.
+    Each distinct subset is then scored once, in batches of subsets of one
+    size (`subset_term_sums`), and each trial's gap is `gap` of its
+    subsets' term sums, divided by the rated-record count.
+    """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     if not 0 <= tolerance < math.inf:
@@ -184,17 +219,37 @@ def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw) -> AuditRep
     n_tokens = len(dataset.catalog)
     if n_tokens < min_tokens:
         raise DataError(f"{kind} audit needs at least {min_tokens} tokens")
+    table = dataset.patterns
+    total = table.total
+    if total == 0:
+        raise DataError("dataset has no rated records")
     rng = np.random.default_rng(seed)
-    ev = IgEvaluator(dataset)
+    draws = [draw(rng, n_tokens) for _ in range(trials)]
+
+    by_size: dict[int, set] = {}
+    for subsets in draws:
+        for subset in subsets:
+            by_size.setdefault(len(subset), set()).add(subset)
+    per_batch = max(1, _AUDIT_BATCH_KEYS // table.rows.shape[0])
+    term_sums = {}
+    for size in sorted(by_size):
+        subsets = sorted(by_size[size])
+        for lo in range(0, len(subsets), per_batch):
+            batch = subsets[lo:lo + per_batch]
+            term_sums.update(zip(batch, subset_term_sums(table, batch)))
 
     violations = 0
     max_violation = 0.0
-    for _ in range(trials):
-        gap = draw(rng, ev, n_tokens)
-        if gap > tolerance:
+    for subsets in draws:
+        value = gap(*(term_sums[subset] for subset in subsets)) / total
+        if value > tolerance:
             violations += 1
-            max_violation = max(max_violation, gap)
+            max_violation = max(max_violation, value)
     return AuditReport(kind, trials, violations, max_violation, tolerance, seed)
+
+
+def _sorted_ids(ids) -> tuple[int, ...]:
+    return tuple(sorted(int(t) for t in ids))
 
 
 def audit_monotonicity(dataset: Dataset, trials: int, seed: Optional[int] = None) -> AuditReport:
@@ -207,15 +262,15 @@ def audit_monotonicity(dataset: Dataset, trials: int, seed: Optional[int] = None
     for the rounding case where that happens.
     """
 
-    def draw(rng, ev, n_tokens):
+    def draw(rng, n_tokens):
         size2 = int(rng.integers(1, min(n_tokens, _AUDIT_MAX_SIZE) + 1))
         t2 = rng.permutation(n_tokens)[:size2]
         size1 = int(rng.integers(0, size2 + 1))
         t1 = t2[rng.permutation(size2)[:size1]]
-        # IG(T1) > IG(T2) exactly when the T2 term sum exceeds the T1 term sum
-        return (ev.cond(t2) - ev.cond(t1)) / ev.total
+        return _sorted_ids(t2), _sorted_ids(t1)
 
-    return _audit("monotonicity", dataset, trials, seed, 0.0, 1, draw)
+    # IG(T1) > IG(T2) exactly when the T2 term sum exceeds the T1 term sum
+    return _audit("monotonicity", dataset, trials, seed, 0.0, 1, draw, lambda t2, t1: t2 - t1)
 
 
 def audit_submodularity(
@@ -232,15 +287,18 @@ def audit_submodularity(
     label) can produce genuine violations.
     """
 
-    def draw(rng, ev, n_tokens):
+    def draw(rng, n_tokens):
         size2 = int(rng.integers(0, min(n_tokens - 1, _AUDIT_MAX_SIZE) + 1))
         perm = rng.permutation(n_tokens)
         t2 = tuple(int(x) for x in perm[:size2])
         e = int(perm[size2])
         size1 = int(rng.integers(0, size2 + 1))
         t1 = tuple(t2[i] for i in rng.permutation(size2)[:size1])
-        gain_small = ev.cond(t1) - ev.cond(t1 + (e,))
-        gain_large = ev.cond(t2) - ev.cond(t2 + (e,))
-        return (gain_large - gain_small) / ev.total
+        return _sorted_ids(t1), _sorted_ids(t1 + (e,)), _sorted_ids(t2), _sorted_ids(t2 + (e,))
 
-    return _audit("submodularity", dataset, trials, seed, tolerance, 2, draw)
+    def gap(t1, t1e, t2, t2e):
+        gain_small = t1 - t1e
+        gain_large = t2 - t2e
+        return gain_large - gain_small
+
+    return _audit("submodularity", dataset, trials, seed, tolerance, 2, draw, gap)

@@ -7,21 +7,25 @@ ranking, uniform random, and an exhaustive oracle for small catalogs.
 The greedy and exhaustive searches hold the cells of the subset they
 extend and score all of its one-token extensions in one batch
 (`infotheory.extension_term_sums`), to the same bits as scoring each
-extension on its own.
+extension on its own. The exhaustive search is a branch and bound over
+the lexicographic walk of full enumeration: it skips every subset that
+a bound shows cannot beat the greedy subset or the best one found, by
+more than a margin that covers rounding (`PRUNE_MARGIN_BITS`), and so
+returns enumeration's winner and trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, PatternTable, TokenCatalog, cell_ids, refine_cells
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, check_seed, univariate_aucs
-from .infotheory import IgEvaluator, extension_term_sums
+from .infotheory import IgEvaluator, extension_term_sums, stacked_term_sums
 
 EXHAUSTIVE_SUBSET_CAP = 200_000
 
@@ -170,10 +174,15 @@ def select_random(catalog_size: int, k: int, seed: int) -> SelectionTrace:
 
 
 def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
-    """Best size-k subset by joint information gain, by full enumeration.
+    """Best size-k subset by joint information gain, by branch and bound.
 
-    Ties resolve to the lexicographically smallest id list. Steps replay
-    the winning subset greedily so the trace carries marginal gains.
+    The search meets the subsets in `combinations` order and keeps the
+    first one of the largest gain, so ties resolve to the
+    lexicographically smallest id list, as full enumeration resolves
+    them. It scores only the subsets that no bound rules out
+    (`_prefixes`), against a floor that starts at the greedy k-subset's
+    gain. Steps replay the winning subset greedily so the trace carries
+    marginal gains.
     """
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
@@ -183,9 +192,10 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
             f"{n_subsets} subsets of size {k} exceed the enumeration cap of {EXHAUSTIVE_SUBSET_CAP}"
         )
     ev = IgEvaluator(dataset)
+    greedy_ig = _greedy(ev, range(n_tokens), k)[-1].cumulative_ig_bits
     best_subset = None
     best_ig = -1.0
-    for prefix, cells, n_cells in _prefixes(ev.patterns, n_tokens, k - 1):
+    for prefix, cells, n_cells in _prefixes(ev, n_tokens, k - 1, lambda: max(best_ig, greedy_ig)):
         last = range(prefix[-1] + 1 if prefix else 0, n_tokens)
         for t, term_sum in zip(last, extension_term_sums(ev.patterns, cells, n_cells, last)):
             ig = ev.gain(term_sum)
@@ -195,29 +205,90 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
     return SelectionTrace("exhaustive", _greedy(ev, best_subset, k), budget_k=k)
 
 
+# How far below the floor a bound must fall before the search prunes on it, in bits.
+# Each cell's term n*log2(n) - n0*log2(n0) - n1*log2(n1) is rounded within a few
+# units in the last place of its products, whose magnitudes add up to at most
+# 2*N*log2(N) over a subset's cells for N rated records, and fsum adds no error. So a
+# computed gain is within about 2*log2(N)*2^-50 bits of the exact one: below 1.2e-13
+# bits for any N an int64 holds (the known rounding gaps between subsets are about
+# 3e-15 bits). A pruned subset's exact gain is at most its exact bound, so its
+# computed gain is at most the computed bound plus twice that error, which is below
+# floor - PRUNE_MARGIN_BITS + 2.4e-13 < floor: some subset's computed gain is higher,
+# and the subset could never have won.
+PRUNE_MARGIN_BITS = 1e-12
+
+
 def _prefixes(
-    table: PatternTable, n_tokens: int, depth: int
+    ev: IgEvaluator, n_tokens: int, depth: int, floor: Callable[[], float]
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
-    """Each increasing `depth`-token prefix that leaves room for one more token, with its cells.
+    """Each increasing `depth`-token prefix that leaves room for one more token, with
+    its cells, except those whose every extension a bound shows to be below `floor()`.
 
     Prefixes come in lexicographic order, so extending each by every
     larger token in turn visits the subsets in `combinations` order. The
     search is depth-first and refines one prefix at a time: it holds the
     cells of at most depth + 1 prefixes.
+
+    The bound is Narendra & Fukunaga's ("A Branch and Bound Algorithm for
+    Feature Subset Selection", 1977): plug-in conditional entropy never
+    rises when a token is added, so no subset that extends P by t and
+    larger tokens gains more than P + {t, ..., n-1}. Before P is extended
+    by t, that bound's gain is compared with `floor()`, the larger of the
+    greedy subset's gain and the best gain found so far; below it by more
+    than PRUNE_MARGIN_BITS, P is done, since the bounds of its larger
+    tokens are the gains of subsets of this one. A prefix's bounds are
+    scored in batches as the walk reaches them, each as long as the bounds
+    the prefix already has. Any subset that could win is still met in
+    order, so the winner is enumeration's.
     """
-    # each frame: a prefix, its cells and cell count, and the next token to extend it by
-    stack = [[(), *cell_ids(table.rows, ()), 0]]
+    table = ev.patterns
+    suffixes = _suffix_cells(table, n_tokens)
+    # each frame: a prefix, its cells and cell count, the next token to extend it
+    # by, and the bound gains of extending it by each token from its first on
+    stack = [[(), *cell_ids(table.rows, ()), 0, []]]
     while stack:
         frame = stack[-1]
-        prefix, cells, n_cells, t = frame
+        prefix, cells, n_cells, t, bounds = frame
+        first = prefix[-1] + 1 if prefix else 0
+        stop = n_tokens - depth + len(prefix)
         if len(prefix) == depth:
             yield prefix, cells, n_cells
             stack.pop()
-        elif t < n_tokens - depth + len(prefix):
+        elif t < stop:
+            if t - first == len(bounds):
+                # the next bounds, as many as are known (or 1): few go unused when the
+                # prefix is done early, and few batches are scored when it is not
+                more = range(t, min(stop, t + max(1, len(bounds))))
+                bounds += _bound_gains(ev, suffixes, prefix, more)
+            if bounds[t - first] < floor() - PRUNE_MARGIN_BITS:
+                stack.pop()
+                continue
             frame[3] = t + 1
-            stack.append([(*prefix, t), *refine_cells(cells, table.rows[:, t], n_cells), t + 1])
+            # prefix + t's first bound, prefix + t + {t + 1, ..., n-1}, is this one
+            child = [(*prefix, t), *refine_cells(cells, table.rows[:, t], n_cells), t + 1, [bounds[t - first]]]
+            stack.append(child)
         else:
             stack.pop()
+
+
+def _suffix_cells(table: PatternTable, n_tokens: int) -> list[tuple[np.ndarray, int]]:
+    """The cells of each suffix {t, ..., n-1} of the catalog and their count, t = 0..n."""
+    suffixes = [cell_ids(table.rows, ())]
+    for t in reversed(range(n_tokens)):
+        cells, n_cells = suffixes[-1]
+        suffixes.append(refine_cells(cells, table.rows[:, t], n_cells))
+    return suffixes[::-1]
+
+
+def _bound_gains(
+    ev: IgEvaluator, suffixes: list[tuple[np.ndarray, int]], prefix: tuple[int, ...], tokens: range
+) -> list[float]:
+    """The gain of prefix + {t, ..., n-1} for each t in `tokens`, in one batch: block
+    j starts from the cells of its suffix and is refined by the prefix's columns."""
+    start = np.stack([suffixes[t][0] for t in tokens])
+    width = suffixes[tokens[0]][1]  # the longest suffix has the most cells
+    subsets = np.tile(np.array(prefix, dtype=np.intp), (len(tokens), 1))
+    return [ev.gain(term_sum) for term_sum in stacked_term_sums(ev.patterns, start, width, subsets)]
 
 
 # Strategy name -> fn(dataset, k, seed, splits, train_fraction). The select_*

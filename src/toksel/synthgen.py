@@ -66,6 +66,13 @@ class LatentCause:
         _as_probability(self.prevalence, "prevalence")
 
 
+def _addressable(other_side: int) -> int:
+    """The longest side of a float64 array whose other side is `other_side`
+    that numpy can index: generate_truth draws (n_calls, tokens) and
+    (n_calls, causes) arrays."""
+    return np.iinfo(np.intp).max // (other_side * np.dtype(np.float64).itemsize)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_calls: int
@@ -86,10 +93,7 @@ class GeneratorConfig:
         for cause in self.latent_causes:
             if cause.token_weights.shape != (len(self.catalog),):
                 raise ParameterError("cause token_weights must match catalog size")
-        # generate_truth draws (n_calls, tokens) and (n_calls, causes) float64 arrays,
-        # whose byte counts numpy must be able to index
-        width = max(len(self.catalog), len(self.latent_causes))
-        limit = np.iinfo(np.intp).max // (width * np.dtype(np.float64).itemsize)
+        limit = _addressable(max(len(self.catalog), len(self.latent_causes)))
         if self.n_calls > limit:
             raise CapacityError(f"n_calls {self.n_calls} exceeds {limit}, the most calls numpy can address")
         if self.base_fire_rate.shape != (len(self.catalog),):
@@ -284,11 +288,19 @@ def apply_presentation(
 # -- declarative config files -------------------------------------------
 
 
-def _catalog_from_config(spec) -> TokenCatalog:
+def _catalog_from_config(spec, n_calls) -> TokenCatalog:
     if spec is None or spec == "default":
         return TokenCatalog.default()
     if isinstance(spec, (int, float)):
-        return TokenCatalog.numbered(_number(spec, "catalog", int))
+        size = _number(spec, "catalog", int)
+        # refused before any token is built: a catalog wider than numpy can draw for the
+        # config's calls (for one call while n_calls is unchecked) would build tokens
+        # until memory runs out
+        calls = n_calls if type(n_calls) is int and n_calls > 1 else 1
+        limit = _addressable(calls)
+        if size > limit:
+            raise CapacityError(f"catalog of {size} tokens exceeds {limit}, the most numpy can address for {calls} calls")
+        return TokenCatalog.numbered(size)
     if isinstance(spec, dict) and "file" in spec:
         return TokenCatalog.from_csv(spec["file"])
     if isinstance(spec, list):
@@ -346,7 +358,7 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
     if not isinstance(obj, dict):
         raise DataError(f"config must be a JSON object, got {type(obj).__name__}")
     try:
-        catalog = _catalog_from_config(obj.get("catalog", "default"))
+        catalog = _catalog_from_config(obj.get("catalog", "default"), obj.get("n_calls"))
         base = obj.get("base_fire_rate", 0.0)
         if isinstance(base, (dict, list)):
             base_vec = _weights_vector(base, catalog, "base_fire_rate")

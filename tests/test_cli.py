@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -124,6 +125,19 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("toksel: capacity error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_huge_numbered_catalog_is_refused_before_any_token_is_built(self, tmp_path):
+        # in a child whose address space is capped at 1 GiB, so that a catalog built
+        # token by token runs out there, and not on the machine that runs the tests
+        cfg = write_config(tmp_path, {**MINIMAL_CONFIG, "catalog": 10**30})
+        src = Path(toksel.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+        argv = [sys.executable, "-m", "toksel.cli", "generate", "--config", str(cfg), "--output", str(tmp_path / "o")]
+        done = subprocess.run(argv, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"toksel: capacity error: catalog of {10**30} tokens exceeds ")
+        assert done.stderr.count("\n") == 1
 
     def test_arms_tagged_in_files(self, tmp_path):
         cfg = write_config(tmp_path, TWO_ARM_CONFIG)
@@ -611,6 +625,24 @@ def _fresh_python(code, *args):
         [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     return out.stdout.splitlines()[-1]
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    # main(argv) leaves the collector alone; main() with no list, as the console
+    # script and `python -m toksel.cli` call it, freezes the imported objects
+    code = (
+        "import gc, sys; from toksel import cli; cli.main(['--version']); n = gc.get_freeze_count();"
+        " sys.argv = ['toksel', '--version']; cli.main(); print(n, gc.get_freeze_count() > 0)"
+    )
+    assert _fresh_python(code) == "0 True"
+
+
+def test_a_bare_memory_error_names_its_cause(tmp_path, capsys):
+    data = write_selection_data(tmp_path, n_calls=200)
+    with mock.patch("toksel.cli.audit_monotonicity", side_effect=MemoryError):
+        code = main(["audit", "--input", str(data), "--trials", "5", "--seed", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == "toksel: capacity error: out of memory while running audit\n"
 
 
 def test_cli_import_leaves_scipy_out():

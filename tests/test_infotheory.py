@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toksel import infotheory
 from toksel.errors import DataError, ParameterError
 from toksel.infotheory import (
     _cell_terms,
@@ -17,11 +18,13 @@ from toksel.infotheory import (
     entropy,
     information_gain,
     pc_entropy,
+    subset_term_sums,
 )
 from toksel.dataset import TokenCatalog
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
 from conftest import make_dataset, pc_to_rating
+from reference_audit import audit_monotonicity_reference, audit_submodularity_reference
 
 
 class TestEntropy:
@@ -406,3 +409,78 @@ class TestPcEntropy:
     def test_matches_entropy_of_rate(self):
         ds = make_dataset([[0]] * 5, [1, 5, 5, 5, 5])
         assert pc_entropy(ds) == pytest.approx(entropy(0.2), abs=1e-12)
+
+
+@st.composite
+def small_table_dataset(draw, max_tokens=40):
+    """Up to 40 records over up to `max_tokens` tokens, each row a noisy copy of one of
+    a few prototypes, so that rows repeat, and at least one record rated."""
+    n_tokens = draw(st.integers(1, max_tokens))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    prototypes = rng.random((draw(st.integers(1, 5)), n_tokens)) < rng.random()
+    rows = prototypes[rng.integers(0, len(prototypes), n)] ^ (rng.random((n, n_tokens)) < 0.05)
+    ratings = [None if r == 0 else int(r) for r in rng.integers(0, 6, n)]
+    ratings[0] = draw(st.integers(1, 5))
+    return make_dataset(rows.astype(np.uint8), ratings)
+
+
+class TestSubsetTermSums:
+    """Equal-size subsets scored as one batch, against `_cond_term_sum` one subset at a time."""
+
+    @given(dataset=small_table_dataset(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_one_subset_at_a_time(self, dataset, data):
+        n_tokens = len(dataset.catalog)
+        size = data.draw(st.integers(0, n_tokens))
+        subset = st.lists(st.integers(0, n_tokens - 1), unique=True, min_size=size, max_size=size)
+        subsets = data.draw(st.lists(subset, min_size=1, max_size=6))
+        got = subset_term_sums(dataset.patterns, subsets)
+        assert [v.hex() for v in got] == [_cond_term_sum(dataset, s).hex() for s in subsets]
+
+    def test_compaction_on_a_table_shorter_than_its_cells(self):
+        # 12 tokens over 9 distinct rows: the keys are renumbered several times per subset
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, (9, 12))
+        ds = make_dataset(np.repeat(rows, 3, axis=0), [1, 5, 2] * 9)
+        assert len(ds.patterns.rows) < 2**12
+        subsets = [list(range(12)), list(range(11, -1, -1)), [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]]
+        got = subset_term_sums(ds.patterns, subsets)
+        assert [v.hex() for v in got] == [_cond_term_sum(ds, s).hex() for s in subsets]
+
+    def test_empty_subsets_and_no_subsets(self, hand_dataset):
+        table = hand_dataset.patterns
+        assert subset_term_sums(table, [(), ()]) == [_cond_term_sum(hand_dataset, ())] * 2
+        assert subset_term_sums(table, []) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("trials", [1, 37, 200])
+def test_audits_equal_the_per_trial_loop(seed, trials):
+    ds = _synthetic(seed, n_tokens=12, n_calls=800)
+    assert audit_monotonicity(ds, trials, seed) == audit_monotonicity_reference(ds, trials, seed)
+    assert audit_submodularity(ds, trials, seed) == audit_submodularity_reference(ds, trials, seed)
+
+
+@given(dataset=small_table_dataset(max_tokens=14), seed=st.integers(0, 2**16), batch_keys=st.integers(1, 200))
+@settings(max_examples=60, deadline=None)
+def test_audits_equal_the_per_trial_loop_in_any_batches(dataset, seed, batch_keys):
+    # batches of a few subsets each, down to one, give the same reports
+    old = infotheory._AUDIT_BATCH_KEYS
+    infotheory._AUDIT_BATCH_KEYS = batch_keys
+    try:
+        assert audit_monotonicity(dataset, 30, seed) == audit_monotonicity_reference(dataset, 30, seed)
+        if len(dataset.catalog) >= 2:
+            got = audit_submodularity(dataset, 30, seed, tolerance=0.0)
+            assert got == audit_submodularity_reference(dataset, 30, seed, tolerance=0.0)
+    finally:
+        infotheory._AUDIT_BATCH_KEYS = old
+
+
+def test_audit_on_interacting_and_proportional_data_equals_the_per_trial_loop():
+    # gaps that rounding alone decides must come out of both bit for bit
+    for ds in (_interacting_dataset(), _proportional_split_dataset()):
+        for seed in range(3):
+            assert audit_monotonicity(ds, 200, seed) == audit_monotonicity_reference(ds, 200, seed)
+            assert audit_submodularity(ds, 200, seed, 0.0) == audit_submodularity_reference(ds, 200, seed, 0.0)

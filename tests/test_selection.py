@@ -297,6 +297,21 @@ class TestBundledDemo:
         assert len(margs) == 5
         assert all(b <= a for a, b in zip(margs, margs[1:]))
 
+    def test_demo_k5_search_scores_few_subsets(self, demo, monkeypatch):
+        walk = selection._prefixes
+        scored = []
+
+        def counted(ev, n_tokens, depth, floor):
+            for prefix, cells, n_cells in walk(ev, n_tokens, depth, floor):
+                scored.append(n_tokens - (prefix[-1] + 1 if prefix else 0))
+                yield prefix, cells, n_cells
+
+        monkeypatch.setattr(selection, "_prefixes", counted)
+        trace = select_exhaustive(demo, 5)
+        assert sum(scored) < 0.05 * math.comb(15, 5)
+        subset, steps = exhaustive_reference(demo, 5)
+        assert bits(trace.steps) == bits(steps)
+
     def test_lazy_equals_eager_at_k15(self, demo):
         # a stale-bound lazy greedy picked token 4 before 12 at step 7 here
         lazy = select_rits_lazy(demo, 15)
@@ -362,6 +377,86 @@ class TestBatchedAgainstReference:
         candidates = data.draw(st.permutations([t for t in range(n_tokens) if t not in subset]))
         got = extension_term_sums(table, cells, n_cells, candidates)
         assert [v.hex() for v in got] == [_cond_term_sum(dataset, [*subset, t]).hex() for t in candidates]
+
+
+@st.composite
+def pruning_dataset(draw):
+    """Up to 8 tokens whose columns are random, copies of earlier ones, constant, or
+    XOR pairs that decide the label, which no single token predicts, so that many
+    subsets tie and the greedy floor can sit far below the best subset's gain."""
+    n_records = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.random(n_records) < rng.uniform(0.2, 0.8)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["random", "copy", "constant", "xor"]), min_size=1, max_size=6)):
+        if kind == "xor":
+            a = rng.random(n_records) < 0.5
+            flips = rng.random(n_records) < draw(st.sampled_from([0.0, 0.1]))
+            columns += [a, a ^ label ^ flips]
+        elif kind == "copy" and columns:
+            columns.append(columns[rng.integers(len(columns))])
+        elif kind == "constant":
+            columns.append(np.full(n_records, rng.random() < 0.5))
+        else:
+            columns.append(rng.random(n_records) < rng.random())
+    columns = columns[:8]
+    ratings = np.where(label, 1, 5).tolist()
+    for i in np.flatnonzero(rng.random(n_records) < 0.2)[1:]:
+        ratings[i] = None
+    return make_dataset(np.array(columns, dtype=np.uint8).T, ratings)
+
+
+def proportional_split_dataset(extra_columns):
+    """The 803 records on which token 0 splits (396 not poor, 407 poor) into (108, 111)
+    and (288, 296), a true gain of 0 that rounding makes differ from 0, with token 1
+    constant and further columns from `extra_columns(rng, n)`."""
+    rows = np.array([[1, 0]] * 219 + [[0, 0]] * 584, dtype=np.uint8)
+    ratings = [5] * 108 + [1] * 111 + [5] * 288 + [1] * 296
+    extra = extra_columns(np.random.default_rng(803), len(rows))
+    return make_dataset(np.column_stack([rows, *extra]).astype(np.uint8), ratings)
+
+
+class TestBranchAndBound:
+    """select_exhaustive's pruned search against full enumeration (reference_selection)."""
+
+    def check_every_k(self, dataset):
+        for k in range(1, len(dataset.catalog) + 1):
+            subset, steps = exhaustive_reference(dataset, k)
+            got = select_exhaustive(dataset, k)
+            assert sorted(got.token_ids) == list(subset)
+            assert bits(got.steps) == bits(steps)
+
+    @given(dataset=pruning_dataset())
+    @settings(max_examples=120, deadline=None)
+    def test_winner_and_trace_at_every_k(self, dataset):
+        self.check_every_k(dataset)
+
+    @pytest.mark.parametrize(
+        "extra_columns",
+        [
+            lambda rng, n: [],
+            lambda rng, n: [rng.random(n) < 0.3, np.zeros(n)],
+            lambda rng, n: [np.r_[np.ones(219), np.zeros(584)], rng.random(n) < 0.5, rng.random(n) < 0.1],
+        ],
+        ids=["repro", "random-and-constant", "copy-and-random"],
+    )
+    def test_proportional_split(self, extra_columns):
+        self.check_every_k(proportional_split_dataset(extra_columns))
+
+    def test_xor_pair_far_above_the_greedy_floor(self):
+        # token 0 is the label with one record in four flipped; tokens 1 and 2 are a and
+        # a XOR label, each independent of the label: greedy takes token 0 and gains
+        # 0.19 bits, while the pair (1, 2) gives the whole bit
+        rows, ratings = [], []
+        for label in (0, 1):
+            for a in (0, 1):
+                for flip in (0, 0, 0, 1):
+                    rows.append([label ^ flip, a, a ^ label])
+                    ratings.append(1 if label else 5)
+        ds = make_dataset(rows, ratings)
+        assert select_rits(ds, 2).steps[-1].cumulative_ig_bits < 0.2
+        assert select_exhaustive(ds, 2).token_ids == [1, 2]
+        self.check_every_k(ds)
 
 
 class TestTraceSerialization:

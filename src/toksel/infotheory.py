@@ -248,10 +248,6 @@ def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw, gap) -> Aud
     return AuditReport(kind, trials, violations, max_violation, tolerance, seed)
 
 
-def _sorted_ids(ids) -> tuple[int, ...]:
-    return tuple(sorted(int(t) for t in ids))
-
-
 def audit_monotonicity(dataset: Dataset, trials: int, seed: Optional[int] = None) -> AuditReport:
     """Check IG(T1) <= IG(T2) on random chains T1 within T2, at zero tolerance.
 
@@ -267,7 +263,7 @@ def audit_monotonicity(dataset: Dataset, trials: int, seed: Optional[int] = None
         t2 = rng.permutation(n_tokens)[:size2]
         size1 = int(rng.integers(0, size2 + 1))
         t1 = t2[rng.permutation(size2)[:size1]]
-        return _sorted_ids(t2), _sorted_ids(t1)
+        return tuple(sorted(t2.tolist())), tuple(sorted(t1.tolist()))
 
     # IG(T1) > IG(T2) exactly when the T2 term sum exceeds the T1 term sum
     return _audit("monotonicity", dataset, trials, seed, 0.0, 1, draw, lambda t2, t1: t2 - t1)
@@ -294,7 +290,7 @@ def audit_submodularity(
         e = int(perm[size2])
         size1 = int(rng.integers(0, size2 + 1))
         t1 = tuple(t2[i] for i in rng.permutation(size2)[:size1])
-        return _sorted_ids(t1), _sorted_ids(t1 + (e,)), _sorted_ids(t2), _sorted_ids(t2 + (e,))
+        return tuple(sorted(t1)), tuple(sorted(t1 + (e,))), tuple(sorted(t2)), tuple(sorted(t2 + (e,)))
 
     def gap(t1, t1e, t2, t2e):
         gain_small = t1 - t1e

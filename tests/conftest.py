@@ -23,6 +23,15 @@ def make_dataset(selections, ratings, catalog=None, arms=None, platforms=None):
     )
 
 
+def proportional_split_dataset(*extra_columns):
+    """803 rated records; token 0 splits (396 not poor, 407 poor) into (108, 111) and
+    (288, 296), so its true gain is 0 and only rounding sets it apart from 0; token 1
+    is constant; each of `extra_columns` (803 values of 0/1) is one more token."""
+    rows = np.array([[1, 0]] * 219 + [[0, 0]] * 584, dtype=np.uint8)
+    ratings = [5] * 108 + [1] * 111 + [5] * 288 + [1] * 296
+    return make_dataset(np.column_stack([rows, *extra_columns]).astype(np.uint8), ratings)
+
+
 def contents(ds):
     """Everything a Dataset holds, in a form that compares with ==."""
     return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()

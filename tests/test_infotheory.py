@@ -23,7 +23,7 @@ from toksel.infotheory import (
 from toksel.dataset import TokenCatalog
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
-from conftest import make_dataset, pc_to_rating
+from conftest import make_dataset, pc_to_rating, proportional_split_dataset
 from reference_audit import audit_monotonicity_reference, audit_submodularity_reference
 
 
@@ -386,17 +386,9 @@ def test_audits_follow_their_documented_draws(seed):
     assert (sub.violations, sub.max_violation) == _replayed_submodularity(ds, 60, seed, 1e-9)
 
 
-def _proportional_split_dataset():
-    """803 rated records; token 0 splits (396 not poor, 407 poor) into (108, 111) and
-    (288, 296), so its true gain is 0; token 1 is constant."""
-    rows = [[1, 0]] * 219 + [[0, 0]] * 584
-    ratings = [5] * 108 + [1] * 111 + [5] * 288 + [1] * 296
-    return make_dataset(rows, ratings)
-
-
 @pytest.mark.xfail(strict=True, reason="per-cell terms are rounded before fsum (ROADMAP item 5)")
 def test_proportional_split_is_monotone():
-    ds = _proportional_split_dataset()
+    ds = proportional_split_dataset()
     assert _cond_term_sum(ds, (0,)) <= _cond_term_sum(ds, ())
     assert audit_monotonicity(ds, trials=200, seed=0).violations == 0
 
@@ -480,7 +472,7 @@ def test_audits_equal_the_per_trial_loop_in_any_batches(dataset, seed, batch_key
 
 def test_audit_on_interacting_and_proportional_data_equals_the_per_trial_loop():
     # gaps that rounding alone decides must come out of both bit for bit
-    for ds in (_interacting_dataset(), _proportional_split_dataset()):
+    for ds in (_interacting_dataset(), proportional_split_dataset()):
         for seed in range(3):
             assert audit_monotonicity(ds, 200, seed) == audit_monotonicity_reference(ds, 200, seed)
             assert audit_submodularity(ds, 200, seed, 0.0) == audit_submodularity_reference(ds, 200, seed, 0.0)

@@ -25,7 +25,7 @@ from toksel.selection import (
 )
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
-from conftest import make_dataset, pc_to_rating
+from conftest import make_dataset, pc_to_rating, proportional_split_dataset
 from reference_selection import exhaustive_reference, greedy_reference
 from reference_table import TableScorer
 
@@ -406,16 +406,6 @@ def pruning_dataset(draw):
     return make_dataset(np.array(columns, dtype=np.uint8).T, ratings)
 
 
-def proportional_split_dataset(extra_columns):
-    """The 803 records on which token 0 splits (396 not poor, 407 poor) into (108, 111)
-    and (288, 296), a true gain of 0 that rounding makes differ from 0, with token 1
-    constant and further columns from `extra_columns(rng, n)`."""
-    rows = np.array([[1, 0]] * 219 + [[0, 0]] * 584, dtype=np.uint8)
-    ratings = [5] * 108 + [1] * 111 + [5] * 288 + [1] * 296
-    extra = extra_columns(np.random.default_rng(803), len(rows))
-    return make_dataset(np.column_stack([rows, *extra]).astype(np.uint8), ratings)
-
-
 class TestBranchAndBound:
     """select_exhaustive's pruned search against full enumeration (reference_selection)."""
 
@@ -441,7 +431,7 @@ class TestBranchAndBound:
         ids=["repro", "random-and-constant", "copy-and-random"],
     )
     def test_proportional_split(self, extra_columns):
-        self.check_every_k(proportional_split_dataset(extra_columns))
+        self.check_every_k(proportional_split_dataset(*extra_columns(np.random.default_rng(803), 803)))
 
     def test_xor_pair_far_above_the_greedy_floor(self):
         # token 0 is the label with one record in four flipped; tokens 1 and 2 are a and

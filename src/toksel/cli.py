@@ -83,8 +83,10 @@ strategy_list = _bounded(
 )
 
 
-# files are hashed a block at a time, so that no input or output is held whole
-_DIGEST_BLOCK = 1 << 20
+# files are hashed a block at a time, so that no input or output is held whole; a
+# block below malloc's mmap threshold (128 KiB) reuses freed heap memory, while a
+# larger one maps fresh pages at each read, which can set a command's peak RSS
+_DIGEST_BLOCK = 1 << 16
 
 
 def _hash_file(digest, path):
@@ -148,7 +150,8 @@ def _load(args, path: str):
     fmt = args.format
     if fmt == "auto":
         fmt = "jsonl" if p.suffix == ".jsonl" else "csv"
-    return load_dataset(p, format=fmt, catalog=catalog)
+    # the statistic commands read arms, ratings and cells only: call ids and platforms are checked, not kept
+    return load_dataset(p, format=fmt, catalog=catalog, record_strings=False)
 
 
 # -- commands -----------------------------------------------------------

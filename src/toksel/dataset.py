@@ -13,7 +13,12 @@ plus an int64 array of end offsets. The tuples `Dataset.call_ids`,
 `.arms` and `.platforms` are built on first access, and no stage reads
 them: the loaders append each chunk to the columns and drop its
 strings, the writers read one chunk's slice at a time, and
-`filter_dataset` takes rows of the columns.
+`filter_dataset` takes rows of the columns. A load with
+`record_strings=False` checks every call id and platform as a full load
+does but keeps none, as a column store builds no column that a query
+does not read (Abadi et al., "Materialization Strategies in a
+Column-Oriented DBMS", ICDE 2007): the statistic commands load their
+input so, and its Dataset can be neither read for its strings nor saved.
 
 A line as `save_dataset` writes it is a head (call_id, arm, platform
 and rating) and a tail whose text depends only on the catalog:
@@ -269,8 +274,8 @@ class StringColumn:
         return StringColumn.of(map(self.text.__getitem__, map(slice, bounds[idx], bounds[idx + 1])))
 
 
-def _string_column(values) -> StringColumn:
-    return values if isinstance(values, StringColumn) else StringColumn.of(values)
+def _string_column(values) -> Optional[StringColumn]:
+    return values if values is None or isinstance(values, StringColumn) else StringColumn.of(values)
 
 
 _ARM_CODES = {arm: code for code, arm in enumerate(ARMS)}
@@ -307,8 +312,11 @@ class Dataset:
     Stored as columns: ratings and token cells as numpy arrays, call ids
     and platforms as `StringColumn`s, arms as uint8 codes into ARMS. The
     tuples `call_ids`, `arms` and `platforms` are built on access; no
-    stage reads them. Ratings use 0 internally for "absent", poor-call
-    labels use -1.
+    stage reads them. A dataset loaded with `record_strings=False` holds
+    its catalog, arm codes, ratings and cells but no call ids or
+    platforms: `call_ids`, `platforms` and `save_dataset` raise
+    ParameterError, and `filter_dataset` keeps them absent. Ratings use
+    0 internally for "absent", poor-call labels use -1.
     """
 
     def __init__(
@@ -320,8 +328,9 @@ class Dataset:
         ratings: np.ndarray,
         selections: np.ndarray,
     ):
-        """`call_ids` and `platforms` are sequences of values stored as str, or
-        `StringColumn`s, shared as given; `arms` are arm names, or their uint8
+        """`call_ids` and `platforms` are sequences of values stored as str,
+        `StringColumn`s, shared as given, or None for a column the dataset
+        does not hold; `arms` are arm names, or their uint8
         codes into ARMS. The ratings, selections and arm codes are copied, so
         that no array the caller holds changes the dataset or is made read-only."""
         arms = arms.copy() if isinstance(arms, np.ndarray) else arms
@@ -337,14 +346,13 @@ class Dataset:
 
     def _store(self, catalog, call_ids, arms, platforms, ratings, selections) -> None:
         call_ids, platforms = _string_column(call_ids), _string_column(platforms)
-        n = len(call_ids)
         ratings, selections = np.asarray(ratings), np.asarray(selections)
-        if ratings.shape != (n,):
-            raise DataError("ratings length must match record count")
-        if len(arms) != n:
-            raise DataError("arms length must match record count")
-        if len(platforms) != n:
-            raise DataError("platforms length must match record count")
+        if ratings.ndim != 1:
+            raise DataError("ratings must hold one value per record")
+        n = len(ratings)
+        for name, column in (("call_ids", call_ids), ("arms", arms), ("platforms", platforms)):
+            if column is not None and len(column) != n:
+                raise DataError(f"{name} length must match record count")
         if selections.shape != (n, len(catalog)):
             raise DataError(
                 f"selections must be (n_records, {len(catalog)}), got {selections.shape}"
@@ -371,9 +379,18 @@ class Dataset:
     def catalog(self) -> TokenCatalog:
         return self._catalog
 
+    def _strings(self) -> tuple[StringColumn, StringColumn]:
+        """The call id and platform columns; ParameterError if the dataset holds none."""
+        if self._call_ids is None or self._platforms is None:
+            raise ParameterError(
+                "dataset holds no call ids or platforms (loaded with record_strings=False);"
+                " load it with record_strings=True to read or save them"
+            )
+        return self._call_ids, self._platforms
+
     @cached_property
     def call_ids(self) -> tuple[str, ...]:
-        return tuple(self._call_ids.slice(0, len(self)))
+        return tuple(self._strings()[0].slice(0, len(self)))
 
     @cached_property
     def arms(self) -> tuple[str, ...]:
@@ -381,7 +398,7 @@ class Dataset:
 
     @cached_property
     def platforms(self) -> tuple[str, ...]:
-        return tuple(self._platforms.slice(0, len(self)))
+        return tuple(self._strings()[1].slice(0, len(self)))
 
     @property
     def selections(self) -> np.ndarray:
@@ -578,11 +595,12 @@ def filter_dataset(
     if responded_only:
         keep &= dataset.responded
     idx = np.flatnonzero(keep)
+    call_ids, platforms = dataset._call_ids, dataset._platforms
     return Dataset._own(
         dataset.catalog,
-        dataset._call_ids.take(idx),
+        None if call_ids is None else call_ids.take(idx),
         dataset._arm_codes[idx],
-        dataset._platforms.take(idx),
+        None if platforms is None else platforms.take(idx),
         dataset.ratings[idx],
         dataset.selections[idx],
     )
@@ -617,19 +635,26 @@ def _catalog_for_labels(labels: list[str], catalog: Optional[TokenCatalog]) -> T
     return TokenCatalog.from_labels(labels)
 
 
-def load_dataset(path, format: str = "csv", catalog: Optional[TokenCatalog] = None) -> Dataset:
+def load_dataset(
+    path, format: str = "csv", catalog: Optional[TokenCatalog] = None, *, record_strings: bool = True
+) -> Dataset:
     """Load a dataset from a CSV or JSONL file.
 
     Token columns are matched by name against `catalog` when given
     (catalog order defines token ids); otherwise the catalog is derived
     from the file itself. Rows without a rating are retained; they are
     excluded from any poor-call-conditioned statistic downstream.
+
+    With `record_strings=False`, every call id and platform is checked as
+    in a full load, so a file loads or fails alike, but none is kept: the
+    dataset holds no call id or platform column (see `Dataset`), for a
+    caller that reads only arms, ratings and cells.
     """
     loaders = {"csv": _load_csv, "jsonl": _load_jsonl}
     if format not in loaders:
         raise ParameterError(f"unknown format {format!r}")
     with _text_errors(path):
-        return loaders[format](path, catalog)
+        return loaders[format](path, catalog, record_strings)
 
 
 @contextmanager
@@ -714,7 +739,8 @@ class _TextBuffer:
 
 class _Columns:
     """A file's columns, filled chunk by chunk; each chunk's strings are
-    dropped once they are appended to the compact columns.
+    dropped once they are appended to the compact columns, or at once,
+    with no string column built, when `record_strings` is False.
 
     Each column's first mapping is sized from the bytes left to read: no
     more rows than those bytes over the width of a line's tail, the
@@ -722,31 +748,35 @@ class _Columns:
     Rows past that, such as short lines read row by row, grow it by doubling.
     """
 
-    def __init__(self, text_bytes: int, tail: _Tail):
+    def __init__(self, text_bytes: int, tail: _Tail, record_strings: bool):
         rows = text_bytes // tail.template.size
-        self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
+        self.call_ids = self.platforms = None
+        if record_strings:
+            self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
         self.arms, self.ratings, self.cells = _Buffer(rows), _Buffer(rows), _Buffer(rows)
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         """Append a chunk: its arms as names, or as their uint8 codes into ARMS."""
-        self.call_ids.append(call_ids)
+        if self.call_ids is not None:
+            self.call_ids.append(call_ids)
+            self.platforms.append(platforms)
         self.arms.append(_arm_codes(arms))
-        self.platforms.append(platforms)
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
 
     def dataset(self, catalog: TokenCatalog) -> Dataset:
+        strings = self.call_ids is not None
         return Dataset._own(
             catalog,
-            self.call_ids.column(),
+            self.call_ids.column() if strings else None,
             self.arms.array(np.zeros(0, np.uint8)),
-            self.platforms.column(),
+            self.platforms.column() if strings else None,
             self.ratings.array(np.zeros(0, np.int16)),
             self.cells.array(np.zeros((0, len(catalog)), np.uint8)),
         )
 
 
-def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
+def _load_csv(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         read: list[str] = []  # the lines csv.reader reads the header row from
         header = next(csv.reader(read.append(line) or line for line in fh), None)
@@ -767,7 +797,8 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
 
     with open(path, "rb") as fh:
         header_bytes = sum(len(line.encode()) for line in read)
-        columns, row_no = _Columns(os.fstat(fh.fileno()).st_size - header_bytes, tails["\n"]), 2
+        text_bytes = os.fstat(fh.fileno()).st_size - header_bytes
+        columns, row_no = _Columns(text_bytes, tails["\n"], record_strings), 2
         fh.seek(header_bytes)
         for block in _blocks(fh):
             got = _csv_block(block, tails)
@@ -1039,9 +1070,9 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
     return (*row[:3], rating, [cells[j] == "1" for j in col_order])
 
 
-def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
+def _load_jsonl(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Dataset:
     with open(path, "rb") as fh:
-        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size)
+        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size, record_strings)
         for block in _blocks(fh):
             try:
                 if records.cat is None and records.error is None:  # no record read yet
@@ -1075,9 +1106,9 @@ class _JsonlRecords:
     so after one the rest of the file is only parsed.
     """
 
-    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int):
+    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int, record_strings: bool):
         self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
-        self.file_bytes, self.columns, self.row = file_bytes, None, 1
+        self.file_bytes, self.record_strings, self.columns, self.row = file_bytes, record_strings, None, 1
 
     def find_catalog(self, lines: list[str]) -> None:
         """The catalog of the first record in `lines`, if no earlier line held one."""
@@ -1092,7 +1123,7 @@ class _JsonlRecords:
             self.error = exc
         else:
             self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
-            self.columns = _Columns(self.file_bytes, self.tails["\n"])
+            self.columns = _Columns(self.file_bytes, self.tails["\n"], self.record_strings)
 
     def read_block(self, block: bytes) -> bool:
         """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""
@@ -1331,5 +1362,6 @@ def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
     the result reproduces it byte-for-byte."""
     if format not in _WRITERS:
         raise ParameterError(f"unknown format {format!r}")
+    dataset._strings()  # before the file is opened: a dataset without them writes nothing
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _WRITERS[format](dataset, fh)

@@ -182,7 +182,10 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
     them. It scores only the subsets that no bound rules out
     (`_prefixes`), against a floor that starts at the greedy k-subset's
     gain. Steps replay the winning subset greedily so the trace carries
-    marginal gains.
+    marginal gains. When the winner is the greedy subset, the greedy
+    steps are that replay: each step's token was the first of the best
+    over every remaining token, so it is over the winner's remaining
+    ones too, scored from the same cells to the same bits.
     """
     n_tokens = len(dataset.catalog)
     _check_k(k, n_tokens)
@@ -192,7 +195,8 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
             f"{n_subsets} subsets of size {k} exceed the enumeration cap of {EXHAUSTIVE_SUBSET_CAP}"
         )
     ev = IgEvaluator(dataset)
-    greedy_ig = _greedy(ev, range(n_tokens), k)[-1].cumulative_ig_bits
+    greedy = _greedy(ev, range(n_tokens), k)
+    greedy_ig = greedy[-1].cumulative_ig_bits
     best_subset = None
     best_ig = -1.0
     for prefix, cells, n_cells in _prefixes(ev, n_tokens, k - 1, lambda: max(best_ig, greedy_ig)):
@@ -202,7 +206,9 @@ def select_exhaustive(dataset: Dataset, k: int) -> SelectionTrace:
             if ig > best_ig:
                 best_ig = ig
                 best_subset = (*prefix, t)
-    return SelectionTrace("exhaustive", _greedy(ev, best_subset, k), budget_k=k)
+    if set(best_subset) != {step.token_id for step in greedy}:
+        greedy = _greedy(ev, best_subset, k)
+    return SelectionTrace("exhaustive", greedy, budget_k=k)
 
 
 # How far below the floor a bound must fall before the search prunes on it, in bits.

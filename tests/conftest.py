@@ -37,6 +37,16 @@ def contents(ds):
     return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
 
 
+def statistic_contents(ds):
+    """What a Dataset holds that a statistic reads: its catalog, arm codes, ratings,
+    cells and pattern table, in a form that compares with ==."""
+    table = ds.patterns
+    return (
+        ds.catalog, ds._arm_codes.tolist(), ds.ratings.tolist(), ds.selections.tolist(),
+        table.rows.tolist(), table.counts.tolist(), table.row_of_record.tolist(),
+    )
+
+
 def written_text(ds, fmt):
     """The text `save_dataset` writes in format `fmt`."""
     buf = io.StringIO()

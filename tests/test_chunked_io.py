@@ -2,7 +2,9 @@
 
 On every file both loaders must return an equal Dataset, or raise the
 same exception type with the same message: same row, same precedence.
-Both writers must write the same text.
+On the reference tests' files, a load with record_strings=False must
+hold what the full load holds but its call ids and platforms, or raise
+its error. Both writers must write the same text.
 """
 
 import csv
@@ -24,7 +26,7 @@ from toksel.dataset import (
 )
 from toksel.errors import DataError, SchemaError
 
-from conftest import contents, written_text
+from conftest import contents, statistic_contents, written_text
 from reference_io import csv_text_reference, jsonl_text_reference, load_reference
 from test_dataset import any_dataset
 
@@ -50,24 +52,37 @@ BAD_LINES = [
 BLANK_LINES = ["", "  ", "\t"]
 
 
-def outcome(load, path, fmt, catalog):
+def outcome(load, path, fmt, catalog, view=contents, **options):
     try:
-        ds = load(path, format=fmt, catalog=catalog)
+        ds = load(path, format=fmt, catalog=catalog, **options)
     except Exception as exc:  # the outcome compared is the exception itself
         return type(exc), str(exc)
-    return contents(ds)
+    return view(ds)
+
+
+def chunk_sizes(chunk_text=None, chunk_rows=None):
+    """The loader's block size in bytes and csv.reader's rows per chunk, which
+    also sizes the first capacity of its columns; each at its default when None."""
+    return mock.patch.multiple(
+        dataset_module,
+        _CHUNK_TEXT=chunk_text or dataset_module._CHUNK_TEXT,
+        _CHUNK_ROWS=chunk_rows or dataset_module._CHUNK_ROWS,
+    )
+
+
+def assert_strings_free_load_agrees(path, fmt, catalog, chunk_text=None, chunk_rows=None):
+    """load_dataset with record_strings=False holds the full load's statistic
+    columns and pattern table, or raises its exception with its message."""
+    with chunk_sizes(chunk_text, chunk_rows):
+        full = outcome(load_dataset, path, fmt, catalog, statistic_contents)
+        assert outcome(load_dataset, path, fmt, catalog, statistic_contents, record_strings=False) == full
 
 
 def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=None):
     """Both loaders give the same outcome. The chunked one reads blocks of about
-    `chunk_text` bytes at a time, and `chunk_rows` rows of csv.reader, which
-    also sizes the first capacity of its columns; each at its default when None."""
+    `chunk_text` bytes at a time, and `chunk_rows` rows of csv.reader (`chunk_sizes`)."""
     expected = outcome(load_reference, path, fmt, catalog)
-    with mock.patch.multiple(
-        dataset_module,
-        _CHUNK_TEXT=chunk_text or dataset_module._CHUNK_TEXT,
-        _CHUNK_ROWS=chunk_rows or dataset_module._CHUNK_ROWS,
-    ):
+    with chunk_sizes(chunk_text, chunk_rows):
         got = outcome(load_dataset, path, fmt, catalog)
     assert got == expected
     return got
@@ -325,6 +340,7 @@ class TestAgainstReference:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, "csv", catalog, chunk_text, chunk_rows)
+        assert_strings_free_load_agrees(path, "csv", catalog, chunk_text, chunk_rows)
 
     @given(drawn=jsonl_file(), chunk_text=CHUNK_TEXT, chunk_rows=CHUNK_ROWS)
     @settings(max_examples=250, deadline=None)
@@ -333,6 +349,7 @@ class TestAgainstReference:
         path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, "jsonl", catalog, chunk_text, chunk_rows)
+        assert_strings_free_load_agrees(path, "jsonl", catalog, chunk_text, chunk_rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @given(data=st.data())
@@ -341,7 +358,9 @@ class TestAgainstReference:
         text, catalog, chunk_text = data.draw(canonical_file(fmt))
         path = tmp_path_factory.mktemp(fmt) / f"d.{fmt}"
         path.write_text(text, encoding="utf-8", newline="")
-        assert_same_outcome(path, fmt, catalog, chunk_text, data.draw(CHUNK_ROWS))
+        chunk_rows = data.draw(CHUNK_ROWS)
+        assert_same_outcome(path, fmt, catalog, chunk_text, chunk_rows)
+        assert_strings_free_load_agrees(path, fmt, catalog, chunk_text, chunk_rows)
 
     @given(dataset=any_dataset(), chunk_rows=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=150, deadline=None)

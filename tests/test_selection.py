@@ -23,7 +23,14 @@ from toksel.selection import (
     select_rits,
     select_rits_lazy,
 )
-from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
+from toksel.synthgen import (
+    GeneratorConfig,
+    LatentCause,
+    apply_presentation,
+    demo_experiment_config,
+    experiment_from_config,
+    generate_truth,
+)
 
 from conftest import make_dataset, pc_to_rating, proportional_split_dataset
 from reference_selection import exhaustive_reference, greedy_reference
@@ -311,6 +318,27 @@ class TestBundledDemo:
         assert sum(scored) < 0.05 * math.comb(15, 5)
         subset, steps = exhaustive_reference(demo, 5)
         assert bits(trace.steps) == bits(steps)
+
+    def test_greedy_winner_is_not_replayed(self, monkeypatch):
+        # the 50k-call treatment arm that the benchmark generates at seed 0: its best
+        # 5-subset is the greedy one, whose steps are returned, not scored again
+        config = {**demo_experiment_config(), "n_calls": 50_000, "seed": 0}
+        config["arms"] = {arm: {**pres, "seed": i} for i, (arm, pres) in enumerate(sorted(config["arms"].items()), 1)}
+        gen, arms, seeds = experiment_from_config(config)
+        arm = apply_presentation(generate_truth(gen), arms["treatment"], "treatment", seeds["treatment"])
+        batches = []
+
+        def counted(table, cells, n_cells, extensions):
+            batches.append(len(extensions))
+            return extension_term_sums(table, cells, n_cells, extensions)
+
+        monkeypatch.setattr(selection, "extension_term_sums", counted)
+        trace = select_exhaustive(arm, 5)
+        # the 5 greedy steps and 9 batches of leaves; a replay would take 5 more
+        assert len(batches) == 14
+        monkeypatch.undo()
+        assert trace.steps == select_rits(arm, 5).steps
+        assert bits(trace.steps) == bits(exhaustive_reference(arm, 5)[1])
 
     def test_lazy_equals_eager_at_k15(self, demo):
         # a stale-bound lazy greedy picked token 4 before 12 at step 7 here

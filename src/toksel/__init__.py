@@ -47,7 +47,6 @@ _EXPORTS = {
         "select_exhaustive",
         "select_random",
         "select_rits",
-        "select_rits_lazy",
     ),
     "synthgen": (
         "GeneratorConfig",

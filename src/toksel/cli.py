@@ -4,7 +4,7 @@ Stages hand off through files. Every command is a pure function of its
 inputs, flags, and seed; each run that writes files also writes a
 manifest recording the input digest, the seed, and the digests of every
 output, so reruns can be checked byte-for-byte. Exit codes: 0 success, 1 usage, 2 data error,
-3 capacity exceeded (`select --strategy exhaustive`'s cap on C(n, k), or a run that
+3 capacity exceeded (the exhaustive search's cap on C(n, k), or a run that
 needs more memory than the machine can give or address, such as an impossible `n_calls`).
 
 Run as a process (`python -m toksel.cli`, the `toksel` script), `main` freezes the
@@ -29,7 +29,7 @@ from .dataset import Dataset, TokenCatalog, load_dataset, save_dataset
 from .errors import CapacityError, DataError, ParameterError
 from .evaluation import SCORERS, SplitPlan, evaluate_subsets, report_to_json_text
 from .infotheory import audit_monotonicity, audit_submodularity
-from .selection import STRATEGIES
+from .selection import DEFAULT_COMPARISON, DEFAULT_STRATEGY, STRATEGIES
 
 
 def _lazy_module(name: str):
@@ -78,8 +78,8 @@ open_fraction = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
 finite_non_negative = _bounded(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 strategy_list = _bounded(
     lambda text: [s.strip() for s in text.split(",") if s.strip()],
-    lambda v: v and set(v) <= STRATEGIES.keys(),
-    f"a comma-separated list of {', '.join(STRATEGIES)}",
+    lambda v: v and set(v) <= STRATEGIES.keys() and len(set(v)) == len(v),
+    f"a comma-separated list of distinct names among {', '.join(STRATEGIES)}",
 )
 
 
@@ -182,7 +182,8 @@ def cmd_generate(args):
 
 def cmd_select(args):
     dataset = _load(args, args.input)
-    trace = STRATEGIES[args.strategy](dataset, args.k, args.seed, args.splits, args.train_frac)
+    run, _ = STRATEGIES[args.strategy]
+    trace = run(dataset, args.k, args.seed, args.splits, args.train_frac)
 
     labels = dataset.catalog.labels
     unit = {"bits": "gain(bits)", "auc": "univ. AUC", "none": "gain"}[trace.gain_metric]
@@ -213,17 +214,15 @@ def cmd_evaluate(args):
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
 
-    # greedy traces are prefixes of the full-catalog trace, which also gives the 90%/94% lines
+    # a greedy strategy runs at n and is cut to --k-max; the first gives the 90%/94% lines
     traces = []
     full = None
-    for s in args.strategies:
-        if s in ("rits", "rits_lazy"):
-            trace = STRATEGIES[s](dataset, n_tokens, args.seed, args.splits, args.train_frac)
-            if full is None:
-                full = trace
+    for name in args.strategies:
+        run, greedy = STRATEGIES[name]
+        trace = run(dataset, n_tokens if greedy else args.k_max, args.seed, args.splits, args.train_frac)
+        if greedy:
+            full = full or trace
             trace = replace(trace, steps=trace.steps[: args.k_max], budget_k=args.k_max)
-        else:
-            trace = STRATEGIES[s](dataset, args.k_max, args.seed, args.splits, args.train_frac)
         traces.append(trace)
 
     plan = SplitPlan(splits=args.splits, train_fraction=args.train_frac, master_seed=args.seed)
@@ -327,7 +326,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="select a token subset from a dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=positive_int, required=True)
-    p.add_argument("--strategy", choices=list(STRATEGIES), default="rits")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default=DEFAULT_STRATEGY)
     p.add_argument("--seed", type=non_negative_int)
     p.add_argument("--splits", type=positive_int, default=100)
     p.add_argument("--train-frac", type=open_fraction, default=0.7)
@@ -337,7 +336,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="score strategies with repeated-split AUC and Jaccard")
     p.add_argument("--input", required=True)
-    p.add_argument("--strategies", type=strategy_list, default="rits,auc_greedy,random")
+    p.add_argument("--strategies", type=strategy_list, default=",".join(DEFAULT_COMPARISON))
     p.add_argument("--k-max", type=positive_int, required=True)
     p.add_argument("--splits", type=positive_int, default=100)
     p.add_argument("--seed", type=non_negative_int, required=True)

@@ -136,30 +136,22 @@ def pc_entropy(dataset: Dataset) -> float:
 
 
 class IgEvaluator:
-    """Plug-in information gain against one dataset, memoized per subset.
+    """Plug-in information gain against one dataset.
 
-    Keeps each subset's conditional term sum, N * H[pc | subset], under
-    the sorted subset: the sum depends only on the cell populations, and
-    fsum makes it independent of cell order, so any order of the same
-    tokens gets the same bits.
+    A subset's conditional term sum, N * H[pc | subset], depends only on
+    its cell populations, and fsum makes it independent of cell order, so
+    any order of the same tokens gets the same bits.
     """
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        self._n_tokens = len(dataset.catalog)
-        self._memo: dict[tuple[int, ...], float] = {}
         self.base_term = self.cond(())
         self.patterns = dataset.patterns
         self.total = self.patterns.total
 
     def cond(self, subset: Sequence[int]) -> float:
-        key = tuple(sorted(check_subset(subset, self._n_tokens)))
-        value = self._memo.get(key)
-        if value is None:
-            # through the module global, so that a wrapped _cond_term_sum is the one called
-            value = _cond_term_sum(self._dataset, key)
-            self._memo[key] = value
-        return value
+        # through the module global, so that a wrapped _cond_term_sum is the one called
+        return _cond_term_sum(self._dataset, subset)
 
     def ig(self, subset: Sequence[int]) -> float:
         return self.gain(self.cond(subset))

@@ -127,7 +127,8 @@ def select_rits(dataset: Dataset, k: int) -> SelectionTrace:
 def select_rits_lazy(dataset: Dataset, k: int) -> SelectionTrace:
     """The select_rits trace under the name `rits_lazy`. A lazy greedy trusts
     stale gains as upper bounds, which needs diminishing returns; plug-in
-    IG lacks it (on the bundled demo, stale gains mis-ordered step 7)."""
+    IG lacks it (on the bundled demo, stale gains mis-ordered step 7). Not
+    exported; kept because the benchmark's layer targets time it by name."""
     return replace(select_rits(dataset, k), strategy="rits_lazy")
 
 
@@ -249,32 +250,26 @@ def _prefixes(
     """
     table = ev.patterns
     suffixes = _suffix_cells(table, n_tokens)
-    # each frame: a prefix, its cells and cell count, the next token to extend it
-    # by, and the bound gains of extending it by each token from its first on
-    stack = [[(), *cell_ids(table.rows, ()), 0, []]]
-    while stack:
-        frame = stack[-1]
-        prefix, cells, n_cells, t, bounds = frame
-        first = prefix[-1] + 1 if prefix else 0
-        stop = n_tokens - depth + len(prefix)
+
+    def walk(prefix, cells, n_cells, bounds):
+        # bounds: the bound gains of extending `prefix` by each token from its first on
         if len(prefix) == depth:
             yield prefix, cells, n_cells
-            stack.pop()
-        elif t < stop:
+            return
+        first = prefix[-1] + 1 if prefix else 0
+        stop = n_tokens - depth + len(prefix)
+        for t in range(first, stop):
             if t - first == len(bounds):
                 # the next bounds, as many as are known (or 1): few go unused when the
                 # prefix is done early, and few batches are scored when it is not
                 more = range(t, min(stop, t + max(1, len(bounds))))
                 bounds += _bound_gains(ev, suffixes, prefix, more)
             if bounds[t - first] < floor() - PRUNE_MARGIN_BITS:
-                stack.pop()
-                continue
-            frame[3] = t + 1
+                return
             # prefix + t's first bound, prefix + t + {t + 1, ..., n-1}, is this one
-            child = [(*prefix, t), *refine_cells(cells, table.rows[:, t], n_cells), t + 1, [bounds[t - first]]]
-            stack.append(child)
-        else:
-            stack.pop()
+            yield from walk((*prefix, t), *refine_cells(cells, table.rows[:, t], n_cells), [bounds[t - first]])
+
+    yield from walk((), *cell_ids(table.rows, ()), [])
 
 
 def _suffix_cells(table: PatternTable, n_tokens: int) -> list[tuple[np.ndarray, int]]:
@@ -297,15 +292,21 @@ def _bound_gains(
     return [ev.gain(term_sum) for term_sum in stacked_term_sums(ev.patterns, start, width, subsets)]
 
 
-# Strategy name -> fn(dataset, k, seed, splits, train_fraction). The select_*
-# functions are looked up when a strategy runs, not when this table is built,
-# so a wrapped select_* function (e.g. for profiling) is the one that runs.
+# Strategy name -> (run, greedy). run(dataset, k, seed, splits, train_fraction) gives the
+# trace; greedy declares that the trace at k is the first k steps of the trace at the
+# catalog size n, which ends at the full-set information. Each run calls its select_*
+# function through this module's globals, so a wrapped one (e.g. for profiling) runs.
 STRATEGIES = {
-    "rits": lambda ds, k, seed, splits, frac: select_rits(ds, k),
-    "rits_lazy": lambda ds, k, seed, splits, frac: select_rits_lazy(ds, k),
-    "auc_greedy": lambda ds, k, seed, splits, frac: select_auc_greedy(
-        ds, k, splits=splits, seed=seed, train_fraction=frac
+    "rits": (lambda ds, k, seed, splits, frac: select_rits(ds, k), True),
+    # an alias of rits, kept so that commands naming it still run
+    "rits_lazy": (lambda ds, k, seed, splits, frac: select_rits_lazy(ds, k), True),
+    "auc_greedy": (
+        lambda ds, k, seed, splits, frac: select_auc_greedy(ds, k, splits=splits, seed=seed, train_fraction=frac),
+        False,
     ),
-    "random": lambda ds, k, seed, splits, frac: select_random(len(ds.catalog), k, seed),
-    "exhaustive": lambda ds, k, seed, splits, frac: select_exhaustive(ds, k),
+    "random": (lambda ds, k, seed, splits, frac: select_random(len(ds.catalog), k, seed), False),
+    "exhaustive": (lambda ds, k, seed, splits, frac: select_exhaustive(ds, k), False),
 }
+# what `select` runs, and what `evaluate` compares, when no strategy is named
+DEFAULT_STRATEGY = "rits"
+DEFAULT_COMPARISON = ("rits", "auc_greedy", "random")

@@ -3,9 +3,10 @@
 These are the searches toksel shipped before greedy steps and the
 exhaustive search scored a subset's one-token extensions from its cells:
 every candidate subset is scored on its own through
-`IgEvaluator.ig`, which keys the subset's cells with `np.unique`. The
-batched searches must return the same traces, field by field and bit
-for bit.
+`IgEvaluator.ig`, which numbers the subset's cells with
+`toksel.dataset.cell_ids` over the pattern table's rows and counts each
+cell's records by label. The batched searches must return the same
+traces, field by field and bit for bit.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toksel
+from toksel import cli, selection
 from toksel.cli import main
 from toksel.dataset import Dataset, save_dataset
 from toksel.synthgen import GeneratorConfig, LatentCause, demo_experiment_config, generate_truth
@@ -258,6 +261,39 @@ class TestEvaluate:
         assert main(args + ["--output", str(out2)]) == 0
         assert file_hashes(out1) == file_hashes(out2)
 
+    def test_strategies_are_run_as_the_registry_declares(self, tmp_path, capsys, monkeypatch):
+        # rows the CLI has never heard of: the greedy one runs over the whole catalog
+        # (6 tokens) and is cut to --k-max, and its full trace gives the 90%/94% lines
+        calls = []
+
+        def row(name, greedy):
+            def run(ds, k, seed, splits, frac):
+                calls.append((name, k))
+                return replace(selection.select_rits(ds, k), strategy=name)
+
+            return run, greedy
+
+        monkeypatch.setitem(selection.STRATEGIES, "stub_greedy", row("stub_greedy", True))
+        monkeypatch.setitem(selection.STRATEGIES, "stub_other", row("stub_other", False))
+        data = write_selection_data(tmp_path)
+        out = tmp_path / "r"
+        assert main([
+            "evaluate", "--input", str(data), "--strategies", "stub_other,stub_greedy",
+            "--k-max", "2", "--splits", "2", "--seed", "1", "--output", str(out),
+        ]) == 0
+        assert calls == [("stub_other", 2), ("stub_greedy", 6)]
+        printed = capsys.readouterr().out
+        assert "stub_greedy: reaches 90% of full-set IG at k=" in printed
+        assert "stub_greedy: reaches 94% of full-set IG at k=" in printed
+        for name in ("stub_other", "stub_greedy"):
+            assert len((out / f"{name}_report.csv").read_text().splitlines()) == 3  # header + k rows
+
+    def test_cli_names_no_strategy(self):
+        # every strategy the CLI runs, and what it knows of each, comes from the registry
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert not literals & selection.STRATEGIES.keys()
+
     def test_k_max_bound(self, tmp_path):
         data = write_selection_data(tmp_path)
         code = main([
@@ -447,7 +483,7 @@ def test_bad_numeric_flag_is_refused_before_any_input_is_read(command, tmp_path,
     assert ": error: argument --" in capsys.readouterr().err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("strategies", ["bogus", "rits,bogus", ",,"])
+@pytest.mark.parametrize("strategies", ["bogus", "rits,bogus", ",,", "rits,rits", "rits,random,rits"])
 def test_strategies_are_refused_before_any_input_is_read(strategies, tmp_path, capsys):
     # the input does not exist: reading it would exit 2
     argv = ["evaluate", "--input", str(tmp_path / "missing.csv"), "--strategies", strategies,
@@ -659,7 +695,7 @@ PUBLIC_NAMES = [
     "demo_dataset", "demo_experiment_config", "demo_generator_config", "entropy", "errors", "evaluate_subsets",
     "evaluation", "filter_dataset", "generate_truth", "information_gain", "infotheory", "jaccard",
     "jaccard_set", "load_dataset", "pc_entropy", "run_abtest", "save_dataset",
-    "select_auc_greedy", "select_exhaustive", "select_random", "select_rits", "select_rits_lazy",
+    "select_auc_greedy", "select_exhaustive", "select_random", "select_rits",
     "selection", "synthgen",
 ]
 

@@ -21,7 +21,6 @@ from toksel.selection import (
     select_exhaustive,
     select_random,
     select_rits,
-    select_rits_lazy,
 )
 from toksel.synthgen import (
     GeneratorConfig,
@@ -125,21 +124,26 @@ class TestSelectRits:
             assert a.cumulative_ig_bits == b.cumulative_ig_bits
 
 
+def run(name, dataset, k, seed=None):
+    """The trace of the STRATEGIES row `name`, as the CLI runs it at its default splits."""
+    run_strategy, _ = selection.STRATEGIES[name]
+    return run_strategy(dataset, k, seed, 100, 0.7)
+
+
 class TestSelectRitsLazy:
+    """`rits_lazy` is an alias row of rits in the strategy registry."""
+
     @pytest.mark.parametrize("seed", [0, 7, 8, 13, 28])
     def test_equals_eager_on_clean_datasets(self, seed):
         ds = synthetic(seed)
-        assert select_rits_lazy(ds, 8).steps == select_rits(ds, 8).steps
+        assert run("rits_lazy", ds, 8).steps == select_rits(ds, 8).steps
 
     def test_equals_eager_on_duplicate_dataset(self, duplicate_dataset):
-        assert (
-            select_rits_lazy(duplicate_dataset, 3).steps
-            == select_rits(duplicate_dataset, 3).steps
-        )
+        assert run("rits_lazy", duplicate_dataset, 3).steps == select_rits(duplicate_dataset, 3).steps
 
     def test_exhaustion_equals_eager(self):
         ds = synthetic(14, n_tokens=5)
-        lazy = select_rits_lazy(ds, 5)
+        lazy = run("rits_lazy", ds, 5)
         eager = select_rits(ds, 5)
         assert lazy.steps == eager.steps
         assert lazy.steps[-1].cumulative_ig_bits == eager.steps[-1].cumulative_ig_bits
@@ -147,15 +151,56 @@ class TestSelectRitsLazy:
     def test_xor_fallback_keeps_gains_truthful(self, xor_dataset):
         # diminishing returns is violated here; the trace must still carry
         # true marginals for its own chain
-        trace = select_rits_lazy(xor_dataset, 3)
+        trace = run("rits_lazy", xor_dataset, 3)
         for i, step in enumerate(trace.steps):
             assert step.cumulative_ig_bits == information_gain(
                 xor_dataset, trace.token_ids[: i + 1]
             )
 
     def test_xor_reaches_full_information(self, xor_dataset):
-        trace = select_rits_lazy(xor_dataset, 3)
+        trace = run("rits_lazy", xor_dataset, 3)
         assert trace.steps[-1].cumulative_ig_bits == pytest.approx(1.0)
+
+
+@pytest.fixture(scope="module")
+def demo_arm():
+    """The 50k-call treatment arm that the benchmark generates at seed 0."""
+    config = {**demo_experiment_config(), "n_calls": 50_000, "seed": 0}
+    config["arms"] = {arm: {**pres, "seed": i} for i, (arm, pres) in enumerate(sorted(config["arms"].items()), 1)}
+    gen, arms, seeds = experiment_from_config(config)
+    return apply_presentation(generate_truth(gen), arms["treatment"], "treatment", seeds["treatment"])
+
+
+GREEDY_ROWS = [name for name, (_, greedy) in selection.STRATEGIES.items() if greedy]
+
+
+class TestRegistry:
+    def test_rows_run_the_select_functions_the_module_holds_when_they_run(self, monkeypatch, xor_dataset):
+        # a wrapped select_* function (e.g. for profiling) is the one a row runs
+        class Called(Exception):
+            pass
+
+        for attr in [a for a in vars(selection) if a.startswith("select_")]:
+            def stub(*args, attr=attr, **kwargs):
+                raise Called(attr)
+
+            monkeypatch.setattr(selection, attr, stub)
+        for name in selection.STRATEGIES:
+            with pytest.raises(Called):
+                run(name, xor_dataset, 2, seed=0)
+
+    def test_defaults_are_rows(self):
+        assert selection.DEFAULT_STRATEGY in selection.STRATEGIES
+        assert set(selection.DEFAULT_COMPARISON) <= selection.STRATEGIES.keys()
+
+    @pytest.mark.parametrize("name", GREEDY_ROWS)
+    def test_greedy_trace_at_k_is_a_prefix_of_the_full_trace(self, name, xor_dataset, demo_arm):
+        for ds in (xor_dataset, demo_arm):
+            n = len(ds.catalog)
+            full = run(name, ds, n)
+            assert full.steps[-1].cumulative_ig_bits == information_gain(ds, range(n))
+            for k in range(1, n + 1):
+                assert run(name, ds, k).steps == full.steps[:k]
 
 
 class TestSelectAucGreedy:
@@ -319,13 +364,9 @@ class TestBundledDemo:
         subset, steps = exhaustive_reference(demo, 5)
         assert bits(trace.steps) == bits(steps)
 
-    def test_greedy_winner_is_not_replayed(self, monkeypatch):
-        # the 50k-call treatment arm that the benchmark generates at seed 0: its best
-        # 5-subset is the greedy one, whose steps are returned, not scored again
-        config = {**demo_experiment_config(), "n_calls": 50_000, "seed": 0}
-        config["arms"] = {arm: {**pres, "seed": i} for i, (arm, pres) in enumerate(sorted(config["arms"].items()), 1)}
-        gen, arms, seeds = experiment_from_config(config)
-        arm = apply_presentation(generate_truth(gen), arms["treatment"], "treatment", seeds["treatment"])
+    def test_greedy_winner_is_not_replayed(self, demo_arm, monkeypatch):
+        # the best 5-subset of the benchmark's demo arm is the greedy one, whose steps
+        # are returned, not scored again
         batches = []
 
         def counted(table, cells, n_cells, extensions):
@@ -333,16 +374,16 @@ class TestBundledDemo:
             return extension_term_sums(table, cells, n_cells, extensions)
 
         monkeypatch.setattr(selection, "extension_term_sums", counted)
-        trace = select_exhaustive(arm, 5)
+        trace = select_exhaustive(demo_arm, 5)
         # the 5 greedy steps and 9 batches of leaves; a replay would take 5 more
         assert len(batches) == 14
         monkeypatch.undo()
-        assert trace.steps == select_rits(arm, 5).steps
-        assert bits(trace.steps) == bits(exhaustive_reference(arm, 5)[1])
+        assert trace.steps == select_rits(demo_arm, 5).steps
+        assert bits(trace.steps) == bits(exhaustive_reference(demo_arm, 5)[1])
 
     def test_lazy_equals_eager_at_k15(self, demo):
         # a stale-bound lazy greedy picked token 4 before 12 at step 7 here
-        lazy = select_rits_lazy(demo, 15)
+        lazy = run("rits_lazy", demo, 15)
         assert lazy.strategy == "rits_lazy"
         assert lazy.steps == select_rits(demo, 15).steps
 

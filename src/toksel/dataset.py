@@ -424,15 +424,6 @@ class Dataset:
         return self._ratings > 0
 
     @cached_property
-    def rated_selections(self) -> np.ndarray:
-        """Selection rows of rated records (uint8)."""
-        return self._selections[self.rated_mask]
-
-    @cached_property
-    def rated_pc(self) -> np.ndarray:
-        return (self._pc[self.rated_mask] == 1).astype(np.int64)
-
-    @cached_property
     def cooccurrence(self) -> np.ndarray:
         """Records selecting both of two tokens, as float64 sums over row chunks: exact below 2^53."""
         out = np.zeros((self._selections.shape[1],) * 2)
@@ -444,10 +435,12 @@ class Dataset:
     @cached_property
     def patterns(self) -> "PatternTable":
         """The rated records compressed to their distinct token rows, with label counts."""
-        sel = self._selections[self.rated_mask]
-        inverse, rows = distinct_rows(sel, range(sel.shape[1]))
-        counts = np.bincount(inverse * 2 + self.rated_pc, minlength=2 * len(rows))
-        return PatternTable(rows, counts.reshape(-1, 2), inverse)
+        rated = self.rated_mask
+        keys, rows = distinct_rows(self._selections[rated], range(self._selections.shape[1]))
+        keys *= 2
+        keys += self._pc[rated]  # a rated record's label is 0 or 1
+        counts = np.bincount(keys, minlength=2 * len(rows))
+        return PatternTable(rows, counts.reshape(-1, 2), keys)
 
     def __len__(self) -> int:
         return self._ratings.shape[0]
@@ -460,12 +453,14 @@ class PatternTable:
     Every plug-in statistic conditioned on the poor-call label depends on
     the records only through these counts. Rows come in the order
     `cell_ids` numbers the cells of the whole catalog: increasing as
-    binary numbers with token 0 least significant.
+    binary numbers with token 0 least significant. A subsample of the rated
+    records (a training split) is one bincount of their keys, and their
+    rows and labels are `rows[key >> 1]` and `key & 1`.
     """
 
     rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
     counts: np.ndarray  # (n_patterns, 2) int64: rated records per row that are (not poor, poor)
-    row_of_record: np.ndarray  # (n_rated,) int64: pattern index of each rated record
+    key_of_record: np.ndarray  # (n_rated,) int64: each rated record's pattern index * 2 + poor-call label
     # (n_tokens, n_patterns) uint8: `rows` transposed, so that each token's column is contiguous
     columns: np.ndarray = field(init=False, repr=False, compare=False)
     # (2, n_patterns) float64: `counts` transposed, the weights a bincount per label takes
@@ -474,7 +469,7 @@ class PatternTable:
     def __post_init__(self):
         object.__setattr__(self, "columns", np.ascontiguousarray(self.rows.T))
         object.__setattr__(self, "weights", np.ascontiguousarray(self.counts.T, dtype=np.float64))
-        for arr in (self.rows, self.counts, self.row_of_record, self.columns, self.weights):
+        for arr in (self.rows, self.counts, self.key_of_record, self.columns, self.weights):
             arr.setflags(write=False)
 
     @property

@@ -317,24 +317,22 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     next, so memory does not grow with the number of splits. A scorer
     gives each cell of a subset one score: the table scorer from the
     split's training counts per pattern, the forest by fitting on the
-    training records and predicting the pattern rows, which walks each
-    cell's row once. One `auc` then counts each cell's test records as
-    one integer-weighted entry per label, which equals scoring the test
-    records one by one.
+    training records, read from their keys in the pattern table, and
+    predicting the pattern rows, which walks each cell's row once. One
+    `auc` then counts each cell's test records as one integer-weighted
+    entry per label, which equals scoring the test records one by one.
+    A split's test counts are one bincount of its test keys (the fewer at the default 0.7).
     """
-    y = dataset.rated_pc
     table = dataset.patterns
     cells = [cell_ids(table.rows, s) for s in subsets]
-    if scorer_kind == "forest":
-        X = dataset.rated_selections
     out = np.empty((len(subsets), plan.splits))
-    for j, (train_idx, _, scorer_seed) in enumerate(plan.partitions(y.size)):
-        keys = table.row_of_record[train_idx] * 2 + y[train_idx]
-        train = np.bincount(keys, minlength=table.counts.size).reshape(-1, 2)
-        test = table.counts - train
+    keys = table.key_of_record
+    for j, (train_idx, test_idx, scorer_seed) in enumerate(plan.partitions(keys.size)):
+        test = np.bincount(keys[test_idx], minlength=table.counts.size).reshape(-1, 2)
+        train = table.counts - test
         n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
         if scorer_kind == "forest":
-            X_train, y_train = X[train_idx], y[train_idx]
+            X_train, y_train = table.rows[keys[train_idx] >> 1], keys[train_idx] & 1
         for i, (s, (c, n_cells)) in enumerate(zip(subsets, cells)):
 
             def per_cell(counts, label):

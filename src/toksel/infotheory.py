@@ -14,13 +14,13 @@ monotonicity audit can use a zero tolerance. But each term is rounded
 before the sum, so a token that splits cells in exact proportion (true
 gain 0) can still show a violation of about 1e-15 bits.
 
-Many subsets are scored at once by `stacked_term_sums`: their cell keys
-are stacked and folded together (`dataset.fold_keys`), counted by one
-bincount per label, and each subset's nonzero terms summed by one fsum,
-so each sum is the same bits as `_cond_term_sum`'s. The greedy and
-exhaustive searches score one-token extensions this way
-(`extension_term_sums`), and the audits draw every trial first and
-then score each distinct subset once, in batches of equal size
+Every term sum comes from one routine, `stacked_term_sums`, which scores
+many subsets at once: their cell keys are stacked and folded together
+(`dataset.fold_keys`), counted by one bincount per label, and each
+subset's nonzero terms summed by one fsum. One subset (`_cond_term_sum`)
+is one block of it. The greedy and exhaustive searches score one-token
+extensions this way (`extension_term_sums`), and the audits score each
+distinct subset of a chunk of trials once, in batches of equal size
 (`subset_term_sums`).
 """
 
@@ -76,13 +76,16 @@ def _cell_terms(n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
 
 
 def _cond_term_sum(dataset: Dataset, subset: Sequence[int]) -> float:
-    """Sum over cells of n*H(pc within cell), scaled by n (i.e. N * H[pc|subset]).
+    """Sum over cells of n*H(pc within cell), scaled by n (i.e. N * H[pc|subset]), as
+    the one block of `subset_term_sums`.
 
     The empty subset has one cell holding every rated record: its sum is N * H[pc].
     """
-    counts = cell_counts(dataset, subset)
-    terms = _cell_terms(counts[:, 0], counts[:, 1])
-    return math.fsum(terms[terms != 0.0])
+    ids = check_subset(subset, len(dataset.catalog))
+    table = dataset.patterns
+    if table.total == 0:
+        raise DataError("dataset has no rated records")
+    return subset_term_sums(table, [ids])[0]
 
 
 def stacked_term_sums(table: PatternTable, start, width: int, subsets: np.ndarray) -> list[float]:
@@ -92,8 +95,7 @@ def stacked_term_sums(table: PatternTable, start, width: int, subsets: np.ndarra
     blocks, the term n*log2(n) - n0*log2(n0) - n1*log2(n1) taken for
     each occupied key, and each block's nonzero terms summed by one fsum.
     A block's keys are its subset's cells, so its sum is the fsum of the
-    same nonzero terms that `_cond_term_sum` adds for that subset, and
-    the two agree to the bit.
+    nonzero terms of that subset's `cell_counts`, in any order of its tokens.
     """
     m, n_rows = subsets.shape[0], table.rows.shape[0]
     if m == 0 or n_rows == 0:
@@ -116,8 +118,8 @@ def extension_term_sums(
     """N * H[pc | S + t] for each candidate t, from the cells of S over `table.rows`.
 
     The j-th candidate is block j of `stacked_term_sums`: it starts from
-    the cells of S and is refined by t's column. Each sum agrees to the
-    bit with `_cond_term_sum(dataset, S + t)`. Memory is O(candidates * rows).
+    the cells of S and is refined by t's column, so its sum is the bits of
+    `_cond_term_sum(dataset, S + t)`. Memory is O(candidates * rows).
     """
     candidates = np.array(list(candidates), dtype=np.intp)
     return stacked_term_sums(table, cells, n_cells, candidates[:, None])
@@ -125,7 +127,7 @@ def extension_term_sums(
 
 def subset_term_sums(table: PatternTable, subsets: Sequence[Sequence[int]]) -> list[float]:
     """N * H[pc | subset] for each of equal-size subsets, scored as the blocks of one
-    `stacked_term_sums`; each agrees to the bit with `_cond_term_sum`."""
+    `stacked_term_sums`. `_cond_term_sum` is this routine for one subset."""
     size = len(subsets[0]) if subsets else 0
     return stacked_term_sums(table, 0, 1, np.array(subsets, dtype=np.intp).reshape(len(subsets), size))
 
@@ -193,16 +195,22 @@ class AuditReport:
 _AUDIT_MAX_SIZE = 10
 # Keys (subsets * table rows) an audit scores in one batch: a bound on the batch's arrays.
 _AUDIT_BATCH_KEYS = 1 << 14
+# Trials an audit draws before it scores them: a bound on the draws it holds at once.
+_AUDIT_CHUNK_TRIALS = 1 << 14
+# Scored subsets an audit keeps for later chunks; past this many it drops them all,
+# so that memory stays bounded on wide catalogs, where drawn subsets seldom repeat.
+_AUDIT_KEPT_SUBSETS = 1 << 17
 
 
 def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw, gap) -> AuditReport:
     """Count the gaps above `tolerance` of `trials` draws of `draw(rng, n_tokens)`.
 
-    A draw reads no term sum, so every trial is drawn first, in order,
-    from one generator: the subsets it returns, each as its sorted ids.
-    Each distinct subset is then scored once, in batches of subsets of one
-    size (`subset_term_sums`), and each trial's gap is `gap` of its
-    subsets' term sums, divided by the rated-record count.
+    A draw reads no term sum, so the trials are drawn in order from one
+    generator, `_AUDIT_CHUNK_TRIALS` at a time: the subsets each returns,
+    as sorted ids. Each subset not yet scored (or dropped past
+    `_AUDIT_KEPT_SUBSETS`) is then scored once, in batches of one size
+    (`subset_term_sums`), and each trial's gap is `gap` of its subsets'
+    term sums, divided by the rated-record count.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -216,27 +224,25 @@ def _audit(kind, dataset, trials, seed, tolerance, min_tokens, draw, gap) -> Aud
     if total == 0:
         raise DataError("dataset has no rated records")
     rng = np.random.default_rng(seed)
-    draws = [draw(rng, n_tokens) for _ in range(trials)]
-
-    by_size: dict[int, set] = {}
-    for subsets in draws:
-        for subset in subsets:
-            by_size.setdefault(len(subset), set()).add(subset)
     per_batch = max(1, _AUDIT_BATCH_KEYS // table.rows.shape[0])
     term_sums = {}
-    for size in sorted(by_size):
-        subsets = sorted(by_size[size])
-        for lo in range(0, len(subsets), per_batch):
-            batch = subsets[lo:lo + per_batch]
-            term_sums.update(zip(batch, subset_term_sums(table, batch)))
-
     violations = 0
     max_violation = 0.0
-    for subsets in draws:
-        value = gap(*(term_sums[subset] for subset in subsets)) / total
-        if value > tolerance:
-            violations += 1
-            max_violation = max(max_violation, value)
+    for done in range(0, trials, _AUDIT_CHUNK_TRIALS):
+        if len(term_sums) > _AUDIT_KEPT_SUBSETS:
+            term_sums.clear()
+        draws = [draw(rng, n_tokens) for _ in range(min(_AUDIT_CHUNK_TRIALS, trials - done))]
+        new = {subset for subsets in draws for subset in subsets if subset not in term_sums}
+        for size in sorted({len(subset) for subset in new}):
+            same = sorted(subset for subset in new if len(subset) == size)
+            for lo in range(0, len(same), per_batch):
+                batch = same[lo:lo + per_batch]
+                term_sums.update(zip(batch, subset_term_sums(table, batch)))
+        for subsets in draws:
+            value = gap(*(term_sums[subset] for subset in subsets)) / total
+            if value > tolerance:
+                violations += 1
+                max_violation = max(max_violation, value)
     return AuditReport(kind, trials, violations, max_violation, tolerance, seed)
 
 

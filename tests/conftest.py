@@ -32,6 +32,12 @@ def proportional_split_dataset(*extra_columns):
     return make_dataset(np.column_stack([rows, *extra_columns]).astype(np.uint8), ratings)
 
 
+def rated_records(ds):
+    """The token rows and 0/1 int64 poor-call labels of a Dataset's rated records, in record order."""
+    rated = ds.rated_mask
+    return ds.selections[rated], (ds.pc_labels[rated] == 1).astype(np.int64)
+
+
 def contents(ds):
     """Everything a Dataset holds, in a form that compares with ==."""
     return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
@@ -43,7 +49,7 @@ def statistic_contents(ds):
     table = ds.patterns
     return (
         ds.catalog, ds._arm_codes.tolist(), ds.ratings.tolist(), ds.selections.tolist(),
-        table.rows.tolist(), table.counts.tolist(), table.row_of_record.tolist(),
+        table.rows.tolist(), table.counts.tolist(), table.key_of_record.tolist(),
     )
 
 

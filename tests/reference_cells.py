@@ -6,13 +6,20 @@ a time, and the pattern table was built by `np.unique` over each row
 packed into a byte string. `toksel.dataset.cell_ids` must give the same
 ids for every subset of at most 32 tokens, and `Dataset.patterns` the
 same rows and counts, in any row order.
+
+`cond_term_sum` is the term sum toksel shipped before every term sum came
+from one batched routine: one subset's `cell_counts`, one term per cell
+and one fsum. The batched sums must agree with it to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+
+from toksel.infotheory import cell_counts
 
 # The previous chunks' cell id, shifted left by the chunk width, and the
 # chunk's packed bits fit in int64.
@@ -36,7 +43,7 @@ def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
 
 
 def patterns(sel: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, counts, row_of_record) of rated selections `sel` with 0/1 labels `pc`:
+    """(rows, counts, row of each record) of rated selections `sel` with 0/1 labels `pc`:
     distinct rows in byte order of the packed rows, token 0 most significant."""
     packed = np.ascontiguousarray(np.packbits(sel, axis=1))
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -44,3 +51,16 @@ def patterns(sel: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     inverse = inverse.reshape(-1).astype(np.int64)
     counts = np.bincount(inverse * 2 + pc, minlength=2 * first.size)
     return sel[first], counts.reshape(-1, 2), inverse
+
+
+def _xlog2(n: np.ndarray) -> np.ndarray:
+    return n * np.log2(np.where(n > 0, n, 1.0))
+
+
+def cond_term_sum(dataset, subset: Sequence[int]) -> float:
+    """N * H[pc | subset]: the fsum over the subset's cells of the nonzero
+    n*log2(n) - n0*log2(n0) - n1*log2(n1)."""
+    counts = cell_counts(dataset, subset)
+    n0, n1 = counts[:, 0], counts[:, 1]
+    terms = _xlog2(n0 + n1) - _xlog2(n0) - _xlog2(n1)
+    return math.fsum(terms[terms != 0.0])

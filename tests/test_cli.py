@@ -22,7 +22,16 @@ import toksel
 from toksel import cli, selection
 from toksel.cli import main
 from toksel.dataset import Dataset, save_dataset
-from toksel.synthgen import GeneratorConfig, LatentCause, demo_experiment_config, generate_truth
+from toksel.evaluation import SplitPlan, evaluate_subsets
+from toksel.infotheory import audit_monotonicity, audit_submodularity, information_gain
+from toksel.selection import select_auc_greedy, select_exhaustive, select_rits
+from toksel.synthgen import (
+    GeneratorConfig,
+    LatentCause,
+    demo_experiment_config,
+    generate_truth,
+    generator_from_config,
+)
 from toksel.dataset import TokenCatalog
 
 from conftest import make_dataset, written_text
@@ -915,3 +924,28 @@ def test_no_stage_reads_record_strings(tmp_path):
     ):
         got = _run_stages(work)
     assert got == expected
+
+
+def _statistics(ds):
+    """What select, evaluate and audit compute from a dataset, in a form that compares with ==."""
+    traces = [select_rits(ds, 4), select_exhaustive(ds, 3), select_auc_greedy(ds, 4, splits=3, seed=2)]
+    plan = SplitPlan(splits=3, master_seed=4)
+    return (
+        traces,
+        audit_monotonicity(ds, 40, 5),
+        audit_submodularity(ds, 40, 5),
+        information_gain(ds, [0, 3, 7]),
+        evaluate_subsets(ds, traces, plan),
+        evaluate_subsets(ds, traces, plan, "forest", trees=2),
+    )
+
+
+def test_no_statistic_reads_a_record_once_the_tables_are_built():
+    """Once its pattern table and co-occurrence counts are built, a dataset whose
+    record columns are dropped gives every statistic what an untouched one gives."""
+    config = {**demo_experiment_config(), "n_calls": 3000}
+    expected = _statistics(generate_truth(generator_from_config(config)))
+    ds = generate_truth(generator_from_config(config))
+    ds.patterns, ds.cooccurrence
+    ds._selections = ds._ratings = ds._pc = ds._arm_codes = None
+    assert _statistics(ds) == expected

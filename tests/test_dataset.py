@@ -21,7 +21,7 @@ from toksel.errors import DataError, ParameterError, SchemaError
 from toksel.synthgen import demo_generator_config, generate_truth
 
 import reference_cells
-from conftest import contents, make_dataset
+from conftest import contents, make_dataset, rated_records
 
 
 CSV_4ROW = """call_id,arm,platform,rating,echo,noise
@@ -377,14 +377,17 @@ class TestSubsetsAndCells:
         )
         ds = make_dataset(rows, ratings)
         table = ds.patterns
-        ref_rows, ref_counts, _ = reference_cells.patterns(ds.rated_selections, ds.rated_pc)
+        sel, pc = rated_records(ds)
+        ref_rows, ref_counts, _ = reference_cells.patterns(sel, pc)
         assert table.rows.dtype == np.uint8 and table.rows.shape == (len(ref_rows), rows.shape[1])
-        assert table.counts.dtype == ref_counts.dtype and table.row_of_record.dtype == np.int64
+        assert table.counts.dtype == ref_counts.dtype and table.key_of_record.dtype == np.int64
         # the same rows with the same counts; the row order is not part of the contract
         got = {tuple(r): tuple(c) for r, c in zip(table.rows.tolist(), table.counts.tolist())}
         want = {tuple(r): tuple(c) for r, c in zip(ref_rows.tolist(), ref_counts.tolist())}
         assert got == want and len(got) == len(table.rows)
-        assert np.array_equal(table.rows[table.row_of_record], ds.rated_selections)
+        # each rated record's key gives back its row and its label
+        assert np.array_equal(table.rows[table.key_of_record >> 1], sel)
+        assert np.array_equal(table.key_of_record & 1, pc)
 
     def test_no_rows_no_cells_and_empty_subset_one_cell(self):
         for rows in (np.zeros((0, 5), dtype=np.uint8), np.zeros((0, 0), dtype=np.uint8)):
@@ -409,10 +412,13 @@ class TestSubsetsAndCells:
         ids, n_cells = cell_ids(rows, range(200))
         assert n_cells == 3 and len(bins) > 1 and max(bins) <= 12
 
-    def test_rated_selections_are_uint8_rows_of_rated_records(self):
+    def test_record_keys_give_uint8_rows_and_labels_of_rated_records(self):
         ds = make_dataset([[1, 0], [0, 1], [1, 1]], [2, None, 5])
-        assert ds.rated_selections.dtype == np.uint8
-        assert ds.rated_selections.tolist() == [[1, 0], [1, 1]]
+        table = ds.patterns
+        assert table.rows.dtype == np.uint8
+        assert table.rows[table.key_of_record >> 1].tolist() == [[1, 0], [1, 1]]
+        assert (table.key_of_record & 1).tolist() == [1, 0]
+        assert not hasattr(ds, "rated_selections") and not hasattr(ds, "rated_pc")
 
     def test_cooccurrence_counts_every_record(self):
         ds = make_dataset([[1, 0], [1, 1], [0, 1]], [2, None, 5])

@@ -28,7 +28,7 @@ from toksel.synthgen import (
 )
 from toksel.dataset import TokenCatalog
 
-from conftest import make_dataset, pc_to_rating
+from conftest import make_dataset, pc_to_rating, rated_records
 import reference_forest
 from reference_table import TableScorer
 
@@ -201,27 +201,27 @@ class TestTableScorer:
         sel = [[1], [1], [1], [1], [0], [0]]
         ratings = [1, 1, 1, 5, 5, 5]
         ds = make_dataset(sel, ratings)
-        scorer = TableScorer([0]).fit(ds.rated_selections, ds.rated_pc)
+        scorer = TableScorer([0]).fit(*rated_records(ds))
         assert scorer.predict(np.array([[1]]))[0] == pytest.approx((3 + 1) / (4 + 2))
 
     def test_unseen_pattern_backs_off_to_prior(self):
         sel = [[1, 1], [1, 1], [0, 0], [0, 0]]
         ds = make_dataset(sel, [1, 1, 5, 5])
-        scorer = TableScorer([0, 1]).fit(ds.rated_selections, ds.rated_pc)
+        scorer = TableScorer([0, 1]).fit(*rated_records(ds))
         prior = (2 + 1) / (4 + 2)
         assert scorer.predict(np.array([[1, 0]]))[0] == pytest.approx(prior)
         assert scorer.prior_ == pytest.approx(prior)
 
     def test_empty_subset_scores_prior_everywhere(self):
         ds = make_dataset([[1], [0], [1], [0]], [1, 5, 2, 4])
-        scorer = TableScorer([]).fit(ds.rated_selections, ds.rated_pc)
+        scorer = TableScorer([]).fit(*rated_records(ds))
         scores = scorer.predict(np.array([[1], [0]]))
         assert np.all(scores == scores[0])
 
     def test_single_class_training_rejected(self):
         ds = make_dataset([[1], [0]], [1, 2])
         with pytest.raises(DataError):
-            TableScorer([0]).fit(ds.rated_selections, ds.rated_pc)
+            TableScorer([0]).fit(*rated_records(ds))
 
     @pytest.mark.parametrize("scorer", [TableScorer, ForestScorer])
     def test_ids_that_are_not_integers_rejected(self, scorer):
@@ -235,8 +235,8 @@ class TestTableScorer:
         sel = (rng.random((50, 3)) < 0.4).astype(int)
         pc = (rng.random(50) < 0.5).astype(int)
         ds = make_dataset(sel, pc_to_rating(pc))
-        s1 = TableScorer([0, 2, 1]).fit(ds.rated_selections, ds.rated_pc)
-        s2 = TableScorer([1, 2, 0]).fit(ds.rated_selections, ds.rated_pc)
+        s1 = TableScorer([0, 2, 1]).fit(*rated_records(ds))
+        s2 = TableScorer([1, 2, 0]).fit(*rated_records(ds))
         probe = (rng.random((20, 3)) < 0.5).astype(int)
         assert np.array_equal(s1.predict(probe), s2.predict(probe))
 
@@ -259,7 +259,7 @@ def _assert_split_aucs(ds, subsets, plan, row_auc, *args, **kwargs):
     `row_auc(subset, train, test, scorer_seed)` gives on each split, or raises its first error."""
     expected = [[] for _ in subsets]
     try:
-        for split in plan.partitions(ds.rated_pc.size):
+        for split in plan.partitions(int(ds.rated_mask.sum())):
             for aucs, subset in zip(expected, subsets):
                 aucs.append(row_auc(subset, *split))
     except DataError as exc:
@@ -282,7 +282,7 @@ def test_table_split_aucs_equal_row_scorer(data):
     ratings = data.draw(st.lists(st.sampled_from([None, 1, 2, 4, 5]), min_size=n, max_size=n))
     subsets = data.draw(st.lists(_sorted_subsets(n_tokens), min_size=1, max_size=3))
     ds = make_dataset(rows, ratings)
-    X, y = ds.rated_selections, ds.rated_pc
+    X, y = rated_records(ds)
     assume(y.size >= 2)
     plan = SplitPlan(splits=4, master_seed=data.draw(st.integers(0, 99)))
 
@@ -318,7 +318,7 @@ def test_forest_equals_record_forest(data, trees, seed):
     """The weighted-row forest grows the record-by-record forest's trees, bit for bit, and
     its split AUCs for 1-3 subsets scored in one call equal the record forest's."""
     ds, subsets = data
-    X, y = ds.rated_selections, ds.rated_pc
+    X, y = rated_records(ds)
     assume(y.size >= 2)
     probe = np.array(list(itertools.product([0, 1], repeat=X.shape[1])))
 
@@ -353,7 +353,7 @@ def test_forest_equals_record_forest_at_catalog_width(subset):
     cfg = demo_experiment_config()
     cfg["n_calls"] = 4000
     ds = generate_truth(generator_from_config(cfg))
-    X, y = ds.rated_selections, ds.rated_pc
+    X, y = rated_records(ds)
     train, test, scorer_seed = next(SplitPlan(splits=1, master_seed=5).partitions(y.size))
     new = ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
     ref = reference_forest.ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
@@ -368,8 +368,8 @@ def _predict_on_fewer_columns(scorer):
     """Fit on the dataset plus one column, so that the `n_tokens` subset fits, then predict on the dataset."""
 
     def use(ds, subset):
-        X = ds.rated_selections
-        return scorer(subset).fit(np.hstack([X, X[:, :1]]), ds.rated_pc).predict(X)
+        X, y = rated_records(ds)
+        return scorer(subset).fit(np.hstack([X, X[:, :1]]), y).predict(X)
 
     return use
 
@@ -378,8 +378,8 @@ SUBSET_USERS = {
     "information_gain": information_gain,
     "cell_counts": cell_counts,
     "jaccard_set": jaccard_set,
-    "TableScorer.fit": lambda ds, s: TableScorer(s).fit(ds.rated_selections, ds.rated_pc),
-    "ForestScorer.fit": lambda ds, s: ForestScorer(s, trees=2, seed=0).fit(ds.rated_selections, ds.rated_pc),
+    "TableScorer.fit": lambda ds, s: TableScorer(s).fit(*rated_records(ds)),
+    "ForestScorer.fit": lambda ds, s: ForestScorer(s, trees=2, seed=0).fit(*rated_records(ds)),
     "TableScorer.predict": _predict_on_fewer_columns(TableScorer),
     "ForestScorer.predict": _predict_on_fewer_columns(lambda s: ForestScorer(s, trees=2, seed=0)),
 }
@@ -404,12 +404,13 @@ class TestForestScorer:
     @pytest.mark.parametrize("trees", [1, 100])
     def test_perfect_token_gives_auc_one(self, trees):
         ds, pc = self._separable()
-        scorer = ForestScorer([0], trees=trees, seed=3).fit(ds.rated_selections, ds.rated_pc)
-        assert auc(scorer.predict(ds.rated_selections), ds.rated_pc) == 1.0
+        X, y = rated_records(ds)
+        scorer = ForestScorer([0], trees=trees, seed=3).fit(X, y)
+        assert auc(scorer.predict(X), y) == 1.0
 
     def test_deterministic_given_seed(self):
         ds, _ = self._separable(seed=9)
-        X, y = ds.rated_selections, ds.rated_pc
+        X, y = rated_records(ds)
         a = ForestScorer([0, 1], trees=20, seed=5).fit(X, y).predict(X)
         b = ForestScorer([0, 1], trees=20, seed=5).fit(X, y).predict(X)
         assert np.array_equal(a, b)
@@ -420,7 +421,7 @@ class TestForestScorer:
         pc = (rng.random(n) < 0.5).astype(int)
         sel = (rng.random((n, 4)) < (0.2 + 0.4 * pc[:, None])).astype(int)
         ds = make_dataset(sel, pc_to_rating(pc))
-        X, y = ds.rated_selections, ds.rated_pc
+        X, y = rated_records(ds)
         a = ForestScorer([0, 1, 2, 3], trees=5, seed=5).fit(X, y).predict(X)
         b = ForestScorer([0, 1, 2, 3], trees=5, seed=6).fit(X, y).predict(X)
         assert not np.array_equal(a, b)
@@ -437,7 +438,7 @@ class TestForestScorer:
             seed=7,
         )
         ds = generate_truth(cfg)
-        X, y = ds.rated_selections, ds.rated_pc
+        X, y = rated_records(ds)
         train, test = np.arange(700), np.arange(700, 1000)
         subset = (0, 1, 2, 3, 4, 5)
         table_auc = auc(TableScorer(subset).fit(X[train], y[train]).predict(X[test]), y[test])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from toksel.dataset import TokenCatalog
 from toksel.synthgen import GeneratorConfig, LatentCause, generate_truth
 
 from conftest import make_dataset, pc_to_rating, proportional_split_dataset
+import reference_cells
 from reference_audit import audit_monotonicity_reference, audit_submodularity_reference
 
 
@@ -419,7 +421,7 @@ def small_table_dataset(draw, max_tokens=40):
 
 
 class TestSubsetTermSums:
-    """Equal-size subsets scored as one batch, against `_cond_term_sum` one subset at a time."""
+    """Equal-size subsets scored as one batch, against the per-subset reference sum one subset at a time."""
 
     @given(dataset=small_table_dataset(), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -429,7 +431,7 @@ class TestSubsetTermSums:
         subset = st.lists(st.integers(0, n_tokens - 1), unique=True, min_size=size, max_size=size)
         subsets = data.draw(st.lists(subset, min_size=1, max_size=6))
         got = subset_term_sums(dataset.patterns, subsets)
-        assert [v.hex() for v in got] == [_cond_term_sum(dataset, s).hex() for s in subsets]
+        assert [v.hex() for v in got] == [reference_cells.cond_term_sum(dataset, s).hex() for s in subsets]
 
     def test_compaction_on_a_table_shorter_than_its_cells(self):
         # 12 tokens over 9 distinct rows: the keys are renumbered several times per subset
@@ -439,11 +441,11 @@ class TestSubsetTermSums:
         assert len(ds.patterns.rows) < 2**12
         subsets = [list(range(12)), list(range(11, -1, -1)), [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]]
         got = subset_term_sums(ds.patterns, subsets)
-        assert [v.hex() for v in got] == [_cond_term_sum(ds, s).hex() for s in subsets]
+        assert [v.hex() for v in got] == [reference_cells.cond_term_sum(ds, s).hex() for s in subsets]
 
     def test_empty_subsets_and_no_subsets(self, hand_dataset):
         table = hand_dataset.patterns
-        assert subset_term_sums(table, [(), ()]) == [_cond_term_sum(hand_dataset, ())] * 2
+        assert subset_term_sums(table, [(), ()]) == [reference_cells.cond_term_sum(hand_dataset, ())] * 2
         assert subset_term_sums(table, []) == []
 
 
@@ -476,3 +478,48 @@ def test_audit_on_interacting_and_proportional_data_equals_the_per_trial_loop():
         for seed in range(3):
             assert audit_monotonicity(ds, 200, seed) == audit_monotonicity_reference(ds, 200, seed)
             assert audit_submodularity(ds, 200, seed, 0.0) == audit_submodularity_reference(ds, 200, seed, 0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_audits_give_the_same_reports_in_any_chunks(chunk, monkeypatch):
+    # chunks of one trial, of a few, and one chunk for every trial; no subset is scored twice
+    monkeypatch.setattr(infotheory, "_AUDIT_CHUNK_TRIALS", chunk)
+    scored = []
+
+    def spy(table, subsets):
+        scored.extend(subsets)
+        return subset_term_sums(table, subsets)
+
+    monkeypatch.setattr(infotheory, "subset_term_sums", spy)
+    for ds in (_interacting_dataset(), _synthetic(seed=3, n_tokens=12, n_calls=600)):
+        for audit, reference, args in (
+            (audit_monotonicity, audit_monotonicity_reference, (300, 5)),
+            (audit_submodularity, audit_submodularity_reference, (300, 5, 0.0)),
+        ):
+            assert audit(ds, *args) == reference(ds, *args)
+            assert len(scored) == len(set(scored))
+            scored.clear()
+
+
+def test_audits_that_drop_their_scored_subsets_give_the_same_reports(monkeypatch):
+    monkeypatch.setattr(infotheory, "_AUDIT_CHUNK_TRIALS", 7)
+    monkeypatch.setattr(infotheory, "_AUDIT_KEPT_SUBSETS", 0)
+    ds = _synthetic(seed=3, n_tokens=12, n_calls=600)
+    assert audit_monotonicity(ds, 300, 5) == audit_monotonicity_reference(ds, 300, 5)
+    assert audit_submodularity(ds, 300, 5, 0.0) == audit_submodularity_reference(ds, 300, 5, 0.0)
+
+
+def test_audit_memory_does_not_grow_with_trials(monkeypatch):
+    # 30 tokens: drawn subsets seldom repeat, so only dropping them bounds the scored ones
+    monkeypatch.setattr(infotheory, "_AUDIT_CHUNK_TRIALS", 200)
+    monkeypatch.setattr(infotheory, "_AUDIT_KEPT_SUBSETS", 500)
+    ds = _synthetic(seed=1, n_tokens=30, n_calls=300)
+    ds.patterns
+    peaks = []
+    for trials in (1000, 8000):
+        tracemalloc.start()
+        audit_submodularity(ds, trials, 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the dropped subsets' dicts peak a little higher over more chunks; holding them all costs 5x
+    assert peaks[1] < 2 * peaks[0]

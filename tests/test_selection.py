@@ -12,7 +12,6 @@ from toksel.errors import CapacityError, ParameterError
 from toksel.evaluation import SplitPlan, auc
 from toksel.infotheory import (
     IgEvaluator,
-    _cond_term_sum,
     extension_term_sums,
     information_gain,
 )
@@ -31,7 +30,8 @@ from toksel.synthgen import (
     generate_truth,
 )
 
-from conftest import make_dataset, pc_to_rating, proportional_split_dataset
+from conftest import make_dataset, pc_to_rating, proportional_split_dataset, rated_records
+import reference_cells
 from reference_selection import exhaustive_reference, greedy_reference
 from reference_table import TableScorer
 
@@ -226,7 +226,7 @@ class TestSelectAucGreedy:
 
         # independent recomputation of each token's mean AUC over the same plan
         plan = SplitPlan(splits=splits, train_fraction=0.7, master_seed=seed)
-        X, y = ds.rated_selections, ds.rated_pc
+        X, y = rated_records(ds)
         parts = list(plan.partitions(X.shape[0]))
         means = []
         for t in range(6):
@@ -445,7 +445,8 @@ class TestBatchedAgainstReference:
         assert n_cells == len({tuple(row) for row in table.rows[:, subset]})
         candidates = data.draw(st.permutations([t for t in range(n_tokens) if t not in subset]))
         got = extension_term_sums(table, cells, n_cells, candidates)
-        assert [v.hex() for v in got] == [_cond_term_sum(dataset, [*subset, t]).hex() for t in candidates]
+        want = [reference_cells.cond_term_sum(dataset, [*subset, t]) for t in candidates]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @st.composite

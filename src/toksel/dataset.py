@@ -454,7 +454,7 @@ class PatternTable:
     the records only through these counts. Rows come in the order
     `cell_ids` numbers the cells of the whole catalog: increasing as
     binary numbers with token 0 least significant. A subsample of the rated
-    records (a training split) is one bincount of their keys, and their
+    records (one side of a split) is one bincount of their keys, and their
     rows and labels are `rows[key >> 1]` and `key & 1`.
     """
 

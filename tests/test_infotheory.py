@@ -480,10 +480,13 @@ def test_audit_on_interacting_and_proportional_data_equals_the_per_trial_loop():
             assert audit_submodularity(ds, 200, seed, 0.0) == audit_submodularity_reference(ds, 200, seed, 0.0)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_audits_give_the_same_reports_in_any_chunks(chunk, monkeypatch):
-    # chunks of one trial, of a few, and one chunk for every trial; no subset is scored twice
+@pytest.mark.parametrize("chunk, kept", [(1, None), (7, None), (1000, None), (7, 0)])
+def test_audits_give_the_same_reports_in_any_chunks(chunk, kept, monkeypatch):
+    # chunks of one trial, of a few, and one for every trial, which keep the scored subsets
+    # (none is scored twice), or chunks that drop them all after each one
     monkeypatch.setattr(infotheory, "_AUDIT_CHUNK_TRIALS", chunk)
+    if kept is not None:
+        monkeypatch.setattr(infotheory, "_AUDIT_KEPT_SUBSETS", kept)
     scored = []
 
     def spy(table, subsets):
@@ -497,16 +500,8 @@ def test_audits_give_the_same_reports_in_any_chunks(chunk, monkeypatch):
             (audit_submodularity, audit_submodularity_reference, (300, 5, 0.0)),
         ):
             assert audit(ds, *args) == reference(ds, *args)
-            assert len(scored) == len(set(scored))
+            assert kept == 0 or len(scored) == len(set(scored))
             scored.clear()
-
-
-def test_audits_that_drop_their_scored_subsets_give_the_same_reports(monkeypatch):
-    monkeypatch.setattr(infotheory, "_AUDIT_CHUNK_TRIALS", 7)
-    monkeypatch.setattr(infotheory, "_AUDIT_KEPT_SUBSETS", 0)
-    ds = _synthetic(seed=3, n_tokens=12, n_calls=600)
-    assert audit_monotonicity(ds, 300, 5) == audit_monotonicity_reference(ds, 300, 5)
-    assert audit_submodularity(ds, 300, 5, 0.0) == audit_submodularity_reference(ds, 300, 5, 0.0)
 
 
 def test_audit_memory_does_not_grow_with_trials(monkeypatch):
@@ -521,5 +516,5 @@ def test_audit_memory_does_not_grow_with_trials(monkeypatch):
         audit_submodularity(ds, trials, 0)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    # the dropped subsets' dicts peak a little higher over more chunks; holding them all costs 5x
+    # the kept subsets peak a little higher over more chunks; keeping them all reads 3x
     assert peaks[1] < 2 * peaks[0]

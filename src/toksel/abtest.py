@@ -13,10 +13,10 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Union
 
-import numpy as np
 
+from .counts import RowCounts
 from .dataset import Dataset
 from .errors import DataError, ParameterError, SchemaError
 
@@ -121,12 +121,14 @@ class AbTestReport:
 
 
 def run_abtest(
-    control: Dataset,
-    treatment: Dataset,
+    control: Union[Dataset, RowCounts],
+    treatment: Union[Dataset, RowCounts],
     denominator: str = "displays",
     significance_level: float = 0.01,
 ) -> AbTestReport:
-    """Overall and per-token response-rate comparison between two arms."""
+    """Overall and per-token response-rate comparison between two arms, each
+    a Dataset or the `RowCounts` of its file: an arm's records, responders
+    and per-token selections are read from its counts."""
     if control.catalog != treatment.catalog:
         raise SchemaError("control and treatment datasets use different catalogs")
     if denominator not in DENOMINATORS:
@@ -134,8 +136,8 @@ def run_abtest(
     if not 0.0 < significance_level < 1.0:
         raise ParameterError("significance_level must be in (0, 1)")
 
-    c_resp = int(control.responded.sum())
-    t_resp = int(treatment.responded.sum())
+    control, treatment = (arm if isinstance(arm, RowCounts) else arm.row_counts for arm in (control, treatment))
+    c_resp, t_resp = control.responders, treatment.responders
     for arm, ds, resp in (("control", control, c_resp), ("treatment", treatment, t_resp)):
         if len(ds) == 0:
             raise DataError(f"{arm} arm has no records")
@@ -145,8 +147,7 @@ def run_abtest(
 
     c_n = len(control) if denominator == "displays" else c_resp
     t_n = len(treatment) if denominator == "displays" else t_resp
-    c_sel = np.asarray(control.selections.sum(axis=0), dtype=np.int64)
-    t_sel = np.asarray(treatment.selections.sum(axis=0), dtype=np.int64)
+    c_sel, t_sel = control.token_sums, treatment.token_sums
 
     rows = []
     for token in control.catalog:

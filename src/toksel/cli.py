@@ -142,7 +142,7 @@ def _run(args) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load(args, path: str):
+def _load(args, path: str, records: bool = False):
     p = Path(path)
     if not p.exists():
         raise DataError(f"input file not found: {p}")
@@ -150,8 +150,9 @@ def _load(args, path: str):
     fmt = args.format
     if fmt == "auto":
         fmt = "jsonl" if p.suffix == ".jsonl" else "csv"
-    # the statistic commands read arms, ratings and cells only: call ids and platforms are checked, not kept
-    return load_dataset(p, format=fmt, catalog=catalog, record_strings=False)
+    # a statistic command reads the file's counts, or, to draw record-level splits, its
+    # records' arms, ratings and cells: either way call ids and platforms are checked, not kept
+    return load_dataset(p, format=fmt, catalog=catalog, record_strings=False, counts=not records)
 
 
 # -- commands -----------------------------------------------------------
@@ -181,8 +182,10 @@ def cmd_generate(args):
 
 
 def cmd_select(args):
-    dataset = _load(args, args.input)
-    run, _ = STRATEGIES[args.strategy]
+    run, _, draws = STRATEGIES[args.strategy]
+    if draws and args.seed is None:
+        raise ParameterError(f"--strategy {args.strategy} draws {draws} at random and needs --seed")
+    dataset = _load(args, args.input, records=draws == "splits")
     trace = run(dataset, args.k, args.seed, args.splits, args.train_frac)
 
     labels = dataset.catalog.labels
@@ -209,7 +212,7 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
-    dataset = _load(args, args.input)
+    dataset = _load(args, args.input, records=True)
     n_tokens = len(dataset.catalog)
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")
@@ -218,7 +221,7 @@ def cmd_evaluate(args):
     traces = []
     full = None
     for name in args.strategies:
-        run, greedy = STRATEGIES[name]
+        run, greedy, _ = STRATEGIES[name]
         trace = run(dataset, n_tokens if greedy else args.k_max, args.seed, args.splits, args.train_frac)
         if greedy:
             full = full or trace

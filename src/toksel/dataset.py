@@ -17,8 +17,14 @@ strings, the writers read one chunk's slice at a time, and
 `record_strings=False` checks every call id and platform as a full load
 does but keeps none, as a column store builds no column that a query
 does not read (Abadi et al., "Materialization Strategies in a
-Column-Oriented DBMS", ICDE 2007): the statistic commands load their
-input so, and its Dataset can be neither read for its strings nor saved.
+Column-Oriented DBMS", ICDE 2007): `evaluate`, and `select` for a
+strategy that draws record-level splits, load their input so, and its
+Dataset can be neither read for its strings nor saved. A load with
+`counts=True` keeps no record at all: the loader checks each block as
+any load does, folds it into the counts of the distinct token rows
+(`counts.RowFold`) and drops it, and `select`, `audit` and `abtest` read
+those `RowCounts`. A Dataset's own `patterns` are built by the same fold
+over its record columns.
 
 A line as `save_dataset` writes it is a head (call_id, arm, platform
 and rating) and a tail whose text depends only on the catalog:
@@ -71,15 +77,16 @@ import mmap
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import islice, repeat
 from json.encoder import encode_basestring
 from operator import index, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .counts import PatternTable, RowCounts, RowFold
 from .errors import DataError, ParameterError, SchemaError
 
 ARMS = ("control", "treatment", "none")
@@ -316,7 +323,9 @@ class Dataset:
     its catalog, arm codes, ratings and cells but no call ids or
     platforms: `call_ids`, `platforms` and `save_dataset` raise
     ParameterError, and `filter_dataset` keeps them absent. Ratings use
-    0 internally for "absent", poor-call labels use -1.
+    0 internally for "absent", poor-call labels use -1. `row_counts` and
+    `patterns` fold the records into counts a chunk at a time, so that no
+    copy of the records is made (`toksel.counts`).
     """
 
     def __init__(
@@ -432,49 +441,22 @@ class Dataset:
             out += sel.T @ sel
         return out
 
+    @property
+    def row_counts(self) -> RowCounts:
+        """The records folded into counts (`counts.RowFold`), _CHUNK_ROWS at a time."""
+        fold = RowFold(len(self._catalog))
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            fold.add(self._selections[lo:lo + _CHUNK_ROWS], self._ratings[lo:lo + _CHUNK_ROWS])
+        return fold.result(self._catalog)
+
     @cached_property
-    def patterns(self) -> "PatternTable":
-        """The rated records compressed to their distinct token rows, with label counts."""
-        rated = self.rated_mask
-        keys, rows = distinct_rows(self._selections[rated], range(self._selections.shape[1]))
-        keys *= 2
-        keys += self._pc[rated]  # a rated record's label is 0 or 1
-        counts = np.bincount(keys, minlength=2 * len(rows))
-        return PatternTable(rows, counts.reshape(-1, 2), keys)
+    def patterns(self) -> PatternTable:
+        """The rated records compressed to their distinct token rows, with label
+        counts and each rated record's key (`RowCounts.keyed_patterns`)."""
+        return self.row_counts.keyed_patterns(self._selections, self._pc)
 
     def __len__(self) -> int:
         return self._ratings.shape[0]
-
-
-@dataclass(frozen=True)
-class PatternTable:
-    """Distinct token rows of a dataset's rated records, with poor-call counts.
-
-    Every plug-in statistic conditioned on the poor-call label depends on
-    the records only through these counts. Rows come in the order
-    `cell_ids` numbers the cells of the whole catalog: increasing as
-    binary numbers with token 0 least significant. A subsample of the rated
-    records (one side of a split) is one bincount of their keys, and their
-    rows and labels are `rows[key >> 1]` and `key & 1`.
-    """
-
-    rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
-    counts: np.ndarray  # (n_patterns, 2) int64: rated records per row that are (not poor, poor)
-    key_of_record: np.ndarray  # (n_rated,) int64: each rated record's pattern index * 2 + poor-call label
-    # (n_tokens, n_patterns) uint8: `rows` transposed, so that each token's column is contiguous
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    # (2, n_patterns) float64: `counts` transposed, the weights a bincount per label takes
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", np.ascontiguousarray(self.rows.T))
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.counts.T, dtype=np.float64))
-        for arr in (self.rows, self.counts, self.key_of_record, self.columns, self.weights):
-            arr.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def token_ids(subset: Sequence[int]) -> list[int]:
@@ -500,77 +482,6 @@ def check_subset(subset: Sequence[int], n_tokens: int) -> tuple[int, ...]:
         if not 0 <= t < n_tokens:
             raise ParameterError(f"token id {t} outside catalog (size {n_tokens})")
     return tuple(ids)
-
-
-def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
-    """Keys in 0..n_keys-1 renumbered 0..n-1 in increasing order over the n
-    keys that occur: one bincount and a cumsum, no sort."""
-    occupied = np.bincount(keys, minlength=n_keys) > 0
-    ranks = np.cumsum(occupied) - 1
-    return ranks[keys], int(np.count_nonzero(occupied))
-
-
-def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Cell of each row under a token subset, and the number of cells.
-
-    Rows share a cell exactly when they agree on every column in
-    `subset`. Ids run 0..n_cells-1 in increasing order of the rows'
-    subset values read as a binary number, Σ row[subset[j]] * 2^j, so
-    subset[0] is the least significant bit. Any subset width works
-    (`fold_keys`).
-    """
-    return _compact(*fold_keys(rows.T, 0, 1, np.array([list(subset)], dtype=np.intp).reshape(1, -1)))
-
-
-def fold_keys(columns: np.ndarray, start, width: int, subsets: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cell keys of m blocks of rows, stacked: block j starts from its own
-    cells and is refined by the token columns in row j of the (m, s) `subsets`.
-
-    `columns` is the rows transposed, (n_tokens, n_rows). `start`
-    (broadcast to (m, n_rows)) holds each row's starting cell in each
-    block, ids below `width`; block j's are offset by j * width. The
-    columns are folded in from the last, as less significant bits than
-    the start, and the keys are renumbered (`_compact`) whenever their
-    range passes twice their count, so no bincount takes more than four
-    bins per key. Returns the (m * n_rows,) keys, block by block, and
-    their range: rows share a key exactly when they are in one block and
-    share its start cell and its columns' values. Each block's keys are
-    below the next block's, and within a block they increase with the
-    start cell, then with the columns' values read as a binary number,
-    subsets[j][0] the least significant bit. Keys are renumbered only
-    over those that occur, so some keys in the range may not occur.
-    """
-    m, size = subsets.shape
-    keys = np.empty((m, columns.shape[1]), dtype=np.int64)
-    np.add(start, width * np.arange(m)[:, None], out=keys)
-    keys, n_keys = keys.reshape(-1), m * width
-    for i in reversed(range(size)):
-        keys *= 2
-        keys += columns[subsets[:, i]].reshape(-1)
-        n_keys *= 2
-        if n_keys > 2 * keys.size:
-            keys, n_keys = _compact(keys, n_keys)
-    return keys, n_keys
-
-
-def refine_cells(cells: np.ndarray, column: np.ndarray, n_cells: int) -> tuple[np.ndarray, int]:
-    """Cells of S + t from the cells of S (ids 0..n_cells-1) and t's 0/1 column.
-
-    A row's new cell is its pair (old cell, column value), numbered in
-    increasing order over the occupied pairs, column value least
-    significant. Started from `cell_ids(rows, ())` and refined by
-    t_1, ..., t_m, the ids are `cell_ids(rows, (t_m, ..., t_1))`'s.
-    """
-    return _compact(2 * cells + column, 2 * n_cells)
-
-
-def distinct_rows(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's cell under a token subset (as `cell_ids` numbers them), and
-    the subset's columns of one row per cell, so that row c stands for cell c."""
-    cells, n_cells = cell_ids(rows, subset)
-    row_of_cell = np.empty(n_cells, dtype=np.int64)
-    row_of_cell[cells] = np.arange(cells.size)
-    return cells, rows[np.ix_(row_of_cell, list(subset))]
 
 
 def filter_dataset(
@@ -631,8 +542,13 @@ def _catalog_for_labels(labels: list[str], catalog: Optional[TokenCatalog]) -> T
 
 
 def load_dataset(
-    path, format: str = "csv", catalog: Optional[TokenCatalog] = None, *, record_strings: bool = True
-) -> Dataset:
+    path,
+    format: str = "csv",
+    catalog: Optional[TokenCatalog] = None,
+    *,
+    record_strings: bool = True,
+    counts: bool = False,
+) -> Union[Dataset, RowCounts]:
     """Load a dataset from a CSV or JSONL file.
 
     Token columns are matched by name against `catalog` when given
@@ -640,16 +556,21 @@ def load_dataset(
     from the file itself. Rows without a rating are retained; they are
     excluded from any poor-call-conditioned statistic downstream.
 
-    With `record_strings=False`, every call id and platform is checked as
-    in a full load, so a file loads or fails alike, but none is kept: the
-    dataset holds no call id or platform column (see `Dataset`), for a
-    caller that reads only arms, ratings and cells.
+    Every field of every record is checked in any case, so a file loads
+    or fails alike, with the same error. With `record_strings=False` no
+    call id or platform is kept: the dataset holds no call id or platform
+    column (see `Dataset`), for a caller that reads only arms, ratings and
+    cells. With `counts=True` no record is kept at all: each block of
+    records is folded into counts as it is read (`counts.RowFold`), and
+    the result is their `RowCounts`, for a caller that draws no
+    record-level split.
     """
     loaders = {"csv": _load_csv, "jsonl": _load_jsonl}
     if format not in loaders:
         raise ParameterError(f"unknown format {format!r}")
+    sink = _Counts if counts else partial(_Columns, record_strings=record_strings)
     with _text_errors(path):
-        return loaders[format](path, catalog, record_strings)
+        return loaders[format](path, catalog, sink)
 
 
 @contextmanager
@@ -759,7 +680,7 @@ class _Columns:
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
 
-    def dataset(self, catalog: TokenCatalog) -> Dataset:
+    def result(self, catalog: TokenCatalog) -> Dataset:
         strings = self.call_ids is not None
         return Dataset._own(
             catalog,
@@ -771,7 +692,22 @@ class _Columns:
         )
 
 
-def _load_csv(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Dataset:
+class _Counts:
+    """A file's records folded into counts as they are read: the readers have
+    checked every field of a chunk, and only its cells and ratings are kept,
+    until the fold merges them into its table."""
+
+    def __init__(self, text_bytes: int, tail: _Tail):
+        self.fold = RowFold(tail.slots.size)
+
+    def add(self, call_ids, arms, platforms, ratings, cells) -> None:
+        self.fold.add(np.asarray(cells, np.uint8), np.asarray(ratings))
+
+    def result(self, catalog: TokenCatalog) -> RowCounts:
+        return self.fold.result(catalog)
+
+
+def _load_csv(path, catalog: Optional[TokenCatalog], sink):
     with open(path, newline="", encoding="utf-8") as fh:
         read: list[str] = []  # the lines csv.reader reads the header row from
         header = next(csv.reader(read.append(line) or line for line in fh), None)
@@ -793,7 +729,7 @@ def _load_csv(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Da
     with open(path, "rb") as fh:
         header_bytes = sum(len(line.encode()) for line in read)
         text_bytes = os.fstat(fh.fileno()).st_size - header_bytes
-        columns, row_no = _Columns(text_bytes, tails["\n"], record_strings), 2
+        columns, row_no = sink(text_bytes, tails["\n"]), 2
         fh.seek(header_bytes)
         for block in _blocks(fh):
             got = _csv_block(block, tails)
@@ -802,7 +738,7 @@ def _load_csv(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Da
             columns.add(*got)
             row_no += len(got[1])
         else:
-            return columns.dataset(cat)
+            return columns.result(cat)
     # a quoted field may hold a line break and run on into the next block: from the
     # first block that fails a guard, csv.reader reads the rest of the file as text;
     # its rows are counted, as each field is a str object far larger than its text
@@ -811,7 +747,7 @@ def _load_csv(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Da
             numbered = enumerate(chunk, row_no)
             columns.add(*zip(*(_check_csv_row(row, n, labels, col_order) for n, row in numbered)))
             row_no += len(chunk)
-    return columns.dataset(cat)
+    return columns.result(cat)
 
 
 def _blocks(fh) -> Iterator[bytes]:
@@ -1065,9 +1001,9 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
     return (*row[:3], rating, [cells[j] == "1" for j in col_order])
 
 
-def _load_jsonl(path, catalog: Optional[TokenCatalog], record_strings: bool) -> Dataset:
+def _load_jsonl(path, catalog: Optional[TokenCatalog], sink):
     with open(path, "rb") as fh:
-        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size, record_strings)
+        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size, sink)
         for block in _blocks(fh):
             try:
                 if records.cat is None and records.error is None:  # no record read yet
@@ -1077,14 +1013,14 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog], record_strings: bool) -> 
             except (UnicodeDecodeError, DataError):
                 break
         else:
-            return records.dataset()
+            return records.result()
     # a block that does not decode, or holds a line that is not a JSON object, is
     # read again as text with the rest of the file, so that the error reported is a
     # text reader's: a decoding error comes before the lines of its chunk
     with _text_after(path, None, records.row - 1) as fh:
         for lines in _chunks(fh, _CHUNK_TEXT, len):
             records.read_lines(lines)
-    return records.dataset()
+    return records.result()
 
 
 def _text_lines(block: bytes) -> list[str]:
@@ -1101,9 +1037,9 @@ class _JsonlRecords:
     so after one the rest of the file is only parsed.
     """
 
-    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int, record_strings: bool):
+    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int, sink):
         self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
-        self.file_bytes, self.record_strings, self.columns, self.row = file_bytes, record_strings, None, 1
+        self.file_bytes, self.sink, self.columns, self.row = file_bytes, sink, None, 1
 
     def find_catalog(self, lines: list[str]) -> None:
         """The catalog of the first record in `lines`, if no earlier line held one."""
@@ -1118,7 +1054,7 @@ class _JsonlRecords:
             self.error = exc
         else:
             self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
-            self.columns = _Columns(self.file_bytes, self.tails["\n"], self.record_strings)
+            self.columns = self.sink(self.file_bytes, self.tails["\n"])
 
     def read_block(self, block: bytes) -> bool:
         """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""
@@ -1142,12 +1078,12 @@ class _JsonlRecords:
             except DataError as exc:
                 self.error = exc
 
-    def dataset(self) -> Dataset:
+    def result(self):
         if self.error is not None:
             raise self.error
         if self.cat is None:
             raise SchemaError("empty file: no records")
-        return self.columns.dataset(self.cat)
+        return self.columns.result(self.cat)
 
 
 def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:

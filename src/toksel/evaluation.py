@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, cell_ids, check_subset, distinct_rows, token_ids
+from .counts import cell_ids, distinct_rows
+from .dataset import Dataset, check_subset, token_ids
 from .errors import DataError, ParameterError, UndefinedStatisticError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -324,10 +325,14 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     A split's test counts are one bincount of its test keys (the fewer at the default 0.7).
     """
     table = dataset.patterns
-    cells = [cell_ids(table.rows, s) for s in subsets]
+    # each subset's cell ids, held for every split: int32, half an int64 array on
+    # tables of many rows (a cell id is below the table's row count)
+    cells = [(c.astype(np.int32), n_cells) for c, n_cells in (cell_ids(table.rows, s) for s in subsets)]
     out = np.empty((len(subsets), plan.splits))
     keys = table.key_of_record
-    for j, (train_idx, test_idx, scorer_seed) in enumerate(plan.partitions(keys.size)):
+    splits = plan.partitions(keys.size)
+    for j in range(plan.splits):
+        train_idx, test_idx, scorer_seed = next(splits)
         test = np.bincount(keys[test_idx], minlength=table.counts.size).reshape(-1, 2)
         train = table.counts - test
         n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
@@ -354,6 +359,7 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
                 np.repeat([0, 1], n_cells),
                 np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
             )
+        train_idx = test_idx = X_train = None  # dropped before the next split is drawn
     return out
 
 

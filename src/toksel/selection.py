@@ -22,7 +22,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PatternTable, TokenCatalog, cell_ids, refine_cells
+from .counts import PatternTable, cell_ids, refine_cells
+from .dataset import Dataset, TokenCatalog
 from .errors import CapacityError, ParameterError
 from .evaluation import SplitPlan, check_seed, univariate_aucs
 from .infotheory import IgEvaluator, extension_term_sums, stacked_term_sums
@@ -292,20 +293,24 @@ def _bound_gains(
     return [ev.gain(term_sum) for term_sum in stacked_term_sums(ev.patterns, start, width, subsets)]
 
 
-# Strategy name -> (run, greedy). run(dataset, k, seed, splits, train_fraction) gives the
-# trace; greedy declares that the trace at k is the first k steps of the trace at the
-# catalog size n, which ends at the full-set information. Each run calls its select_*
-# function through this module's globals, so a wrapped one (e.g. for profiling) runs.
+# Strategy name -> (run, greedy, draws). run(dataset, k, seed, splits, train_fraction) gives
+# the trace; greedy declares that the trace at k is the first k steps of the trace at the
+# catalog size n, which ends at the full-set information; draws names what the run draws
+# from the seed, if anything. A run that draws "splits" splits the records, so it needs a
+# Dataset; every other run reads a file's `RowCounts` as it reads a Dataset. Each run
+# calls its select_* function through this module's globals, so a wrapped one (e.g. for
+# profiling) runs.
 STRATEGIES = {
-    "rits": (lambda ds, k, seed, splits, frac: select_rits(ds, k), True),
+    "rits": (lambda ds, k, seed, splits, frac: select_rits(ds, k), True, None),
     # an alias of rits, kept so that commands naming it still run
-    "rits_lazy": (lambda ds, k, seed, splits, frac: select_rits_lazy(ds, k), True),
+    "rits_lazy": (lambda ds, k, seed, splits, frac: select_rits_lazy(ds, k), True, None),
     "auc_greedy": (
         lambda ds, k, seed, splits, frac: select_auc_greedy(ds, k, splits=splits, seed=seed, train_fraction=frac),
         False,
+        "splits",
     ),
-    "random": (lambda ds, k, seed, splits, frac: select_random(len(ds.catalog), k, seed), False),
-    "exhaustive": (lambda ds, k, seed, splits, frac: select_exhaustive(ds, k), False),
+    "random": (lambda ds, k, seed, splits, frac: select_random(len(ds.catalog), k, seed), False, "tokens"),
+    "exhaustive": (lambda ds, k, seed, splits, frac: select_exhaustive(ds, k), False, None),
 }
 # what `select` runs, and what `evaluate` compares, when no strategy is named
 DEFAULT_STRATEGY = "rits"

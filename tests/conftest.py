@@ -6,6 +6,8 @@ import pytest
 from toksel import dataset as dataset_module
 from toksel.dataset import Dataset, TokenCatalog
 
+import reference_cells
+
 
 def make_dataset(selections, ratings, catalog=None, arms=None, platforms=None):
     """Build a Dataset from a selection matrix and a rating list (None = unrated)."""
@@ -50,6 +52,26 @@ def statistic_contents(ds):
     return (
         ds.catalog, ds._arm_codes.tolist(), ds.ratings.tolist(), ds.selections.tolist(),
         table.rows.tolist(), table.counts.tolist(), table.key_of_record.tolist(),
+    )
+
+
+def counts_contents(counts):
+    """What a RowCounts holds, its rated table and what abtest reads of it, in a
+    form that compares with ==."""
+    table = counts.patterns
+    return (
+        counts.catalog, counts.rows.tolist(), counts.counts.tolist(), table.rows.tolist(),
+        table.counts.tolist(), len(counts), counts.responders, counts.token_sums.tolist(),
+    )
+
+
+def reference_counts_contents(ds):
+    """`counts_contents` of a Dataset's records counted one by one (`reference_cells.row_counts`)."""
+    rows, counts, _ = reference_cells.row_counts(ds.selections, ds.ratings)
+    rated = [(row, c[1:]) for row, c in zip(rows, counts) if c[1] or c[2]]
+    return (
+        ds.catalog, rows, counts, [row for row, _ in rated], [c for _, c in rated],
+        len(ds), int(ds.responded.sum()), ds.selections.sum(axis=0).tolist(),
     )
 
 

@@ -1,9 +1,9 @@
-"""Sort-based cell keying, the reference for toksel.dataset's bincount compaction.
+"""Sort-based cell keying, the reference for toksel.counts' bincount compaction.
 
 These are the keyings toksel shipped before one compaction numbered
 every cell: `cell_ids` ran `np.unique` over int64 codes of 32 tokens at
 a time, and the pattern table was built by `np.unique` over each row
-packed into a byte string. `toksel.dataset.cell_ids` must give the same
+packed into a byte string. `toksel.counts.cell_ids` must give the same
 ids for every subset of at most 32 tokens, and `Dataset.patterns` the
 same rows and counts, in any row order.
 
@@ -51,6 +51,21 @@ def patterns(sel: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     inverse = inverse.reshape(-1).astype(np.int64)
     counts = np.bincount(inverse * 2 + pc, minlength=2 * first.size)
     return sel[first], counts.reshape(-1, 2), inverse
+
+
+def row_counts(sel: np.ndarray, ratings: np.ndarray) -> tuple[list, list, list]:
+    """Counted record by record: the distinct rows of `sel`, in increasing order
+    read as binary numbers with token 0 least significant, each row's records
+    per rating class (unrated, not poor: 3-5 stars, poor: 1-2 stars) for stored
+    `ratings` (0 for unrated), and each rated record's index among the rated
+    rows * 2 + its poor-call label."""
+    counts: dict = {}
+    for row, rating in zip(map(tuple, sel.tolist()), ratings.tolist()):
+        counts.setdefault(row, [0, 0, 0])[0 if rating == 0 else 2 if rating <= 2 else 1] += 1
+    rows = sorted(counts, key=lambda row: sum(bit << j for j, bit in enumerate(row)))
+    rated = {row: i for i, row in enumerate(r for r in rows if counts[r][1] or counts[r][2])}
+    keys = [rated[row] * 2 + (rating <= 2) for row, rating in zip(map(tuple, sel.tolist()), ratings.tolist()) if rating]
+    return [list(row) for row in rows], [counts[row] for row in rows], keys
 
 
 def _xlog2(n: np.ndarray) -> np.ndarray:

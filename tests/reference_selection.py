@@ -4,7 +4,7 @@ These are the searches toksel shipped before greedy steps and the
 exhaustive search scored a subset's one-token extensions from its cells:
 every candidate subset is scored on its own through
 `IgEvaluator.ig`, which numbers the subset's cells with
-`toksel.dataset.cell_ids` over the pattern table's rows and counts each
+`toksel.counts.cell_ids` over the pattern table's rows and counts each
 cell's records by label. The batched searches must return the same
 traces, field by field and bit for bit.
 """

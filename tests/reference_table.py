@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toksel.dataset import cell_ids, check_subset, distinct_rows, token_ids
+from toksel.counts import cell_ids, distinct_rows
+from toksel.dataset import check_subset, token_ids
 from toksel.errors import DataError, ParameterError
 from toksel.evaluation import _smoothed_rate
 

@@ -182,6 +182,15 @@ class TestSelect:
         assert main(["select", "--input", str(data), "--k", "2", "--strategy", "random"]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", [name for name, (_, _, draws) in selection.STRATEGIES.items() if draws])
+    def test_a_missing_seed_is_named_with_the_strategy_that_needs_it(self, strategy, tmp_path, capsys):
+        # refused before the input is read: a missing file is not reached
+        for data in (write_selection_data(tmp_path), tmp_path / "missing.csv"):
+            assert main(["select", "--input", str(data), "--k", "2", "--strategy", strategy]) == 1
+            draws = selection.STRATEGIES[strategy][2]
+            want = f"toksel: error: --strategy {strategy} draws {draws} at random and needs --seed\n"
+            assert capsys.readouterr().err == want
+
     def test_k_zero_is_usage_error(self, tmp_path):
         data = write_selection_data(tmp_path)
         assert main(["select", "--input", str(data), "--k", "0"]) == 1
@@ -280,7 +289,7 @@ class TestEvaluate:
                 calls.append((name, k))
                 return replace(selection.select_rits(ds, k), strategy=name)
 
-            return run, greedy
+            return run, greedy, None
 
         monkeypatch.setitem(selection.STRATEGIES, "stub_greedy", row("stub_greedy", True))
         monkeypatch.setitem(selection.STRATEGIES, "stub_other", row("stub_other", False))

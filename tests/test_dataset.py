@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toksel import dataset as dataset_module
+from toksel.counts import cell_ids, distinct_rows, refine_cells
 from toksel.dataset import (
     ARMS,
     Dataset,
     TokenCatalog,
     Token,
-    cell_ids,
     check_subset,
-    distinct_rows,
     filter_dataset,
     load_dataset,
-    refine_cells,
     save_dataset,
 )
 from toksel.errors import DataError, ParameterError, SchemaError

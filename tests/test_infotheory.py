@@ -461,15 +461,15 @@ def test_audits_equal_the_per_trial_loop(seed, trials):
 @settings(max_examples=60, deadline=None)
 def test_audits_equal_the_per_trial_loop_in_any_batches(dataset, seed, batch_keys):
     # batches of a few subsets each, down to one, give the same reports
-    old = infotheory._AUDIT_BATCH_KEYS
-    infotheory._AUDIT_BATCH_KEYS = batch_keys
+    old = infotheory._BATCH_KEYS
+    infotheory._BATCH_KEYS = batch_keys
     try:
         assert audit_monotonicity(dataset, 30, seed) == audit_monotonicity_reference(dataset, 30, seed)
         if len(dataset.catalog) >= 2:
             got = audit_submodularity(dataset, 30, seed, tolerance=0.0)
             assert got == audit_submodularity_reference(dataset, 30, seed, tolerance=0.0)
     finally:
-        infotheory._AUDIT_BATCH_KEYS = old
+        infotheory._BATCH_KEYS = old
 
 
 def test_audit_on_interacting_and_proportional_data_equals_the_per_trial_loop():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toksel import selection
-from toksel.dataset import TokenCatalog, refine_cells
+from toksel.counts import refine_cells
+from toksel.dataset import TokenCatalog
 from toksel.errors import CapacityError, ParameterError
 from toksel.evaluation import SplitPlan, auc
 from toksel.infotheory import (
@@ -126,7 +127,7 @@ class TestSelectRits:
 
 def run(name, dataset, k, seed=None):
     """The trace of the STRATEGIES row `name`, as the CLI runs it at its default splits."""
-    run_strategy, _ = selection.STRATEGIES[name]
+    run_strategy = selection.STRATEGIES[name][0]
     return run_strategy(dataset, k, seed, 100, 0.7)
 
 
@@ -171,7 +172,7 @@ def demo_arm():
     return apply_presentation(generate_truth(gen), arms["treatment"], "treatment", seeds["treatment"])
 
 
-GREEDY_ROWS = [name for name, (_, greedy) in selection.STRATEGIES.items() if greedy]
+GREEDY_ROWS = [name for name, (_, greedy, _) in selection.STRATEGIES.items() if greedy]
 
 
 class TestRegistry:

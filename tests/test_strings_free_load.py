@@ -1,10 +1,13 @@
 """Loads that check call ids and platforms but do not keep them.
 
-`load_dataset(..., record_strings=False)` is the statistic commands'
-load. On every mutated file of the exit-code fuzz, at each block size,
-it must hold what the full load holds for a statistic, or raise the full
-load's error. The dataset it gives refuses to be read for its strings or
-saved, with one ParameterError.
+The statistic commands load a file's counts (`load_dataset(...,
+counts=True)`), which hold no record at all, or, to draw record-level
+splits, its records without call ids or platforms
+(`record_strings=False`). On every mutated file of the exit-code fuzz,
+at each block size, the latter must hold what the full load holds for a
+statistic, or raise the full load's error (`test_mutation_fuzz` checks
+the counts load against the reference loader). The dataset it gives
+refuses to be read for its strings or saved, with one ParameterError.
 """
 
 import argparse
@@ -14,6 +17,7 @@ from unittest import mock
 import pytest
 
 from toksel import cli
+from toksel.counts import RowCounts
 from toksel.dataset import filter_dataset, load_dataset, save_dataset
 from toksel.errors import ParameterError
 from toksel.synthgen import generate_truth
@@ -86,6 +90,11 @@ def test_cli_load_keeps_no_strings(survey):
     path, fmt = survey
     args = argparse.Namespace(catalog=None, format="auto")
     with mock.patch.object(cli, "load_dataset", wraps=load_dataset) as load:
-        dataset = cli._load(args, str(path))
-    assert load.call_args.kwargs == {"format": fmt, "catalog": None, "record_strings": False}
+        counts = cli._load(args, str(path))
+        assert load.call_args.kwargs == {"format": fmt, "catalog": None, "record_strings": False, "counts": True}
+        dataset = cli._load(args, str(path), records=True)
+        assert load.call_args.kwargs == {"format": fmt, "catalog": None, "record_strings": False, "counts": False}
+    # the counts hold the catalog and the distinct rows' counts, and no record
+    assert type(counts) is RowCounts and set(vars(counts)) == {"catalog", "rows", "counts"}
+    assert len(counts) == len(dataset) == 300
     assert dataset._call_ids is None and dataset._platforms is None

@@ -142,7 +142,7 @@ def _run(args) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load(args, path: str, records: bool = False):
+def _load(args, path: str, keys: bool = False):
     p = Path(path)
     if not p.exists():
         raise DataError(f"input file not found: {p}")
@@ -150,9 +150,9 @@ def _load(args, path: str, records: bool = False):
     fmt = args.format
     if fmt == "auto":
         fmt = "jsonl" if p.suffix == ".jsonl" else "csv"
-    # a statistic command reads the file's counts, or, to draw record-level splits, its
-    # records' arms, ratings and cells: either way call ids and platforms are checked, not kept
-    return load_dataset(p, format=fmt, catalog=catalog, record_strings=False, counts=not records)
+    # a statistic command reads the file's counts, and, to draw record-level splits, each
+    # rated record's pattern key: every field is checked, and no record is kept
+    return load_dataset(p, format=fmt, catalog=catalog, counts=True, keys=keys)
 
 
 # -- commands -----------------------------------------------------------
@@ -185,7 +185,7 @@ def cmd_select(args):
     run, _, draws = STRATEGIES[args.strategy]
     if draws and args.seed is None:
         raise ParameterError(f"--strategy {args.strategy} draws {draws} at random and needs --seed")
-    dataset = _load(args, args.input, records=draws == "splits")
+    dataset = _load(args, args.input, keys=draws == "splits")
     trace = run(dataset, args.k, args.seed, args.splits, args.train_frac)
 
     labels = dataset.catalog.labels
@@ -212,7 +212,7 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
-    dataset = _load(args, args.input, records=True)
+    dataset = _load(args, args.input, keys=True)
     n_tokens = len(dataset.catalog)
     if args.k_max > n_tokens:
         raise ParameterError(f"--k-max {args.k_max} exceeds catalog size {n_tokens}")

@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .errors import CapacityError
+
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import TokenCatalog
 
@@ -44,6 +46,13 @@ def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     occupied = np.bincount(keys, minlength=n_keys) > 0
     ranks = np.cumsum(occupied) - 1
     return ranks[keys], int(np.count_nonzero(occupied))
+
+
+def _mapped_int32(values: np.ndarray) -> np.ndarray:
+    """`values` as int32 in a memory mapping of their own, unmapped whole when dropped."""
+    out = np.frombuffer(mmap.mmap(-1, max(1, 4 * values.size)), np.int32, values.size)
+    np.copyto(out, values, casting="unsafe")
+    return out
 
 
 def cell_ids(rows: np.ndarray, subset: Sequence[int]) -> tuple[np.ndarray, int]:
@@ -125,13 +134,13 @@ class PatternTable:
     `cell_ids` numbers the cells of the whole catalog: increasing as
     binary numbers with token 0 least significant. A subsample of the rated
     records (one side of a split) is one bincount of their keys, and their
-    rows and labels are `rows[key >> 1]` and `key & 1`; a table folded from
-    a file, whose records are not kept, has no keys.
+    rows and labels are `rows[key >> 1]` and `key & 1`; a table folded
+    without keys (`RowFold(..., keys=False)`) has none.
     """
 
     rows: np.ndarray  # (n_patterns, n_tokens) uint8, each distinct rated token row once
     counts: np.ndarray  # (n_patterns, 2) int64: rated records per row that are (not poor, poor)
-    # (n_rated,) int64: each rated record's pattern index * 2 + poor-call label, or None
+    # (n_rated,) int32: each rated record's pattern index * 2 + poor-call label, or None
     key_of_record: Optional[np.ndarray] = None
     # (n_tokens, n_patterns) uint8: `rows` transposed, so that each token's column is contiguous
     columns: np.ndarray = field(init=False, repr=False, compare=False)
@@ -158,13 +167,16 @@ class RowFold:
     mapping of its own, so that no waiting block sits in the heap among the
     short-lived arrays that read the next ones. A block that does not fit
     merges the buffer first; one longer than the buffer merges alone.
+    With `keys`, each merge keeps its records' keys (3 * row + rating class) and
+    its old rows' new rows, as int32, and `result` composes them into `key_of_record`.
     """
 
-    def __init__(self, n_tokens: int):
+    def __init__(self, n_tokens: int, keys: bool = False):
         self.rows = np.zeros((0, n_tokens), np.uint8)
         self.counts = np.zeros((0, 3), np.int64)
         self._cells = self._ratings = None
         self._pending = 0
+        self._merges = [] if keys else None  # (old rows' new rows, records' keys) per merge
         self._size_buffer()
 
     def _size_buffer(self) -> None:
@@ -198,13 +210,32 @@ class RowFold:
         counts = np.zeros((n_rows, 3), np.int64)
         counts[ids[:n]] = self.counts  # the table's rows are distinct: one row per key
         counts += np.bincount(3 * ids[n:] + _RATING_CLASSES[ratings], minlength=counts.size).reshape(-1, 3)
+        if self._merges is not None:  # keyed again: kept from the bincount, they outlive its temporaries
+            if counts.size > np.iinfo(np.int32).max:
+                raise CapacityError(f"{n_rows} distinct token rows: too many to key each record in int32")
+            self._merges.append((_mapped_int32(ids[:n]), _mapped_int32(3 * ids[n:] + _RATING_CLASSES[ratings])))
         self.rows, self.counts, self._pending = stacked[row_of_id], counts, 0
         self._size_buffer()
 
     def result(self, catalog: "TokenCatalog") -> "RowCounts":
         if self._pending:
             self._merge(self._cells[:self._pending], self._ratings[:self._pending])
-        return RowCounts(catalog, self.rows, self.counts)
+        return RowCounts(catalog, self.rows, self.counts, None if self._merges is None else self._record_keys())
+
+    def _record_keys(self) -> np.ndarray:
+        """Each rated record's rated row * 2 + poor-call label, int32: from the last merge
+        back, `key` maps each (row, rating class) of the table it left to that, or -1."""
+        rated = self.counts[:, 1:].any(axis=1)
+        key = np.full((len(self.rows), 3), -1, np.int32)
+        key[rated, 1:] = 2 * np.arange(np.count_nonzero(rated))[:, None] + [0, 1]
+        out = np.empty(int(self.counts[:, 1:].sum()), np.int32)
+        end = out.size
+        for old_rows, records in reversed(self._merges):
+            got = key.reshape(-1)[records]
+            got = got[got >= 0]
+            out[end - got.size:end], end = got, end - got.size
+            key = key[old_rows]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,18 +243,20 @@ class RowCounts:
     """A survey's distinct token rows, in `cell_ids` order of the whole catalog,
     with their records per rating class: (unrated, not poor, poor).
 
-    What a statistic load gives (`load_dataset(..., counts=True)`): no
-    record is kept, and every statistic that draws no record-level split
-    reads it as it reads a `Dataset`, through `catalog` and `patterns`.
+    What a statistic load gives (`load_dataset(..., counts=True)`): no record is
+    kept, and every statistic reads it as it reads a `Dataset`, through `catalog`,
+    `patterns` and `cooccurrence`, and the repeated splits through the keys.
     """
 
     catalog: "TokenCatalog"
     rows: np.ndarray  # (n_rows, n_tokens) uint8
     counts: np.ndarray  # (n_rows, 3) int64
+    key_of_record: Optional[np.ndarray] = None  # (n_rated,) int32 `PatternTable` keys, or None
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
-        self.counts.setflags(write=False)
+        for arr in (self.rows, self.counts, self.key_of_record):
+            if arr is not None:
+                arr.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.counts.sum())
@@ -245,28 +278,15 @@ class RowCounts:
 
     @cached_property
     def patterns(self) -> PatternTable:
-        """The rated rows' table; no record keys."""
-        return PatternTable(*self._rated())
+        """The rated rows' table, with the records' keys if folded with them."""
+        return PatternTable(*self._rated(), self.key_of_record)
 
-    def keyed_patterns(self, rows: np.ndarray, labels: np.ndarray) -> PatternTable:
-        """The rated rows' table with the keys of the records `rows` (n, n_tokens)
-        these counts were folded from, whose poor-call `labels` are 1, 0, or -1
-        for an unrated record, which gets no key.
-
-        The records are read a chunk at a time, each chunk as long as the
-        table at least: a chunk's rated rows, stacked under the table's, take
-        the table's cell ids, which are their pattern indices.
-        """
-        table, counts = self._rated()
-        n, step = len(table), max(1, _FOLD_ROWS, len(table))
-        keys = np.empty(np.count_nonzero(labels >= 0), np.int64)
-        done = 0
-        for lo in range(0, len(rows), step):
-            rated = labels[lo:lo + step] >= 0
-            chunk = rows[lo:lo + step][rated]
-            cells, _ = cell_ids(np.concatenate([table, chunk]), range(table.shape[1]))
-            out = keys[done:done + len(chunk)]
-            np.multiply(cells[n:], 2, out=out)
-            out += labels[lo:lo + step][rated]
-            done += len(chunk)
-        return PatternTable(table, counts, keys)
+    @cached_property
+    def cooccurrence(self) -> np.ndarray:
+        """float64 records selecting both of two tokens: int64 sums over blocks of rows under 128 KiB."""
+        total, out = self.counts.sum(axis=1), np.zeros((self.rows.shape[1],) * 2, np.int64)
+        step = max(1, (1 << 14) // max(1, self.rows.shape[1]))
+        for lo in range(0, len(self.rows), step):
+            rows = self.rows[lo:lo + step]
+            out += rows.T @ (rows * total[lo:lo + step, None])
+        return out.astype(np.float64)

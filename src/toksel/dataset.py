@@ -13,18 +13,17 @@ plus an int64 array of end offsets. The tuples `Dataset.call_ids`,
 `.arms` and `.platforms` are built on first access, and no stage reads
 them: the loaders append each chunk to the columns and drop its
 strings, the writers read one chunk's slice at a time, and
-`filter_dataset` takes rows of the columns. A load with
-`record_strings=False` checks every call id and platform as a full load
-does but keeps none, as a column store builds no column that a query
+`filter_dataset` takes rows of the columns. A load with `counts=True`
+keeps no record at all, as a column store builds no column that a query
 does not read (Abadi et al., "Materialization Strategies in a
-Column-Oriented DBMS", ICDE 2007): `evaluate`, and `select` for a
-strategy that draws record-level splits, load their input so, and its
-Dataset can be neither read for its strings nor saved. A load with
-`counts=True` keeps no record at all: the loader checks each block as
-any load does, folds it into the counts of the distinct token rows
-(`counts.RowFold`) and drops it, and `select`, `audit` and `abtest` read
-those `RowCounts`. A Dataset's own `patterns` are built by the same fold
-over its record columns.
+Column-Oriented DBMS", ICDE 2007): the loader checks each block as any
+load does, folds it into the counts of the distinct token rows
+(`counts.RowFold`) and drops it, and every statistic command reads those
+`RowCounts`; with `keys=True` as well, the fold keeps each rated
+record's pattern key, all that the repeated splits of `evaluate` and
+`select --strategy auc_greedy` read of a record. A Dataset's own
+`row_counts` and `patterns` are built by the same fold over its record
+columns.
 
 A line as `save_dataset` writes it is a head (call_id, arm, platform
 and rating) and a tail whose text depends only on the catalog:
@@ -281,8 +280,8 @@ class StringColumn:
         return StringColumn.of(map(self.text.__getitem__, map(slice, bounds[idx], bounds[idx + 1])))
 
 
-def _string_column(values) -> Optional[StringColumn]:
-    return values if values is None or isinstance(values, StringColumn) else StringColumn.of(values)
+def _string_column(values) -> StringColumn:
+    return values if isinstance(values, StringColumn) else StringColumn.of(values)
 
 
 _ARM_CODES = {arm: code for code, arm in enumerate(ARMS)}
@@ -319,13 +318,11 @@ class Dataset:
     Stored as columns: ratings and token cells as numpy arrays, call ids
     and platforms as `StringColumn`s, arms as uint8 codes into ARMS. The
     tuples `call_ids`, `arms` and `platforms` are built on access; no
-    stage reads them. A dataset loaded with `record_strings=False` holds
-    its catalog, arm codes, ratings and cells but no call ids or
-    platforms: `call_ids`, `platforms` and `save_dataset` raise
-    ParameterError, and `filter_dataset` keeps them absent. Ratings use
-    0 internally for "absent", poor-call labels use -1. `row_counts` and
-    `patterns` fold the records into counts a chunk at a time, so that no
-    copy of the records is made (`toksel.counts`).
+    stage reads them. Ratings use 0 internally for "absent", poor-call
+    labels use -1. `row_counts` folds the records into counts, with each
+    rated record's key, a chunk at a time, so that no copy of the records
+    is made (`toksel.counts`); `patterns` and `cooccurrence` are read from
+    it.
     """
 
     def __init__(
@@ -338,8 +335,7 @@ class Dataset:
         selections: np.ndarray,
     ):
         """`call_ids` and `platforms` are sequences of values stored as str,
-        `StringColumn`s, shared as given, or None for a column the dataset
-        does not hold; `arms` are arm names, or their uint8
+        or `StringColumn`s, shared as given; `arms` are arm names, or their uint8
         codes into ARMS. The ratings, selections and arm codes are copied, so
         that no array the caller holds changes the dataset or is made read-only."""
         arms = arms.copy() if isinstance(arms, np.ndarray) else arms
@@ -360,7 +356,7 @@ class Dataset:
             raise DataError("ratings must hold one value per record")
         n = len(ratings)
         for name, column in (("call_ids", call_ids), ("arms", arms), ("platforms", platforms)):
-            if column is not None and len(column) != n:
+            if len(column) != n:
                 raise DataError(f"{name} length must match record count")
         if selections.shape != (n, len(catalog)):
             raise DataError(
@@ -375,11 +371,7 @@ class Dataset:
         self._platforms = platforms
         self._ratings = ratings
         self._selections = selections
-        pc = np.full(n, -1, dtype=np.int8)
-        rated = ratings > 0
-        pc[rated] = (ratings[rated] <= 2).astype(np.int8)
-        self._pc = pc
-        for arr in (self._arm_codes, self._ratings, self._selections, self._pc):
+        for arr in (self._arm_codes, self._ratings, self._selections):
             arr.setflags(write=False)
 
     # -- basic views -------------------------------------------------
@@ -388,18 +380,9 @@ class Dataset:
     def catalog(self) -> TokenCatalog:
         return self._catalog
 
-    def _strings(self) -> tuple[StringColumn, StringColumn]:
-        """The call id and platform columns; ParameterError if the dataset holds none."""
-        if self._call_ids is None or self._platforms is None:
-            raise ParameterError(
-                "dataset holds no call ids or platforms (loaded with record_strings=False);"
-                " load it with record_strings=True to read or save them"
-            )
-        return self._call_ids, self._platforms
-
     @cached_property
     def call_ids(self) -> tuple[str, ...]:
-        return tuple(self._strings()[0].slice(0, len(self)))
+        return tuple(self._call_ids.slice(0, len(self)))
 
     @cached_property
     def arms(self) -> tuple[str, ...]:
@@ -407,7 +390,7 @@ class Dataset:
 
     @cached_property
     def platforms(self) -> tuple[str, ...]:
-        return tuple(self._strings()[1].slice(0, len(self)))
+        return tuple(self._platforms.slice(0, len(self)))
 
     @property
     def selections(self) -> np.ndarray:
@@ -419,10 +402,12 @@ class Dataset:
         """int16 vector, 1..5 for rated calls and 0 for unrated (read-only)."""
         return self._ratings
 
-    @property
+    @cached_property
     def pc_labels(self) -> np.ndarray:
-        """int8 vector aligned with records: 1 poor, 0 not poor, -1 unrated."""
-        return self._pc
+        """int8 vector aligned with records: 1 poor, 0 not poor, -1 unrated (read-only)."""
+        pc = np.where(self._ratings > 0, self._ratings <= 2, -1).astype(np.int8)
+        pc.setflags(write=False)
+        return pc
 
     @property
     def responded(self) -> np.ndarray:
@@ -433,27 +418,23 @@ class Dataset:
         return self._ratings > 0
 
     @cached_property
-    def cooccurrence(self) -> np.ndarray:
-        """Records selecting both of two tokens, as float64 sums over row chunks: exact below 2^53."""
-        out = np.zeros((self._selections.shape[1],) * 2)
-        for start in range(0, len(self), _CHUNK_ROWS):
-            sel = self._selections[start:start + _CHUNK_ROWS].astype(np.float64)
-            out += sel.T @ sel
-        return out
-
-    @property
     def row_counts(self) -> RowCounts:
-        """The records folded into counts (`counts.RowFold`), _CHUNK_ROWS at a time."""
-        fold = RowFold(len(self._catalog))
+        """The records folded into counts with their keys (`counts.RowFold`), _CHUNK_ROWS at a time."""
+        fold = RowFold(len(self._catalog), keys=True)
         for lo in range(0, len(self), _CHUNK_ROWS):
             fold.add(self._selections[lo:lo + _CHUNK_ROWS], self._ratings[lo:lo + _CHUNK_ROWS])
         return fold.result(self._catalog)
 
-    @cached_property
+    @property
+    def cooccurrence(self) -> np.ndarray:
+        """float64 records selecting both of two tokens (`RowCounts.cooccurrence`)."""
+        return self.row_counts.cooccurrence
+
+    @property
     def patterns(self) -> PatternTable:
         """The rated records compressed to their distinct token rows, with label
-        counts and each rated record's key (`RowCounts.keyed_patterns`)."""
-        return self.row_counts.keyed_patterns(self._selections, self._pc)
+        counts and each rated record's key."""
+        return self.row_counts.patterns
 
     def __len__(self) -> int:
         return self._ratings.shape[0]
@@ -501,12 +482,11 @@ def filter_dataset(
     if responded_only:
         keep &= dataset.responded
     idx = np.flatnonzero(keep)
-    call_ids, platforms = dataset._call_ids, dataset._platforms
     return Dataset._own(
         dataset.catalog,
-        None if call_ids is None else call_ids.take(idx),
+        dataset._call_ids.take(idx),
         dataset._arm_codes[idx],
-        None if platforms is None else platforms.take(idx),
+        dataset._platforms.take(idx),
         dataset.ratings[idx],
         dataset.selections[idx],
     )
@@ -546,8 +526,8 @@ def load_dataset(
     format: str = "csv",
     catalog: Optional[TokenCatalog] = None,
     *,
-    record_strings: bool = True,
     counts: bool = False,
+    keys: bool = False,
 ) -> Union[Dataset, RowCounts]:
     """Load a dataset from a CSV or JSONL file.
 
@@ -557,18 +537,18 @@ def load_dataset(
     excluded from any poor-call-conditioned statistic downstream.
 
     Every field of every record is checked in any case, so a file loads
-    or fails alike, with the same error. With `record_strings=False` no
-    call id or platform is kept: the dataset holds no call id or platform
-    column (see `Dataset`), for a caller that reads only arms, ratings and
-    cells. With `counts=True` no record is kept at all: each block of
-    records is folded into counts as it is read (`counts.RowFold`), and
-    the result is their `RowCounts`, for a caller that draws no
-    record-level split.
+    or fails alike, with the same error. With `counts=True` no record is
+    kept: each block of records is folded into counts as it is read
+    (`counts.RowFold`), and the result is their `RowCounts`; with
+    `keys=True` as well, they hold each rated record's pattern key, for a
+    caller that draws record-level splits.
     """
     loaders = {"csv": _load_csv, "jsonl": _load_jsonl}
     if format not in loaders:
         raise ParameterError(f"unknown format {format!r}")
-    sink = _Counts if counts else partial(_Columns, record_strings=record_strings)
+    if keys and not counts:
+        raise ParameterError("keys=True needs counts=True")
+    sink = partial(_Counts, keys=keys) if counts else _Columns
     with _text_errors(path):
         return loaders[format](path, catalog, sink)
 
@@ -655,8 +635,7 @@ class _TextBuffer:
 
 class _Columns:
     """A file's columns, filled chunk by chunk; each chunk's strings are
-    dropped once they are appended to the compact columns, or at once,
-    with no string column built, when `record_strings` is False.
+    dropped once they are appended to the compact columns.
 
     Each column's first mapping is sized from the bytes left to read: no
     more rows than those bytes over the width of a line's tail, the
@@ -664,29 +643,25 @@ class _Columns:
     Rows past that, such as short lines read row by row, grow it by doubling.
     """
 
-    def __init__(self, text_bytes: int, tail: _Tail, record_strings: bool):
+    def __init__(self, text_bytes: int, tail: _Tail):
         rows = text_bytes // tail.template.size
-        self.call_ids = self.platforms = None
-        if record_strings:
-            self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
+        self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
         self.arms, self.ratings, self.cells = _Buffer(rows), _Buffer(rows), _Buffer(rows)
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         """Append a chunk: its arms as names, or as their uint8 codes into ARMS."""
-        if self.call_ids is not None:
-            self.call_ids.append(call_ids)
-            self.platforms.append(platforms)
+        self.call_ids.append(call_ids)
+        self.platforms.append(platforms)
         self.arms.append(_arm_codes(arms))
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
 
     def result(self, catalog: TokenCatalog) -> Dataset:
-        strings = self.call_ids is not None
         return Dataset._own(
             catalog,
-            self.call_ids.column() if strings else None,
+            self.call_ids.column(),
             self.arms.array(np.zeros(0, np.uint8)),
-            self.platforms.column() if strings else None,
+            self.platforms.column(),
             self.ratings.array(np.zeros(0, np.int16)),
             self.cells.array(np.zeros((0, len(catalog)), np.uint8)),
         )
@@ -695,10 +670,10 @@ class _Columns:
 class _Counts:
     """A file's records folded into counts as they are read: the readers have
     checked every field of a chunk, and only its cells and ratings are kept,
-    until the fold merges them into its table."""
+    until the fold merges them into its table (with their keys if `keys`)."""
 
-    def __init__(self, text_bytes: int, tail: _Tail):
-        self.fold = RowFold(tail.slots.size)
+    def __init__(self, text_bytes: int, tail: _Tail, keys: bool = False):
+        self.fold = RowFold(tail.slots.size, keys)
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         self.fold.add(np.asarray(cells, np.uint8), np.asarray(ratings))
@@ -1293,6 +1268,5 @@ def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
     the result reproduces it byte-for-byte."""
     if format not in _WRITERS:
         raise ParameterError(f"unknown format {format!r}")
-    dataset._strings()  # before the file is opened: a dataset without them writes nothing
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _WRITERS[format](dataset, fh)

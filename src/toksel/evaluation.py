@@ -218,14 +218,17 @@ class ForestScorer:
                 best, best_gain = f, parent - gini
         return best
 
-    def fit(self, selections: np.ndarray, labels: np.ndarray) -> "ForestScorer":
-        X = np.asarray(selections)
+    def fit(self, rows: np.ndarray, labels: np.ndarray, row_of_record=None) -> "ForestScorer":
+        """Grow the trees on the records `rows[row_of_record]` (`rows` if None) with 0/1 `labels`."""
+        X = np.asarray(rows)
         check_subset(self.subset, X.shape[1])
         y = np.asarray(labels, dtype=np.int64)
         n1 = int(y.sum())
         if n1 == 0 or n1 == y.size:
             raise DataError("training data must contain both poor and non-poor calls")
         cells, columns = self._distinct_columns(X)
+        if row_of_record is not None:
+            cells = cells[row_of_record]
         bits = columns.T
         keys = cells * 2 + y
         rng = np.random.default_rng(self.seed)
@@ -318,8 +321,8 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     next, so memory does not grow with the number of splits. A scorer
     gives each cell of a subset one score: the table scorer from the
     split's training counts per pattern, the forest by fitting on the
-    training records, read from their keys in the pattern table, and
-    predicting the pattern rows, which walks each cell's row once. One
+    training records as pattern rows (`key >> 1`) and labels (`key & 1`),
+    and predicting the pattern rows, which walks each cell's row once. One
     `auc` then counts each cell's test records as one integer-weighted
     entry per label, which equals scoring the test records one by one.
     A split's test counts are one bincount of its test keys (the fewer at the default 0.7).
@@ -330,6 +333,8 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     cells = [(c.astype(np.int32), n_cells) for c, n_cells in (cell_ids(table.rows, s) for s in subsets)]
     out = np.empty((len(subsets), plan.splits))
     keys = table.key_of_record
+    if keys is None:
+        raise ParameterError("repeated splits need each rated record's key: load with counts=True, keys=True")
     splits = plan.partitions(keys.size)
     for j in range(plan.splits):
         train_idx, test_idx, scorer_seed = next(splits)
@@ -337,7 +342,7 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
         train = table.counts - test
         n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
         if scorer_kind == "forest":
-            X_train, y_train = table.rows[keys[train_idx] >> 1], keys[train_idx] & 1
+            rows_train, y_train = keys[train_idx] >> 1, keys[train_idx] & 1
         for i, (s, (c, n_cells)) in enumerate(zip(subsets, cells)):
 
             def per_cell(counts, label):
@@ -352,14 +357,14 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
             else:
                 # a cell's patterns share its row under the subset, hence its prediction
                 scores = np.empty(n_cells)
-                forest = ForestScorer(s, trees=trees, seed=scorer_seed).fit(X_train, y_train)
+                forest = ForestScorer(s, trees=trees, seed=scorer_seed).fit(table.rows, y_train, rows_train)
                 scores[c] = forest.predict(table.rows)
             out[i, j] = auc(
                 np.concatenate([scores, scores]),
                 np.repeat([0, 1], n_cells),
                 np.concatenate([per_cell(test, 0), per_cell(test, 1)]),
             )
-        train_idx = test_idx = X_train = None  # dropped before the next split is drawn
+        train_idx = test_idx = rows_train = y_train = None  # dropped before the next split is drawn
     return out
 
 

@@ -296,10 +296,10 @@ def _bound_gains(
 # Strategy name -> (run, greedy, draws). run(dataset, k, seed, splits, train_fraction) gives
 # the trace; greedy declares that the trace at k is the first k steps of the trace at the
 # catalog size n, which ends at the full-set information; draws names what the run draws
-# from the seed, if anything. A run that draws "splits" splits the records, so it needs a
-# Dataset; every other run reads a file's `RowCounts` as it reads a Dataset. Each run
-# calls its select_* function through this module's globals, so a wrapped one (e.g. for
-# profiling) runs.
+# from the seed, if anything. A run that draws "splits" splits the records, so it reads
+# each rated record's key (`load_dataset(..., keys=True)`); every run reads a file's
+# `RowCounts` as it reads a Dataset. Each run calls its select_* function through this
+# module's globals, so a wrapped one (e.g. for profiling) runs.
 STRATEGIES = {
     "rits": (lambda ds, k, seed, splits, frac: select_rits(ds, k), True, None),
     # an alias of rits, kept so that commands naming it still run

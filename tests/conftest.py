@@ -45,13 +45,14 @@ def contents(ds):
     return ds.catalog, ds.call_ids, ds.arms, ds.platforms, ds.ratings.tolist(), ds.selections.tolist()
 
 
-def statistic_contents(ds):
-    """What a Dataset holds that a statistic reads: its catalog, arm codes, ratings,
-    cells and pattern table, in a form that compares with ==."""
+def keyed_contents(ds):
+    """What `evaluate` reads of a Dataset or of keyed RowCounts: the catalog, the
+    record count, the pattern table with each rated record's key and the
+    co-occurrence counts, in a form that compares with ==."""
     table = ds.patterns
     return (
-        ds.catalog, ds._arm_codes.tolist(), ds.ratings.tolist(), ds.selections.tolist(),
-        table.rows.tolist(), table.counts.tolist(), table.key_of_record.tolist(),
+        ds.catalog, len(ds), table.rows.tolist(), table.counts.tolist(), table.key_of_record.tolist(),
+        ds.cooccurrence.tolist(),
     )
 
 

@@ -2,9 +2,9 @@
 
 On every file both loaders must return an equal Dataset, or raise the
 same exception type with the same message: same row, same precedence.
-On the reference tests' files, a load with record_strings=False must
-hold what the full load holds but its call ids and platforms, or raise
-its error. Both writers must write the same text.
+On the reference tests' files, a keyed counts load must hold the full
+load's pattern table, record keys and co-occurrence counts, or raise its
+error. Both writers must write the same text.
 """
 
 import csv
@@ -26,7 +26,7 @@ from toksel.dataset import (
 )
 from toksel.errors import DataError, SchemaError
 
-from conftest import contents, statistic_contents, written_text
+from conftest import contents, keyed_contents, written_text
 from reference_io import csv_text_reference, jsonl_text_reference, load_reference
 from test_dataset import any_dataset
 
@@ -70,12 +70,12 @@ def chunk_sizes(chunk_text=None, chunk_rows=None):
     )
 
 
-def assert_strings_free_load_agrees(path, fmt, catalog, chunk_text=None, chunk_rows=None):
-    """load_dataset with record_strings=False holds the full load's statistic
-    columns and pattern table, or raises its exception with its message."""
+def assert_keyed_counts_load_agrees(path, fmt, catalog, chunk_text=None, chunk_rows=None):
+    """load_dataset with counts=True, keys=True holds what evaluate reads of the
+    full load (`keyed_contents`), or raises its exception with its message."""
     with chunk_sizes(chunk_text, chunk_rows):
-        full = outcome(load_dataset, path, fmt, catalog, statistic_contents)
-        assert outcome(load_dataset, path, fmt, catalog, statistic_contents, record_strings=False) == full
+        full = outcome(load_dataset, path, fmt, catalog, keyed_contents)
+        assert outcome(load_dataset, path, fmt, catalog, keyed_contents, counts=True, keys=True) == full
 
 
 def assert_same_outcome(path, fmt, catalog=None, chunk_text=None, chunk_rows=None):
@@ -340,7 +340,7 @@ class TestAgainstReference:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, "csv", catalog, chunk_text, chunk_rows)
-        assert_strings_free_load_agrees(path, "csv", catalog, chunk_text, chunk_rows)
+        assert_keyed_counts_load_agrees(path, "csv", catalog, chunk_text, chunk_rows)
 
     @given(drawn=jsonl_file(), chunk_text=CHUNK_TEXT, chunk_rows=CHUNK_ROWS)
     @settings(max_examples=250, deadline=None)
@@ -349,7 +349,7 @@ class TestAgainstReference:
         path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome(path, "jsonl", catalog, chunk_text, chunk_rows)
-        assert_strings_free_load_agrees(path, "jsonl", catalog, chunk_text, chunk_rows)
+        assert_keyed_counts_load_agrees(path, "jsonl", catalog, chunk_text, chunk_rows)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @given(data=st.data())
@@ -360,7 +360,7 @@ class TestAgainstReference:
         path.write_text(text, encoding="utf-8", newline="")
         chunk_rows = data.draw(CHUNK_ROWS)
         assert_same_outcome(path, fmt, catalog, chunk_text, chunk_rows)
-        assert_strings_free_load_agrees(path, fmt, catalog, chunk_text, chunk_rows)
+        assert_keyed_counts_load_agrees(path, fmt, catalog, chunk_text, chunk_rows)
 
     @given(dataset=any_dataset(), chunk_rows=st.sampled_from([1, 2, 3, None]))
     @settings(max_examples=150, deadline=None)

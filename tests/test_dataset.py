@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toksel import counts as counts_module
 from toksel import dataset as dataset_module
 from toksel.counts import cell_ids, distinct_rows, refine_cells
 from toksel.dataset import (
@@ -378,7 +379,7 @@ class TestSubsetsAndCells:
         sel, pc = rated_records(ds)
         ref_rows, ref_counts, _ = reference_cells.patterns(sel, pc)
         assert table.rows.dtype == np.uint8 and table.rows.shape == (len(ref_rows), rows.shape[1])
-        assert table.counts.dtype == ref_counts.dtype and table.key_of_record.dtype == np.int64
+        assert table.counts.dtype == ref_counts.dtype and table.key_of_record.dtype == np.int32
         # the same rows with the same counts; the row order is not part of the contract
         got = {tuple(r): tuple(c) for r, c in zip(table.rows.tolist(), table.counts.tolist())}
         want = {tuple(r): tuple(c) for r, c in zip(ref_rows.tolist(), ref_counts.tolist())}
@@ -399,13 +400,14 @@ class TestSubsetsAndCells:
 
     def test_wide_subsets_bincount_at_most_four_bins_per_row(self, monkeypatch):
         bins = []
-        bincount = np.bincount
+        compact = counts_module._compact
 
-        def spy(x, weights=None, minlength=0):
-            bins.append(max(minlength, int(x.max()) + 1 if x.size else 0))
-            return bincount(x, weights, minlength)
+        def spy(keys, n_keys):
+            assert keys.size == 0 or int(keys.max()) < n_keys
+            bins.append(n_keys)
+            return compact(keys, n_keys)
 
-        monkeypatch.setattr(np, "bincount", spy)
+        monkeypatch.setattr(counts_module, "_compact", spy)
         rows = np.random.default_rng(0).integers(0, 2, (3, 200), dtype=np.uint8)
         ids, n_cells = cell_ids(rows, range(200))
         assert n_cells == 3 and len(bins) > 1 and max(bins) <= 12
@@ -421,6 +423,14 @@ class TestSubsetsAndCells:
     def test_cooccurrence_counts_every_record(self):
         ds = make_dataset([[1, 0], [1, 1], [0, 1]], [2, None, 5])
         assert ds.cooccurrence.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+    @given(rows=bit_matrices(min_cols=1), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cooccurrence_is_the_float64_record_sum(self, rows, data):
+        ratings = data.draw(st.lists(st.sampled_from([None, 1, 3, 5]), min_size=len(rows), max_size=len(rows)))
+        want = rows.T.astype(np.float64) @ rows.astype(np.float64)
+        got = make_dataset(rows, ratings).cooccurrence
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestFilter:

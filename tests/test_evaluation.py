@@ -315,24 +315,28 @@ def forest_data(draw):
 @given(forest_data(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_forest_equals_record_forest(data, trees, seed):
-    """The weighted-row forest grows the record-by-record forest's trees, bit for bit, and
-    its split AUCs for 1-3 subsets scored in one call equal the record forest's."""
+    """The weighted-row forest grows the record-by-record forest's trees, bit for bit,
+    whether fitted on the records or on the pattern rows and each record's row among
+    them, and its split AUCs for 1-3 subsets scored in one call equal the record forest's."""
     ds, subsets = data
     X, y = rated_records(ds)
     assume(y.size >= 2)
     probe = np.array(list(itertools.product([0, 1], repeat=X.shape[1])))
+    table = ds.patterns
 
-    def fitted(cls, subset):
-        return _outcome(lambda: cls(subset, trees=trees, seed=seed).fit(X, y))
+    def fitted(cls, subset, *data):
+        return _outcome(lambda: cls(subset, trees=trees, seed=seed).fit(*data))
 
     for subset in subsets:
-        new, ref = fitted(ForestScorer, subset), fitted(reference_forest.ForestScorer, subset)
-        if isinstance(ref, type):
-            assert new is ref
-        else:
-            assert new._roots == ref._roots
-            for rows in (X, probe):
-                assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
+        ref = fitted(reference_forest.ForestScorer, subset, X, y)
+        keyed = fitted(ForestScorer, subset, table.rows, table.key_of_record & 1, table.key_of_record >> 1)
+        for new in (fitted(ForestScorer, subset, X, y), keyed):
+            if isinstance(ref, type):
+                assert new is ref
+            else:
+                assert new._roots == ref._roots
+                for rows in (X, probe):
+                    assert new.predict(rows).tobytes() == ref.predict(rows).tobytes()
 
     def record_auc(subset, train, test, scorer_seed):
         scorer = reference_forest.ForestScorer(subset, trees=trees, seed=scorer_seed)
@@ -357,7 +361,9 @@ def test_forest_equals_record_forest_at_catalog_width(subset):
     train, test, scorer_seed = next(SplitPlan(splits=1, master_seed=5).partitions(y.size))
     new = ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
     ref = reference_forest.ForestScorer(subset, trees=3, seed=scorer_seed).fit(X[train], y[train])
-    assert new._roots == ref._roots
+    table = ds.patterns
+    keyed = ForestScorer(subset, trees=3, seed=scorer_seed).fit(table.rows, y[train], table.key_of_record[train] >> 1)
+    assert new._roots == ref._roots == keyed._roots
     assert max(_depth(root) for root in new._roots) > 7
     probe = np.random.default_rng(5).integers(0, 2, size=(2000, X.shape[1]), dtype=np.uint8)
     for rows in (X[test], probe):

@@ -11,8 +11,8 @@ are numpy arrays; arms are uint8 codes into ARMS; call ids and
 platforms are `StringColumn`s, each all its values as one joined str
 plus an int64 array of end offsets. The tuples `Dataset.call_ids`,
 `.arms` and `.platforms` are built on first access, and no stage reads
-them: the loaders append each chunk to the columns and drop its
-strings, the writers read one chunk's slice at a time, and
+them: the loaders keep each chunk's columns and join them at the
+end, the writers read one chunk's slice at a time, and
 `filter_dataset` takes rows of the columns. A load with `counts=True`
 keeps no record at all, as a column store builds no column that a query
 does not read (Abadi et al., "Materialization Strategies in a
@@ -71,9 +71,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import mmap
-import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -85,11 +82,14 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .counts import PatternTable, RowCounts, RowFold
+from .counts import _RATING_CLASSES, PatternTable, RowCounts, RowFold
 from .errors import DataError, ParameterError, SchemaError
 
 ARMS = ("control", "treatment", "none")
 PANELS = ("audio", "video")
+
+# A str holding a surrogate, as a JSON "\ud800" escape decodes to, is not text that UTF-8 can encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # Fixed columns preceding the per-token 0/1 columns in the CSV schema.
 BASE_COLUMNS = ("call_id", "arm", "platform", "rating")
@@ -140,6 +140,8 @@ class TokenCatalog:
         labels = [t.label for t in tokens]
         if len(set(labels)) != len(labels):
             raise SchemaError("token labels must be unique")
+        for label in filter(_SURROGATE.search, labels):
+            raise SchemaError(f"token label {label!r} is not UTF-8 text")
         self._tokens = tokens
         self._by_label = {t.label: t.id for t in tokens}
 
@@ -405,7 +407,7 @@ class Dataset:
     @cached_property
     def pc_labels(self) -> np.ndarray:
         """int8 vector aligned with records: 1 poor, 0 not poor, -1 unrated (read-only)."""
-        pc = np.where(self._ratings > 0, self._ratings <= 2, -1).astype(np.int8)
+        pc = (_RATING_CLASSES[self._ratings] - 1).astype(np.int8)
         pc.setflags(write=False)
         return pc
 
@@ -580,78 +582,21 @@ _BOM_ERROR = "header starts with a UTF-8 byte order mark (BOM); save the file as
 _LINE_END = re.compile(rb"[\r\n]")
 
 
-class _Buffer:
-    """An array grown a chunk of rows at a time, into spare capacity that
-    doubles when full; `array` is a view of the rows appended.
-
-    Chunks are not kept to be joined at the end: kept, each chunk's arrays
-    sit in the C heap between the next chunks' short-lived objects, and
-    once joined and freed they leave holes that the allocator keeps
-    resident. Each capacity is an anonymous memory mapping of its own
-    instead: one that a doubling frees goes back to the system whole,
-    and pages past the rows appended are never touched. So the first
-    mapping holds `capacity` rows, the most the file can hold by an
-    estimate from its size, and a file within it is never copied.
-    """
-
-    def __init__(self, capacity: int):
-        self.data, self.size, self.capacity = None, 0, max(1, capacity)
-
-    def append(self, chunk: np.ndarray) -> None:
-        end = self.size + len(chunk)
-        if self.data is None or end > len(self.data):
-            shape = (max(end, 2 * self.size, self.capacity), *chunk.shape[1:])
-            mapping = mmap.mmap(-1, math.prod(shape) * chunk.itemsize)
-            grown = np.frombuffer(mapping, chunk.dtype, math.prod(shape)).reshape(shape)
-            if self.size:
-                grown[:self.size] = self.data[:self.size]
-            self.data = grown
-        self.data[self.size:end] = chunk
-        self.size = end
-
-    def array(self, empty: np.ndarray) -> np.ndarray:
-        """The rows appended, or `empty` if no chunk was."""
-        return empty if self.data is None else self.data[:self.size]
-
-
-class _TextBuffer:
-    """A string column grown a chunk of values at a time: its text as UTF-8
-    bytes ("surrogatepass" keeps lone surrogates), and its ends in characters."""
-
-    def __init__(self, rows: int, text_bytes: int):
-        self.utf8, self.ends, self.chars = _Buffer(text_bytes), _Buffer(rows), 0
-
-    def append(self, values) -> None:
-        chunk = _string_column(values)
-        self.utf8.append(np.frombuffer(chunk.text.encode("utf-8", "surrogatepass"), np.uint8))
-        self.ends.append(chunk.ends + self.chars)
-        self.chars += len(chunk.text)
-
-    def column(self) -> StringColumn:
-        """The column; the UTF-8 bytes are freed once decoded."""
-        utf8, self.utf8 = self.utf8.array(np.zeros(0, np.uint8)), None
-        return StringColumn(str(memoryview(utf8), "utf-8", "surrogatepass"), self.ends.array(np.zeros(0, np.int64)))
-
-
 class _Columns:
-    """A file's columns, filled chunk by chunk; each chunk's strings are
-    dropped once they are appended to the compact columns.
+    """A file's columns, kept as the chunks the readers give and joined once
+    by `result`: call ids and platforms as each chunk's `StringColumn`, and
+    arm codes, ratings and cells as each chunk's arrays, after an empty one
+    that gives a file of no records its columns' dtypes and width."""
 
-    Each column's first mapping is sized from the bytes left to read: no
-    more rows than those bytes over the width of a line's tail, the
-    narrowest line the byte path reads, and no more text than the bytes.
-    Rows past that, such as short lines read row by row, grow it by doubling.
-    """
-
-    def __init__(self, text_bytes: int, tail: _Tail):
-        rows = text_bytes // tail.template.size
-        self.call_ids, self.platforms = _TextBuffer(rows, text_bytes), _TextBuffer(rows, text_bytes)
-        self.arms, self.ratings, self.cells = _Buffer(rows), _Buffer(rows), _Buffer(rows)
+    def __init__(self, n_tokens: int):
+        self.call_ids, self.platforms = [], []
+        self.arms, self.ratings = [np.zeros(0, np.uint8)], [np.zeros(0, np.int16)]
+        self.cells = [np.zeros((0, n_tokens), np.uint8)]
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         """Append a chunk: its arms as names, or as their uint8 codes into ARMS."""
-        self.call_ids.append(call_ids)
-        self.platforms.append(platforms)
+        self.call_ids.append(_string_column(call_ids))
+        self.platforms.append(_string_column(platforms))
         self.arms.append(_arm_codes(arms))
         self.ratings.append(np.asarray(ratings, np.int16))
         self.cells.append(np.asarray(cells, np.uint8))
@@ -659,11 +604,11 @@ class _Columns:
     def result(self, catalog: TokenCatalog) -> Dataset:
         return Dataset._own(
             catalog,
-            self.call_ids.column(),
-            self.arms.array(np.zeros(0, np.uint8)),
-            self.platforms.column(),
-            self.ratings.array(np.zeros(0, np.int16)),
-            self.cells.array(np.zeros((0, len(catalog)), np.uint8)),
+            StringColumn.concat(self.call_ids),
+            np.concatenate(self.arms),
+            StringColumn.concat(self.platforms),
+            np.concatenate(self.ratings),
+            np.concatenate(self.cells),
         )
 
 
@@ -672,8 +617,8 @@ class _Counts:
     checked every field of a chunk, and only its cells and ratings are kept,
     until the fold merges them into its table (with their keys if `keys`)."""
 
-    def __init__(self, text_bytes: int, tail: _Tail, keys: bool = False):
-        self.fold = RowFold(tail.slots.size, keys)
+    def __init__(self, n_tokens: int, keys: bool = False):
+        self.fold = RowFold(n_tokens, keys)
 
     def add(self, call_ids, arms, platforms, ratings, cells) -> None:
         self.fold.add(np.asarray(cells, np.uint8), np.asarray(ratings))
@@ -702,10 +647,8 @@ def _load_csv(path, catalog: Optional[TokenCatalog], sink):
     tails = {end: _Tail([","] * len(labels) + [end], col_order) for end in ("\n", "\r\n")}
 
     with open(path, "rb") as fh:
-        header_bytes = sum(len(line.encode()) for line in read)
-        text_bytes = os.fstat(fh.fileno()).st_size - header_bytes
-        columns, row_no = sink(text_bytes, tails["\n"]), 2
-        fh.seek(header_bytes)
+        columns, row_no = sink(len(cat)), 2
+        fh.seek(sum(len(line.encode()) for line in read))
         for block in _blocks(fh):
             got = _csv_block(block, tails)
             if got is None:
@@ -978,7 +921,7 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog], sink):
     with open(path, "rb") as fh:
-        records = _JsonlRecords(catalog, os.fstat(fh.fileno()).st_size, sink)
+        records = _JsonlRecords(catalog, sink)
         for block in _blocks(fh):
             try:
                 if records.cat is None and records.error is None:  # no record read yet
@@ -1012,9 +955,9 @@ class _JsonlRecords:
     so after one the rest of the file is only parsed.
     """
 
-    def __init__(self, catalog: Optional[TokenCatalog], file_bytes: int, sink):
+    def __init__(self, catalog: Optional[TokenCatalog], sink):
         self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
-        self.file_bytes, self.sink, self.columns, self.row = file_bytes, sink, None, 1
+        self.sink, self.columns, self.row = sink, None, 1
 
     def find_catalog(self, lines: list[str]) -> None:
         """The catalog of the first record in `lines`, if no earlier line held one."""
@@ -1029,7 +972,7 @@ class _JsonlRecords:
             self.error = exc
         else:
             self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
-            self.columns = self.sink(self.file_bytes, self.tails["\n"])
+            self.columns = self.sink(len(self.cat))
 
     def read_block(self, block: bytes) -> bool:
         """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""

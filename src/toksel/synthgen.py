@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import ARMS, Dataset, StringColumn, TokenCatalog
+from .dataset import _SURROGATE, ARMS, Dataset, StringColumn, TokenCatalog
 from .errors import CapacityError, DataError, ParameterError
 
 ORDER_POLICIES = ("fixed", "randomized")
@@ -376,6 +376,9 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
                 )
             )
         rating = _expect(obj.get("rating", {}), dict, "rating")
+        platform = _expect(obj.get("platform", "desktop"), str, "platform")
+        if _SURROGATE.search(platform):  # refused before generate writes a line of it
+            raise DataError(f"config value 'platform' must be UTF-8 text, got {platform!r}")
         return GeneratorConfig(
             n_calls=_number(obj["n_calls"], "n_calls", int),
             catalog=catalog,
@@ -384,7 +387,7 @@ def generator_from_config(obj: dict) -> GeneratorConfig:
             rating_intercept=_number(rating.get("intercept", 0.0), "intercept"),
             rating_severity_slope=_number(rating.get("severity_slope", 1.0), "severity_slope"),
             rating_rate=_number(rating.get("rate", 1.0), "rate"),
-            platform=_expect(obj.get("platform", "desktop"), str, "platform"),
+            platform=platform,
             seed=_seed(obj.get("seed", 0)),
         )
     except KeyError as exc:

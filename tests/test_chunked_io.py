@@ -26,7 +26,7 @@ from toksel.dataset import (
 )
 from toksel.errors import DataError, SchemaError
 
-from conftest import contents, keyed_contents, written_text
+from conftest import contents, counts_contents, keyed_contents, written_text
 from reference_io import csv_text_reference, jsonl_text_reference, load_reference
 from test_dataset import any_dataset
 
@@ -61,8 +61,8 @@ def outcome(load, path, fmt, catalog, view=contents, **options):
 
 
 def chunk_sizes(chunk_text=None, chunk_rows=None):
-    """The loader's block size in bytes and csv.reader's rows per chunk, which
-    also sizes the first capacity of its columns; each at its default when None."""
+    """The loader's block size in bytes and csv.reader's rows per chunk, each at
+    its default when None."""
     return mock.patch.multiple(
         dataset_module,
         _CHUNK_TEXT=chunk_text or dataset_module._CHUNK_TEXT,
@@ -720,6 +720,28 @@ class TestCases:
         text = jsonl_lines(3) + record_line(call_id="a[0]") + "\n"
         got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
         assert got[1] == ("c0", "c1", "c2", "a[0]")
+
+    @pytest.mark.parametrize("reordered, chunk_text", [(False, None), (True, None), (True, 1)])
+    def test_jsonl_lone_surrogates_in_call_ids_and_platforms(self, tmp_path, reordered, chunk_text):
+        # a "\\ud800" escape decodes to a str that UTF-8 cannot encode; read from the
+        # lines' tails, or row by row where one line's keys are reordered, the records
+        # hold such call ids and platforms as any others, and the counts read past them
+        records = [json.loads(line) for line in jsonl_lines(6).splitlines()]
+        for i, record in enumerate(records):
+            record.update(call_id=f"c{i}\ud800", platform="\udfff" * (i % 3))
+        if reordered:
+            records[3] = dict(reversed(records[3].items()))
+        path = self.write(tmp_path, "d.jsonl", "".join(json.dumps(record) + "\n" for record in records))
+        row_check = mock.Mock(wraps=dataset_module._check_jsonl_record)
+        with mock.patch.object(dataset_module, "_check_jsonl_record", row_check):
+            got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        assert row_check.called == reordered
+        assert got[1] == tuple(f"c{i}\ud800" for i in range(6))
+        assert got[3] == tuple("\udfff" * (i % 3) for i in range(6))
+        with chunk_sizes(chunk_text):
+            counts = load_dataset(path, format="jsonl", counts=True)
+            assert counts_contents(counts) == counts_contents(load_dataset(path, format="jsonl").row_counts)
+        assert_keyed_counts_load_agrees(path, "jsonl", None, chunk_text)
 
     def test_jsonl_blank_lines_count_in_row_numbers(self, tmp_path):
         text = jsonl_lines(2) + "\n  \n" + jsonl_lines(1, start=2) + record_line(arm="groupB") + "\n"

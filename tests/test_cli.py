@@ -639,6 +639,43 @@ def test_malformed_input_is_a_one_line_data_error(case, tmp_path, capsys):
     assert err.startswith("toksel: data error: ") and err.count("\n") == 1
 
 
+def _label_not_utf8(tmp):
+    # json.dumps writes the key as the escape "a\\ud800", which decodes to a lone surrogate
+    return _write(tmp, "d.jsonl", json.dumps(_jsonl_line(**{"a\ud800": 1})) + "\n")
+
+
+# text that UTF-8 cannot encode, where a command would write it: a token label of an
+# input file or of a generator config, and a config's platform
+NOT_UTF8 = {
+    "select": lambda tmp: _select(_label_not_utf8(tmp), "--output", str(tmp / "trace.json")),
+    "evaluate": lambda tmp: [
+        "evaluate", "--input", _label_not_utf8(tmp), "--strategies", "rits", "--k-max", "1", "--splits", "1",
+        "--seed", "0", "--output", str(tmp / "reports"),
+    ],
+    "abtest --csv": lambda tmp: [
+        "abtest", "--control", _label_not_utf8(tmp), "--treatment", _label_not_utf8(tmp),
+        "--output", str(tmp / "abtest.json"), "--csv", str(tmp / "abtest.csv"),
+    ],
+    "generate platform": lambda tmp: _generate(tmp, _config(platform="\ud800")),
+    "generate catalog label": lambda tmp: _generate(tmp, _two_label_config("a\ud800")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_text_that_utf8_cannot_encode_is_refused_before_any_output(case, tmp_path):
+    """Run in a child, whose stdout encodes as UTF-8: under capsys, select's
+    print of such a label does not fail."""
+    argv = NOT_UTF8[case](tmp_path)
+    inputs = set(tmp_path.iterdir())
+    env = {**os.environ, "PYTHONPATH": str(Path(toksel.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "toksel.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("toksel: data error: ") and done.stderr.count("\n") == 1
+    assert set(tmp_path.iterdir()) == inputs
+
+
 # every number of a generator config, each in a config that is otherwise valid
 _CONFIG_NUMBERS = {
     "base_fire_rate": lambda v: _config(base_fire_rate=v),

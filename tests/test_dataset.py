@@ -245,8 +245,8 @@ class TestRoundTrip:
 
 class TestDatasetInvariants:
     def test_pc_labeling_rule(self):
-        ds = make_dataset([[0], [0], [0], [0], [0]], [1, 2, 3, 5, None])
-        assert list(ds.pc_labels) == [1, 1, 0, 0, -1]
+        ds = make_dataset([[0]] * 6, [None, 1, 2, 3, 4, 5])
+        assert ds.pc_labels.dtype == np.int8 and ds.pc_labels.tolist() == [-1, 1, 1, 0, 0, 0]
 
     def test_responded_matches_any_selection(self):
         ds = make_dataset([[0, 0], [1, 0], [1, 1]], [5, 5, 5])

@@ -102,9 +102,10 @@ def _run(args) -> None:
 
     A command returns (outputs, manifest, inputs, flags, seed). `outputs`
     maps each path to its text, or to the Dataset that save_dataset writes
-    there. The manifest goes to `manifest`, or beside the first output when
-    that is None; it records a digest of the input files and flags, the
-    seed and every output's digest, so reruns can be checked byte-for-byte.
+    there and then names on stdout. The manifest goes to `manifest`, or
+    beside the first output when that is None; it records a digest of the
+    input files and flags, the seed and every output's digest, so reruns
+    can be checked byte-for-byte.
     """
     outputs, manifest_path, inputs, flags, seed = args.func(args)
     if not outputs:
@@ -113,6 +114,7 @@ def _run(args) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(data, Dataset):
             save_dataset(data, path, format=path.suffix[1:])
+            print(f"wrote {path} ({len(data)} records)")
         else:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(data)
@@ -176,8 +178,6 @@ def cmd_generate(args):
         arm: synthgen.apply_presentation(truth, pres, arm, arm_seeds[arm]) for arm, pres in arms.items()
     } or {"truth": truth}
     outputs = {out_dir / f"{name}.{args.format}": data for name, data in datasets.items()}
-    for path, data in outputs.items():
-        print(f"wrote {path} ({len(data)} records)")
     return outputs, out_dir / "manifest.json", input_paths, flags, gen.seed
 
 

@@ -36,6 +36,10 @@ Files are written in chunks of records: each head by string formatting,
 and the chunk's tails by one fill of the template. A CSV chunk whose
 call ids or platforms need quoting goes through csv.writer instead.
 
+A file's catalog comes from its head, read as text before the first
+block: a CSV file's header, or the selections keys of a JSONL file's
+first record. The tails are built from it before any row is read.
+
 Files are read as bytes, in blocks of about 128 KiB (`_CHUNK_TEXT`)
 that end after a line end, so that a block of wide lines holds no more
 than one of narrow ones, as Instant Loading splits CSV input into chunks
@@ -920,14 +924,17 @@ def _check_csv_row(row: list[str], row_no: int, labels: list[str], col_order: li
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog], sink):
+    # the catalog, from the first record's selections keys: read as text, as a CSV header is
+    with open(path, encoding="utf-8") as fh:
+        row_no, first = next(((n, text) for n, text in enumerate(map(str.strip, fh), 1) if text), (0, ""))
+    if not first:
+        raise SchemaError("empty file: no records")
+    records = _JsonlRecords(list(_jsonl_object(first, row_no).get("selections", {})), catalog, sink)
     with open(path, "rb") as fh:
-        records = _JsonlRecords(catalog, sink)
         for block in _blocks(fh):
             try:
-                if records.cat is None and records.error is None:  # no record read yet
-                    records.find_catalog(_text_lines(block))
                 if not records.read_block(block):
-                    records.read_lines(_text_lines(block))
+                    records.read_lines(io.StringIO(block.decode(), newline=None).readlines())
             except (UnicodeDecodeError, DataError):
                 break
         else:
@@ -941,42 +948,31 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog], sink):
     return records.result()
 
 
-def _text_lines(block: bytes) -> list[str]:
-    """A block's lines as a text file read in universal newlines mode gives them."""
-    return io.StringIO(block.decode(), newline=None).readlines()
-
-
 class _JsonlRecords:
     """The records of a JSONL file, read a block or a chunk of lines at a time
     and numbered from row 1.
 
-    The first record's selections keys name the catalog and the tails. A
-    line that is not a JSON object is reported before any record error,
-    so after one the rest of the file is only parsed.
+    The first record's selections keys, read before the first block, name
+    the catalog and the tails. A line that is not a JSON object is
+    reported before a catalog that does not match them and before any
+    record error, so after one of those the rest of the file is only
+    parsed; with no catalog there are no tails, and every block is read
+    row by row.
     """
 
-    def __init__(self, catalog: Optional[TokenCatalog], sink):
-        self.catalog, self.cat, self.tails, self.error = catalog, None, None, None
-        self.sink, self.columns, self.row = sink, None, 1
-
-    def find_catalog(self, lines: list[str]) -> None:
-        """The catalog of the first record in `lines`, if no earlier line held one."""
-        if self.cat is not None or self.error is not None:
-            return
-        labels = _first_labels(lines, self.row)
-        if labels is None:
-            return
+    def __init__(self, labels: list[str], catalog: Optional[TokenCatalog], sink):
+        self.row, self.error, self.tails = 1, None, None
         try:
-            self.cat = _catalog_for_labels(labels, self.catalog)
+            self.cat = _catalog_for_labels(labels, catalog)
         except DataError as exc:
             self.error = exc
         else:
             self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
-            self.columns = self.sink(len(self.cat))
+            self.columns = sink(len(self.cat))
 
     def read_block(self, block: bytes) -> bool:
         """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""
-        got = _jsonl_block(block, self.tails) if self.tails is not None else None
+        got = _jsonl_block(block, self.tails) if self.tails else None
         if got is None:
             return False
         if self.error is None:
@@ -987,7 +983,6 @@ class _JsonlRecords:
     def read_lines(self, lines: list[str]) -> None:
         """Read lines row by row; a line that is not a JSON object raises its
         error, and then nothing of them is read."""
-        self.find_catalog(lines)
         rows, objs = _jsonl_objects(lines, self.row)
         self.row += len(lines)
         if self.error is None and objs:
@@ -999,21 +994,7 @@ class _JsonlRecords:
     def result(self):
         if self.error is not None:
             raise self.error
-        if self.cat is None:
-            raise SchemaError("empty file: no records")
         return self.columns.result(self.cat)
-
-
-def _first_labels(lines: list[str], first_row: int) -> Optional[list[str]]:
-    """The selections keys of the first record in `lines`, None if every line is blank.
-
-    A first non-blank line that is not a JSON object raises its error,
-    which is the first error `_jsonl_objects` would raise on the lines.
-    """
-    for row_no, line in enumerate(lines, first_row):
-        if line.strip():
-            return list(_jsonl_object(line.strip(), row_no).get("selections", {}))
-    return None
 
 
 def _jsonl_tail(labels: list[str], cat: TokenCatalog, end: str = "\n") -> _Tail:
@@ -1208,8 +1189,19 @@ _WRITERS = {"csv": _write_csv, "jsonl": _write_jsonl}
 
 def save_dataset(dataset: Dataset, path, format: str = "csv") -> None:
     """Write a dataset in canonical form, a chunk of records at a time; loading
-    the result reproduces it byte-for-byte."""
+    the result reproduces it byte-for-byte. A call id or platform that UTF-8
+    cannot encode raises DataError before the file is opened."""
     if format not in _WRITERS:
         raise ParameterError(f"unknown format {format!r}")
+    # a lone surrogate (a JSON "\ud800" escape loads as one) is refused before the
+    # file is opened; an ASCII column holds none, so it is not scanned
+    found = [
+        (int(np.searchsorted(column.ends, bad.start(), side="right")), name)
+        for name, column in (("call_id", dataset._call_ids), ("platform", dataset._platforms))
+        if not column.text.isascii() and (bad := _SURROGATE.search(column.text))
+    ]
+    if found:
+        record, name = min(found)
+        raise DataError(f"{name} that UTF-8 cannot encode at record {record}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _WRITERS[format](dataset, fh)

@@ -23,6 +23,7 @@ from toksel.dataset import (
     Dataset,
     TokenCatalog,
     load_dataset,
+    save_dataset,
 )
 from toksel.errors import DataError, SchemaError
 
@@ -742,6 +743,74 @@ class TestCases:
             counts = load_dataset(path, format="jsonl", counts=True)
             assert counts_contents(counts) == counts_contents(load_dataset(path, format="jsonl").row_counts)
         assert_keyed_counts_load_agrees(path, "jsonl", None, chunk_text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("column", ["call_id", "platform"])
+    def test_save_refuses_text_utf8_cannot_encode_before_opening_the_file(self, tmp_path, fmt, column):
+        # loaded from JSON "\\ud800" escapes, records 3 and 4 hold lone surrogates, one in each
+        # column; the first of them is named, and the file at the path is left as it was
+        records = [json.loads(line) for line in jsonl_lines(6).splitlines()]
+        other = "platform" if column == "call_id" else "call_id"
+        records[3][column], records[4][other] = "x\ud800", "\udfff"
+        path = self.write(tmp_path, "d.jsonl", "".join(json.dumps(record) + "\n" for record in records))
+        out = self.write(tmp_path, f"out.{fmt}", b"kept")
+        with pytest.raises(DataError, match=f"^{column} that UTF-8 cannot encode at record 3$"):
+            save_dataset(load_dataset(path, format="jsonl"), out, format=fmt)
+        assert out.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("chunk_text", [1, 16])
+    def test_jsonl_first_record_after_blocks_of_blank_lines(self, tmp_path, chunk_text):
+        # at least three blocks hold only blank lines before the first record
+        blank = "\n  \n\t\r\n" * chunk_text
+        rows = blank.count("\n")
+        path = self.write(tmp_path, "d.jsonl", blank + jsonl_lines(8))
+        got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        assert got[1] == tuple(f"c{i}" for i in range(8))
+        assert_keyed_counts_load_agrees(path, "jsonl", None, chunk_text)
+        text = blank + jsonl_lines(3) + record_line(arm="groupB") + "\n" + jsonl_lines(3, start=3)
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl", chunk_text=chunk_text)
+        assert got == (DataError, f"row {rows + 4}: unknown arm 'groupB'")
+
+    @pytest.mark.parametrize("chunk_text", [1, None])
+    def test_jsonl_line_not_json_after_a_catalog_mismatch_wins(self, tmp_path, chunk_text):
+        n = several_chunks(jsonl_lines(1))
+        catalog = TokenCatalog.from_labels(["echo", "static"])
+        path = self.write(tmp_path, "d.jsonl", jsonl_lines(n) + "{oops\n" + jsonl_lines(3, start=n))
+        got = assert_same_outcome(path, "jsonl", catalog, chunk_text=chunk_text)
+        assert got == (DataError, f"row {n + 1}: invalid JSON (Expecting property name enclosed in double quotes)")
+        assert_keyed_counts_load_agrees(path, "jsonl", catalog, chunk_text)
+        # without that line the catalog that does not match the first record's labels is the error
+        path = self.write(tmp_path, "d.jsonl", jsonl_lines(n + 3))
+        got = assert_same_outcome(path, "jsonl", catalog, chunk_text=chunk_text)
+        assert got == (SchemaError, "token columns do not match catalog (missing=['static'], unknown=['noise'])")
+        assert_keyed_counts_load_agrees(path, "jsonl", catalog, chunk_text)
+
+    @pytest.mark.parametrize("chunk_text", [1, 64, None])
+    def test_jsonl_byte_not_utf8_a_few_lines_after_the_first_record(self, tmp_path, chunk_text):
+        head = ("\n" + jsonl_lines(3)).encode()
+        path = self.write(tmp_path, "d.jsonl", head + b"x\xff\n" + jsonl_lines(2, start=3).encode())
+        got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        error = f"can't decode byte 0xff in position {len(head) + 1}: invalid start byte"
+        assert got == (DataError, f"{path}: 'utf-8' codec {error}")
+        assert_keyed_counts_load_agrees(path, "jsonl", None, chunk_text)
+
+    @pytest.mark.parametrize("chunk_text", [1, None])
+    def test_jsonl_first_line_with_keys_in_another_order(self, tmp_path, chunk_text):
+        # its block is read row by row, and every later block from its lines' tails
+        lines = jsonl_lines(several_chunks(jsonl_lines(1))).splitlines(keepends=True)
+        lines[0] = json.dumps(dict(reversed(json.loads(lines[0]).items()))) + "\n"
+        path = self.write(tmp_path, "d.jsonl", "".join(lines))
+        real, read = dataset_module._jsonl_block, []
+
+        def block(*args):
+            got = real(*args)
+            read.append(got is not None)
+            return got
+
+        with mock.patch.object(dataset_module, "_jsonl_block", block):
+            got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        assert len(got[1]) == len(lines) and got[1][0] == "c0"
+        assert len(read) > 2 and read == [False] + [True] * (len(read) - 1)
 
     def test_jsonl_blank_lines_count_in_row_numbers(self, tmp_path):
         text = jsonl_lines(2) + "\n  \n" + jsonl_lines(1, start=2) + record_line(arm="groupB") + "\n"

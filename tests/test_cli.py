@@ -676,6 +676,21 @@ def test_text_that_utf8_cannot_encode_is_refused_before_any_output(case, tmp_pat
     assert set(tmp_path.iterdir()) == inputs
 
 
+def test_generate_names_no_file_it_could_not_write(tmp_path):
+    """An output directory under a regular file cannot be made: no file is
+    written, so no `wrote` line is printed, and the run exits 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["generate", "--config", _write(tmp_path, "cfg.json", TWO_ARM_CONFIG), "--output", str(blocker / "o")]
+    env = {**os.environ, "PYTHONPATH": str(Path(toksel.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "toksel.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("toksel: data error: ") and done.stderr.count("\n") == 1
+
+
 # every number of a generator config, each in a config that is otherwise valid
 _CONFIG_NUMBERS = {
     "base_fire_rate": lambda v: _config(base_fire_rate=v),

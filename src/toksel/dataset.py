@@ -38,7 +38,8 @@ call ids or platforms need quoting goes through csv.writer instead.
 
 A file's catalog comes from its head, read as text before the first
 block: a CSV file's header, or the selections keys of a JSONL file's
-first record. The tails are built from it before any row is read.
+first record. A `catalog` that does not match it raises there, and the
+tails are built from it before any row is read.
 
 Files are read as bytes, in blocks of about 128 KiB (`_CHUNK_TEXT`)
 that end after a line end, so that a block of wide lines holds no more
@@ -57,17 +58,19 @@ and each head + "}" read by one batched `json.loads`.
 
 Any other block is read row by row, and each row goes through the row
 check that names its first error (`_check_csv_row`,
-`_check_jsonl_record`). From the first CSV block that fails, csv.reader
-reads the rest of the file as text, since a quoted field may hold a
-line break, and its rows are then taken _CHUNK_ROWS at a time. A JSONL
-block that fails is decoded and read line by line by `_jsonl_objects`,
-and the next block is read from its tails again; but from a JSONL block
-that is not UTF-8, or holds a line that is not a JSON object, the rest
+`_check_jsonl_record`), so that either format reports its first fault
+in file order. From the first CSV block that fails, csv.reader reads
+the rest of the file as text, since a quoted field may hold a line
+break, and its rows are then taken _CHUNK_ROWS at a time. A JSONL
+block that fails is decoded and its lines checked in order
+(`_add_jsonl_lines`), and the next block is read from its tails again;
+but from a JSONL block that is not UTF-8, or holds a bad line, the rest
 of the file is read as text. A file read as text decodes its bytes
 8 KiB at a time and reads no line of a chunk that does not decode; read
 as text again past the lines already read, it keeps that order, so that
 the first error reported, and a decoding error's byte position, are a
-text reader's.
+text reader's, though the chunk holding a bad line may reach into the
+next block.
 """
 
 from __future__ import annotations
@@ -178,6 +181,8 @@ class TokenCatalog:
         with _text_errors(path), open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
+            if header and header[0].startswith("\ufeff"):
+                raise SchemaError(_BOM_ERROR)
             if header != ["id", "label", "panel"]:
                 raise SchemaError(f"catalog header must be id,label,panel, got {header}")
             rows = []
@@ -447,11 +452,14 @@ class Dataset:
 
 
 def token_ids(subset: Sequence[int]) -> list[int]:
-    """Token ids as ints: Python or numpy integers; a float or a string
-    raises ParameterError rather than being truncated or parsed."""
+    """Token ids as ints: Python or numpy integers; a bool, a float or a
+    string raises ParameterError rather than being read as 0/1, truncated
+    or parsed."""
     ids = []
     for t in subset:
         try:
+            if isinstance(t, bool):  # True == 1, but a flag is not a token id
+                raise TypeError
             ids.append(index(t))
         except TypeError:
             raise ParameterError(f"token id {t!r} is not an integer") from None
@@ -929,72 +937,41 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog], sink):
         row_no, first = next(((n, text) for n, text in enumerate(map(str.strip, fh), 1) if text), (0, ""))
     if not first:
         raise SchemaError("empty file: no records")
-    records = _JsonlRecords(list(_jsonl_object(first, row_no).get("selections", {})), catalog, sink)
+    labels = list(_jsonl_object(first, row_no).get("selections", {}))
+    cat = _catalog_for_labels(labels, catalog)
+    tails = {end: _jsonl_tail(labels, cat, end) for end in ("\n", "\r\n")}
+    columns, row_no = sink(len(cat)), 1
     with open(path, "rb") as fh:
         for block in _blocks(fh):
+            got = _jsonl_block(block, tails)
+            if got is not None:
+                columns.add(*got)
+                row_no += len(got[3])
+                continue
             try:
-                if not records.read_block(block):
-                    records.read_lines(io.StringIO(block.decode(), newline=None).readlines())
+                lines = io.StringIO(block.decode(), newline=None).readlines()
+                row_no = _add_jsonl_lines(columns, lines, row_no, cat.labels)
             except (UnicodeDecodeError, DataError):
                 break
         else:
-            return records.result()
-    # a block that does not decode, or holds a line that is not a JSON object, is
-    # read again as text with the rest of the file, so that the error reported is a
-    # text reader's: a decoding error comes before the lines of its chunk
-    with _text_after(path, None, records.row - 1) as fh:
+            return columns.result(cat)
+    # a block that does not decode, or holds a fault, is read again as text with the
+    # rest of the file, so that the error reported is a text reader's: a decoding
+    # error comes before the lines of its 8 KiB chunk, which may start in an earlier block
+    with _text_after(path, None, row_no - 1) as fh:
         for lines in _chunks(fh, _CHUNK_TEXT, len):
-            records.read_lines(lines)
-    return records.result()
+            row_no = _add_jsonl_lines(columns, lines, row_no, cat.labels)
+    return columns.result(cat)
 
 
-class _JsonlRecords:
-    """The records of a JSONL file, read a block or a chunk of lines at a time
-    and numbered from row 1.
-
-    The first record's selections keys, read before the first block, name
-    the catalog and the tails. A line that is not a JSON object is
-    reported before a catalog that does not match them and before any
-    record error, so after one of those the rest of the file is only
-    parsed; with no catalog there are no tails, and every block is read
-    row by row.
-    """
-
-    def __init__(self, labels: list[str], catalog: Optional[TokenCatalog], sink):
-        self.row, self.error, self.tails = 1, None, None
-        try:
-            self.cat = _catalog_for_labels(labels, catalog)
-        except DataError as exc:
-            self.error = exc
-        else:
-            self.tails = {end: _jsonl_tail(labels, self.cat, end) for end in ("\n", "\r\n")}
-            self.columns = sink(len(self.cat))
-
-    def read_block(self, block: bytes) -> bool:
-        """Read a block from its lines' tails; False, having read nothing, if it fails a guard."""
-        got = _jsonl_block(block, self.tails) if self.tails else None
-        if got is None:
-            return False
-        if self.error is None:
-            self.columns.add(*got)
-        self.row += len(got[3])
-        return True
-
-    def read_lines(self, lines: list[str]) -> None:
-        """Read lines row by row; a line that is not a JSON object raises its
-        error, and then nothing of them is read."""
-        rows, objs = _jsonl_objects(lines, self.row)
-        self.row += len(lines)
-        if self.error is None and objs:
-            try:
-                self.columns.add(*zip(*map(_check_jsonl_record, objs, rows, repeat(self.cat.labels))))
-            except DataError as exc:
-                self.error = exc
-
-    def result(self):
-        if self.error is not None:
-            raise self.error
-        return self.columns.result(self.cat)
+def _add_jsonl_lines(columns, lines: list[str], row_no: int, labels: list[str]) -> int:
+    """Check the records of `lines`, numbered from `row_no`, in order, and add
+    them to `columns`; the first fault raises. The row number after them."""
+    texts = map(str.strip, lines)
+    rows = [_check_jsonl_record(_jsonl_object(text, n), n, labels) for n, text in enumerate(texts, row_no) if text]
+    if rows:
+        columns.add(*zip(*rows))
+    return row_no + len(lines)
 
 
 def _jsonl_tail(labels: list[str], cat: TokenCatalog, end: str = "\n") -> _Tail:
@@ -1058,14 +1035,6 @@ def _jsonl_block(block: bytes, tails: dict):
         return None
     ratings = np.fromiter(map(_JSON_RATINGS.__getitem__, ratings), np.int16, len(objs))
     return call_ids, arms, platforms, ratings, cells
-
-
-def _jsonl_objects(lines: list[str], first_row: int) -> tuple[list[int], list[dict]]:
-    """Line numbers and objects of the non-blank lines of `lines`, numbered from
-    `first_row`; the first line that is not a JSON object raises its error."""
-    texts = list(map(str.strip, lines))
-    rows = [row_no for row_no, text in enumerate(texts, first_row) if text]
-    return rows, list(map(_jsonl_object, filter(None, texts), rows))
 
 
 def _decoded(text: str, n: int) -> Optional[list[dict]]:

@@ -88,10 +88,11 @@ def jaccard_set(dataset: Dataset, subset: Sequence[int]) -> float:
 
 
 def check_seed(seed) -> None:
-    """Refuse, with ParameterError, a seed that numpy's generators do not take:
-    anything but an integer >= 0 (Python or numpy), None included."""
+    """Refuse, with ParameterError, a seed that is not an integer >= 0 (Python
+    or numpy): None, which numpy's generators take for fresh entropy, and a
+    bool, which they take for 0 or 1, included."""
     try:
-        if index(seed) >= 0:
+        if not isinstance(seed, bool) and index(seed) >= 0:
             return
     except TypeError:
         pass

@@ -2,11 +2,15 @@
 
 These are the loaders and writers toksel shipped before its file I/O
 worked in chunks: every cell is parsed or formatted on its own, in file
-order, from the file read as text. The chunked loaders, which read a
-block of bytes from its lines' tails or row by row, must return an equal
-Dataset for every file, or raise the same exception with the same
-message (a decoding error's position included); the writers must write
-the same text.
+order, from the file read as text in one pass. A file's catalog comes
+from its head: a CSV file's header, or the selections keys of a JSONL
+file's first record; then each line is parsed and checked in turn, so
+the first fault in the file is the one raised, unless a text reader
+meets a byte that does not decode first. The chunked loaders, which
+read a block of bytes from its lines' tails or row by row, must return
+an equal Dataset for every file, or raise the same exception with the
+same message (a decoding error's position included); the writers must
+write the same text.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ def _load_csv(path, catalog: Optional[TokenCatalog]) -> Dataset:
 
 
 def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
-    records: list[dict] = []
+    cat = None
+    call_ids, arms, platforms, ratings, rows = [], [], [], [], []
     with open(path, encoding="utf-8") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -112,43 +117,38 @@ def _load_jsonl(path, catalog: Optional[TokenCatalog]) -> Dataset:
                 raise DataError(f"row {row_no}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or not isinstance(obj.get("selections", {}), dict):
                 raise DataError(f"row {row_no}: expected a JSON object whose selections are an object")
-            records.append(obj)
-            obj["_row"] = row_no
+            if cat is None:
+                cat = _catalog_for_labels(list(obj.get("selections", {}).keys()), catalog)
+                label_set = set(cat.labels)
+            for key in ("call_id", "arm", "platform", "selections"):
+                if key not in obj:
+                    raise SchemaError(f"row {row_no}: missing key {key!r}")
+            if obj["arm"] not in ARMS:
+                raise DataError(f"row {row_no}: unknown arm {obj['arm']!r}")
+            call_ids.append(str(obj["call_id"]))
+            arms.append(obj["arm"])
+            platforms.append(str(obj["platform"]))
+            rating = obj.get("rating")
+            if rating is None:
+                ratings.append(0)
+            else:
+                ratings.append(_parse_rating(str(rating), row_no))
+            row = [0] * len(cat)
+            for lab, val in obj["selections"].items():
+                if lab not in label_set:
+                    raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
+                # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
+                if type(val) is not int or val not in (0, 1):
+                    raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
+                row[cat.id_of(lab)] = val
+            if len(obj["selections"]) != len(cat):
+                missing = sorted(label_set - set(obj["selections"]))
+                raise SchemaError(f"row {row_no}: missing token keys {missing}")
+            rows.append(row)
 
-    if not records:
+    if cat is None:
         raise SchemaError("empty file: no records")
-    labels = list(records[0].get("selections", {}).keys())
-    cat = _catalog_for_labels(labels, catalog)
-    label_set = set(cat.labels)
-
-    call_ids, arms, platforms, ratings = [], [], [], []
-    sel = np.zeros((len(records), len(cat)), dtype=np.uint8)
-    for i, obj in enumerate(records):
-        row_no = obj["_row"]
-        for key in ("call_id", "arm", "platform", "selections"):
-            if key not in obj:
-                raise SchemaError(f"row {row_no}: missing key {key!r}")
-        if obj["arm"] not in ARMS:
-            raise DataError(f"row {row_no}: unknown arm {obj['arm']!r}")
-        call_ids.append(str(obj["call_id"]))
-        arms.append(obj["arm"])
-        platforms.append(str(obj["platform"]))
-        rating = obj.get("rating")
-        if rating is None:
-            ratings.append(0)
-        else:
-            ratings.append(_parse_rating(str(rating), row_no))
-        for lab, val in obj["selections"].items():
-            if lab not in label_set:
-                raise SchemaError(f"row {row_no}: unknown token label {lab!r}")
-            # type check first: True == 1 and 1.0 == 1, but neither is a 0/1 cell
-            if type(val) is not int or val not in (0, 1):
-                raise DataError(f"row {row_no}: token cell for {lab!r} must be 0 or 1, got {val!r}")
-            sel[i, cat.id_of(lab)] = val
-        if len(obj["selections"]) != len(cat):
-            missing = sorted(label_set - set(obj["selections"]))
-            raise SchemaError(f"row {row_no}: missing token keys {missing}")
-
+    sel = np.array(rows, dtype=np.uint8)
     return Dataset(cat, call_ids, arms, platforms, np.array(ratings, dtype=np.int16), sel)
 
 

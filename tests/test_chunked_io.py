@@ -576,19 +576,19 @@ class TestCases:
         catalog = TokenCatalog.from_labels(["noise", "echo"])
         assert assert_same_outcome(path, "csv", catalog)[0] == catalog
 
-    def test_jsonl_syntax_error_after_a_bad_record_in_a_later_chunk_wins(self, tmp_path):
+    def test_jsonl_bad_record_before_a_syntax_error_in_a_later_chunk_wins(self, tmp_path):
         n = several_chunks(jsonl_lines(1))
         bad = json.dumps(
             {"call_id": "x", "arm": "none", "platform": "web", "selections": {"echo": 2, "noise": 0}}
         )
         text = jsonl_lines(n) + bad + "\n" + jsonl_lines(50, start=n) + "{oops\n"
         got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, f"row {n + 1}: token cell for 'echo' must be 0 or 1, got 2")
+        # without the bad record the syntax error is the one reported
+        text = jsonl_lines(n + 51) + "{oops\n"
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
         syntax = "invalid JSON (Expecting property name enclosed in double quotes)"
         assert got == (DataError, f"row {n + 52}: {syntax}")
-        # without the syntax error the bad record is the one reported
-        text = jsonl_lines(n) + bad + "\n" + jsonl_lines(50, start=n)
-        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
-        assert got == (DataError, f"row {n + 1}: token cell for 'echo' must be 0 or 1, got 2")
 
     def test_csv_bad_row_in_a_later_chunk_wins_over_a_later_decoding_error(self, tmp_path):
         n = 3 * dataset_module._CHUNK_ROWS + 10
@@ -604,9 +604,26 @@ class TestCases:
         text = (jsonl_lines(n) + "{oops\n" + jsonl_lines(3000, start=n)).encode() + b"\xff\n"
         got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
         assert got == (DataError, f"row {n + 1}: invalid JSON (Expecting property name enclosed in double quotes)")
-        # a bad record is not: the decoding error is reported
+        # so does a bad record: the first fault in the file is reported
         text = (jsonl_lines(n) + record_line(arm="groupB") + "\n" + jsonl_lines(3000, start=n)).encode() + b"\xff\n"
-        assert assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")[1].startswith(f"{tmp_path}")
+        got = assert_same_outcome(self.write(tmp_path, "d.jsonl", text), "jsonl")
+        assert got == (DataError, f"row {n + 1}: unknown arm 'groupB'")
+
+    @pytest.mark.parametrize("chunk_text", [1, 64])
+    @pytest.mark.parametrize("bad", ["{oops", record_line(arm="groupB")], ids=["not JSON", "bad record"])
+    def test_jsonl_decoding_error_after_a_bad_line_in_an_earlier_block_wins_in_its_text_chunk(
+        self, tmp_path, bad, chunk_text
+    ):
+        # read as text, the file decodes 8 KiB at a time: the bad line, past the first
+        # chunk and a line before the bad byte, is in the chunk that does not decode,
+        # though the bad byte is in a later block than the bad line
+        head = jsonl_lines(200) + bad + "\n" + jsonl_lines(1, start=200)
+        assert len(head) // 8192 == len(head.rsplit("\n", 3)[0]) // 8192 > 0
+        path = self.write(tmp_path, "d.jsonl", head.encode() + b"\xff\n")
+        got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        # the position is counted from the start of the chunk
+        error = f"can't decode byte 0xff in position {len(head) % 8192}: invalid start byte"
+        assert got == (DataError, f"{path}: 'utf-8' codec {error}")
 
     @pytest.mark.parametrize("chunk_text", [1, 64, None])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -772,18 +789,26 @@ class TestCases:
         assert got == (DataError, f"row {rows + 4}: unknown arm 'groupB'")
 
     @pytest.mark.parametrize("chunk_text", [1, None])
-    def test_jsonl_line_not_json_after_a_catalog_mismatch_wins(self, tmp_path, chunk_text):
+    def test_jsonl_catalog_mismatch_before_a_line_not_json_wins(self, tmp_path, chunk_text):
         n = several_chunks(jsonl_lines(1))
         catalog = TokenCatalog.from_labels(["echo", "static"])
         path = self.write(tmp_path, "d.jsonl", jsonl_lines(n) + "{oops\n" + jsonl_lines(3, start=n))
         got = assert_same_outcome(path, "jsonl", catalog, chunk_text=chunk_text)
-        assert got == (DataError, f"row {n + 1}: invalid JSON (Expecting property name enclosed in double quotes)")
-        assert_keyed_counts_load_agrees(path, "jsonl", catalog, chunk_text)
-        # without that line the catalog that does not match the first record's labels is the error
-        path = self.write(tmp_path, "d.jsonl", jsonl_lines(n + 3))
-        got = assert_same_outcome(path, "jsonl", catalog, chunk_text=chunk_text)
         assert got == (SchemaError, "token columns do not match catalog (missing=['static'], unknown=['noise'])")
         assert_keyed_counts_load_agrees(path, "jsonl", catalog, chunk_text)
+        # with the file's own catalog the line that is not JSON is the error
+        got = assert_same_outcome(path, "jsonl", chunk_text=chunk_text)
+        assert got == (DataError, f"row {n + 1}: invalid JSON (Expecting property name enclosed in double quotes)")
+        assert_keyed_counts_load_agrees(path, "jsonl", None, chunk_text)
+
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_jsonl_catalog_mismatch_raises_before_any_block_is_read(self, tmp_path, counts):
+        path = self.write(tmp_path, "d.jsonl", "\n" + jsonl_lines(several_chunks(jsonl_lines(1))))
+        catalog = TokenCatalog.from_labels(["echo", "static"])
+        blocks = mock.Mock(side_effect=AssertionError("a block was read"))
+        with mock.patch.object(dataset_module, "_blocks", blocks), pytest.raises(SchemaError) as raised:
+            load_dataset(path, format="jsonl", catalog=catalog, counts=counts)
+        assert str(raised.value) == "token columns do not match catalog (missing=['static'], unknown=['noise'])"
 
     @pytest.mark.parametrize("chunk_text", [1, 64, None])
     def test_jsonl_byte_not_utf8_a_few_lines_after_the_first_record(self, tmp_path, chunk_text):

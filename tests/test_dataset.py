@@ -69,6 +69,13 @@ class TestTokenCatalog:
         cat.to_csv(path)
         assert TokenCatalog.from_csv(path) == cat
 
+    def test_csv_after_a_byte_order_mark_names_it(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        TokenCatalog.default().to_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(SchemaError, match=r"^header starts with a UTF-8 byte order mark \(BOM\);"):
+            TokenCatalog.from_csv(path)
+
     def test_from_labels_refuses_panels_of_another_length(self):
         with pytest.raises(SchemaError, match="3 labels but 1 panels"):
             TokenCatalog.from_labels(["a", "b", "c"], ["audio"])
@@ -331,8 +338,8 @@ class TestSubsetsAndCells:
 
     @pytest.mark.parametrize(
         "token",
-        [0.9, 1.0, np.float64(1.0), "1", b"1", None, [1], 1 + 0j],
-        ids=["float", "integral float", "numpy float", "str", "bytes", "None", "list", "complex"],
+        [0.9, 1.0, np.float64(1.0), "1", b"1", None, [1], 1 + 0j, True, False],
+        ids=["float", "integral float", "numpy float", "str", "bytes", "None", "list", "complex", "True", "False"],
     )
     def test_check_subset_rejects_ids_that_are_not_integers(self, token):
         with pytest.raises(ParameterError, match="is not an integer"):

@@ -184,8 +184,9 @@ class TestSplitPlan:
             SplitPlan(splits=3, train_fraction=1.0)
         with pytest.raises(DataError):
             SplitPlan(splits=2).partitions(1)
-        # numpy's SeedSequence refuses each of these, later and with its own error
-        for seed in (None, -1, 1.5, 2.0, "3"):
+        # numpy's SeedSequence refuses most of these, later and with its own error; it takes
+        # None for fresh entropy and True for 1
+        for seed in (None, -1, 1.5, 2.0, "3", True):
             with pytest.raises(ParameterError, match="seed"):
                 SplitPlan(splits=2, master_seed=seed)
         assert SplitPlan(splits=2, master_seed=np.int64(5)).master_seed == 5

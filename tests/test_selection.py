@@ -287,7 +287,7 @@ class TestSelectRandom:
             select_random(5, 6, seed=1)
 
     def test_seed_required(self, duplicate_dataset):
-        for seed in (None, -1, 1.5, "3"):
+        for seed in (None, -1, 1.5, "3", True):
             with pytest.raises(ParameterError, match="seed"):
                 select_random(5, 2, seed=seed)
             with pytest.raises(ParameterError, match="seed"):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import TokenCatalog
@@ -168,7 +168,9 @@ class RowFold:
     short-lived arrays that read the next ones. A block that does not fit
     merges the buffer first; one longer than the buffer merges alone.
     With `keys`, each merge keeps its records' keys (3 * row + rating class) and
-    its old rows' new rows, as int32, and `result` composes them into `key_of_record`.
+    its old rows' new rows, as int32, and `result` composes them into `key_of_record`,
+    releasing each merge's arrays once composed, so that the records' keys are held once.
+    A fold gives its result once: its buffer and merges go with it.
     """
 
     def __init__(self, n_tokens: int, keys: bool = False):
@@ -218,8 +220,11 @@ class RowFold:
         self._size_buffer()
 
     def result(self, catalog: "TokenCatalog") -> "RowCounts":
+        if self._cells is None:
+            raise ParameterError("a fold gives its result once")
         if self._pending:
             self._merge(self._cells[:self._pending], self._ratings[:self._pending])
+        self._cells = self._ratings = None
         return RowCounts(catalog, self.rows, self.counts, None if self._merges is None else self._record_keys())
 
     def _record_keys(self) -> np.ndarray:
@@ -230,7 +235,8 @@ class RowFold:
         key[rated, 1:] = 2 * np.arange(np.count_nonzero(rated))[:, None] + [0, 1]
         out = np.empty(int(self.counts[:, 1:].sum()), np.int32)
         end = out.size
-        for old_rows, records in reversed(self._merges):
+        while self._merges:
+            old_rows, records = self._merges.pop()
             got = key.reshape(-1)[records]
             got = got[got >= 0]
             out[end - got.size:end], end = got, end - got.size

@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # the repeated-split scorers: the pattern table (default) and the randomized-tree ensemble
 SCORERS = ("table", "forest")
+# Indices `_key_counts` reads at once, a tree's bootstrap draws or a split's test records:
+# 64 KiB of int64, under malloc's mmap threshold (128 KiB), so that no tree or split maps
+# fresh pages for all n of them, nor for the intp copy of the keys that bincount reads
+_BOOTSTRAP_BLOCK = 1 << 13
 
 
 def auc(scores: Sequence[float], labels: Sequence[int], weights: Optional[Sequence[float]] = None) -> float:
@@ -131,6 +135,16 @@ class SplitPlan:
 # -- scorers -----------------------------------------------------------
 
 
+def _key_counts(keys: np.ndarray, n: int, at, size: int) -> np.ndarray:
+    """int64 counts (`minlength=size`) of the keys at n indices, taken in blocks
+    [lo, hi) of range(n), `_BOOTSTRAP_BLOCK` long, in order: `at(lo, hi)` gives
+    a block's indices, so that none is held longer than its block."""
+    out = np.zeros(size, np.int64)
+    for lo in range(0, n, _BOOTSTRAP_BLOCK):
+        out += np.bincount(keys[at(lo, min(lo + _BOOTSTRAP_BLOCK, n))], minlength=size)
+    return out
+
+
 def _smoothed_rate(n1, n):
     """(n_poor + 1) / (n + 2), Laplace smoothing: the table scorer's score of a cell,
     or its prior. The pseudocount is fixed; there is no option to change it."""
@@ -151,6 +165,10 @@ class ForestScorer:
     count a node needs is one integer sum over its rows of a per-tree
     count row, and the candidates are drawn node by node in depth-first
     order, as the record-by-record forest draws them.
+
+    A fit holds one int32 array per record, its distinct row * 2 + its label,
+    and draws each tree's bootstrap `_BOOTSTRAP_BLOCK` records at a time:
+    the draws of one n-record call, and the same draws after them.
     """
 
     def __init__(self, subset: Sequence[int], trees: int = 100, seed=None):
@@ -223,24 +241,28 @@ class ForestScorer:
         """Grow the trees on the records `rows[row_of_record]` (`rows` if None) with 0/1 `labels`."""
         X = np.asarray(rows)
         check_subset(self.subset, X.shape[1])
-        y = np.asarray(labels, dtype=np.int64)
-        n1 = int(y.sum())
-        if n1 == 0 or n1 == y.size:
+        y = np.asarray(labels)
+        n = y.size
+        n1 = np.count_nonzero(y == 1)
+        if y.ndim != 1 or n1 + np.count_nonzero(y == 0) != n:
+            raise ParameterError("labels must be a 1-d array of 0s and 1s")
+        if n != (len(X) if row_of_record is None else len(row_of_record)):
+            raise ParameterError("labels must be one per record")
+        if n1 == 0 or n1 == n:
             raise DataError("training data must contain both poor and non-poor calls")
         cells, columns = self._distinct_columns(X)
-        if row_of_record is not None:
-            cells = cells[row_of_record]
+        cells = cells.astype(np.int32)  # a cell id is below the distinct rows' count
+        keys = cells if row_of_record is None else cells[row_of_record]
+        keys *= 2
+        np.add(keys, y, out=keys, casting="unsafe")  # each record's cell * 2 + label, int32
         bits = columns.T
-        keys = cells * 2 + y
         rng = np.random.default_rng(self.seed)
-        n = y.size
         k = len(self.subset)
         features = list(range(k))
         counts = np.empty((bits.shape[0], 2 * k), dtype=np.int64)
         self._roots = []
         for _ in range(self.trees):
-            boot = rng.integers(0, n, size=n)
-            w = np.bincount(keys[boot], minlength=2 * bits.shape[0]).reshape(-1, 2)
+            w = _key_counts(keys, n, lambda lo, hi: rng.integers(0, n, size=hi - lo), 2 * bits.shape[0]).reshape(-1, 2)
             drawn = w.sum(axis=1)
             np.multiply(drawn[:, None], bits, out=counts[:, :k])
             np.multiply(w[:, 1:], bits, out=counts[:, k:])
@@ -326,7 +348,8 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     and predicting the pattern rows, which walks each cell's row once. One
     `auc` then counts each cell's test records as one integer-weighted
     entry per label, which equals scoring the test records one by one.
-    A split's test counts are one bincount of its test keys (the fewer at the default 0.7).
+    A split's test counts (the fewer records at the default 0.7) are a bincount
+    of its test keys, summed over blocks (`_key_counts`).
     """
     table = dataset.patterns
     # each subset's cell ids, held for every split: int32, half an int64 array on
@@ -339,11 +362,13 @@ def _split_aucs(dataset: Dataset, subsets, plan: SplitPlan, scorer_kind="table",
     splits = plan.partitions(keys.size)
     for j in range(plan.splits):
         train_idx, test_idx, scorer_seed = next(splits)
-        test = np.bincount(keys[test_idx], minlength=table.counts.size).reshape(-1, 2)
+        test = _key_counts(keys, test_idx.size, lambda lo, hi: test_idx[lo:hi], table.counts.size).reshape(-1, 2)
         train = table.counts - test
         n1_total, n_total = int(train[:, 1].sum()), int(train.sum())
         if scorer_kind == "forest":
-            rows_train, y_train = keys[train_idx] >> 1, keys[train_idx] & 1
+            rows_train = keys[train_idx]
+            y_train = rows_train & 1
+            rows_train >>= 1
         for i, (s, (c, n_cells)) in enumerate(zip(subsets, cells)):
 
             def per_cell(counts, label):

@@ -177,6 +177,21 @@ def test_keyed_fold_carries_each_record_through_every_merge(monkeypatch):
     assert counts.key_of_record.dtype == np.int32 and counts.key_of_record.tolist() == keys
 
 
+def test_keyed_fold_is_used_up_by_its_result(monkeypatch):
+    # each merge's keys are released as they are composed, so the fold cannot give them twice
+    monkeypatch.setattr(counts_module, "_FOLD_ROWS", 0)
+    sel = np.array([[i >> j & 1 for j in range(4)] for i in (5, 3, 5, 9, 0, 3)], np.uint8)
+    ratings = np.array([1, 4, 0, 2, 5, 3])
+    fold = counts_module.RowFold(4, keys=True)
+    for row, rating in zip(sel, ratings):
+        fold.add(row[None], rating[None])
+    assert len(fold._merges) > 1
+    counts = fold.result(TokenCatalog.numbered(4))
+    assert fold._merges == [] and counts.key_of_record.tolist() == reference_cells.row_counts(sel, ratings)[2]
+    with pytest.raises(ParameterError):
+        fold.result(TokenCatalog.numbered(4))
+
+
 @given(keys=st.lists(st.integers(0, 63), max_size=50))
 def test_compact_ranks_the_keys_that_occur(keys):
     keys = np.array(keys, np.int64)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toksel import evaluation
 from toksel.errors import DataError, ParameterError, UndefinedStatisticError
 from toksel.evaluation import (
     _split_aucs,
@@ -313,12 +314,26 @@ def forest_data(draw):
     return ds, subsets
 
 
-@given(forest_data(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+# bootstraps drawn a record at a time, a few at a time, a thousand, and the default
+BOOTSTRAP_BLOCKS = pytest.mark.parametrize(
+    "block", [1, 7, 1000, evaluation._BOOTSTRAP_BLOCK], ids=["block1", "block7", "block1000", "default"]
+)
+
+
+@BOOTSTRAP_BLOCKS
+@given(data=forest_data(), trees=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_forest_equals_record_forest(data, trees, seed):
+def test_forest_equals_record_forest(block, data, trees, seed):
     """The weighted-row forest grows the record-by-record forest's trees, bit for bit,
     whether fitted on the records or on the pattern rows and each record's row among
-    them, and its split AUCs for 1-3 subsets scored in one call equal the record forest's."""
+    them, and its split AUCs for 1-3 subsets scored in one call equal the record forest's,
+    in any bootstrap blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_BOOTSTRAP_BLOCK", block)
+        _assert_forest_equals_record_forest(data, trees, seed)
+
+
+def _assert_forest_equals_record_forest(data, trees, seed):
     ds, subsets = data
     X, y = rated_records(ds)
     assume(y.size >= 2)
@@ -351,10 +366,12 @@ def _depth(node):
     return 0 if isinstance(node, float) else 1 + max(_depth(node[1]), _depth(node[2]))
 
 
+@BOOTSTRAP_BLOCKS
 @pytest.mark.parametrize("subset", [tuple(range(15)), (0, 2, 3, 5, 8, 9, 12, 14)], ids=["k15", "k8"])
-def test_forest_equals_record_forest_at_catalog_width(subset):
+def test_forest_equals_record_forest_at_catalog_width(subset, block, monkeypatch):
     """Demo calls at full catalog width: sqrt(15) rounds to 4 candidates per node and
     the trees grow deeper than 7, which the small property cases never reach."""
+    monkeypatch.setattr(evaluation, "_BOOTSTRAP_BLOCK", block)
     cfg = demo_experiment_config()
     cfg["n_calls"] = 4000
     ds = generate_truth(generator_from_config(cfg))
@@ -458,6 +475,23 @@ class TestForestScorer:
     def test_trees_bound(self):
         with pytest.raises(ParameterError):
             ForestScorer([0], trees=0)
+
+    @pytest.mark.parametrize(
+        "labels, row_of_record",
+        [
+            ([0, 0, 2, 1, 1, 0], None),
+            ([0, 0, 0.7, 1, 1, 0], None),
+            ([0, 0, -1, 1, 1, 0], None),
+            ([[0, 0, 1, 1, 1, 0]], None),
+            ([0, 0, 1, 1, 1], None),
+            ([0, 0, 1, 1, 1, 0], [0, 1, 2]),
+        ],
+        ids=["two", "fraction", "minus_one", "2d", "fewer_than_rows", "fewer_than_row_of_record"],
+    )
+    def test_labels_must_be_one_0_or_1_per_record(self, labels, row_of_record):
+        X = np.array([[0, 1], [1, 0], [1, 1], [0, 0], [1, 0], [0, 1]])
+        with pytest.raises(ParameterError):
+            ForestScorer([0, 1], trees=2, seed=0).fit(X, np.array(labels), row_of_record)
 
 
 class TestEvaluateSubsets:
